@@ -601,6 +601,10 @@ class Parser:
         if self.peek().text == "/":
             self.next()
             den_tok = self.next()
+            if den_tok.kind != "int":
+                raise ParseError("expected a denominator", den_tok.line, den_tok.col)
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
             return Fraction(sign * num, int(den_tok.text))
         return Fraction(sign * num)
 
@@ -900,6 +904,8 @@ def main(argv=None) -> int:
     ap.add_argument("--format", dest="fmt", choices=("text", "machine"),
                     default="text")
     args = ap.parse_args(argv)
+    if args.depth < 1:
+        ap.error(f"--depth must be at least 1, got {args.depth}")
 
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:

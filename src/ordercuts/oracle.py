@@ -27,6 +27,7 @@ from .order_terms import (
     cf,
     ci,
     cut_spectrum,
+    sum_parts,
 )
 
 PROBE_PULLS = 8
@@ -215,81 +216,98 @@ def _interleave(*iterators):
         live = nxt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SumChain(ConcreteChain):
-    """left followed by right; elements are (0, x) and (1, y)."""
+    """The parts in order; elements are (i, x) with x an element of part i."""
 
-    left: ConcreteChain
-    right: ConcreteChain
+    parts: Tuple[ConcreteChain, ...]
 
-    def _part(self, i):
-        return self.left if i == 0 else self.right
+    def __init__(self, *parts: ConcreteChain):
+        if len(parts) < 2:
+            raise DomainError("a sum chain needs at least two parts")
+        object.__setattr__(self, "parts", parts)
+
+    # The first and the last part: the whole chain when there are two.
+    # perfbench/tracing.py still walks sums through these two names.
+    @property
+    def left(self) -> ConcreteChain:
+        return self.parts[0]
+
+    @property
+    def right(self) -> ConcreteChain:
+        return self.parts[-1]
 
     def cmp(self, x, y):
-        if x[0] != y[0]:
-            return -1 if x[0] < y[0] else 1
-        return self._part(x[0]).cmp(x[1], y[1])
+        i, j = x[0], y[0]
+        if i != j:
+            return -1 if i < j else 1
+        return self.parts[i].cmp(x[1], y[1])
 
     def least(self):
-        l = self.left.least()
+        l = self.parts[0].least()
         return None if l is None else (0, l)
 
     def greatest(self):
-        g = self.right.greatest()
-        return None if g is None else (1, g)
+        g = self.parts[-1].greatest()
+        return None if g is None else (len(self.parts) - 1, g)
+
+    def _bottom(self, i):
+        """The least element of part i, or any element when it has none."""
+        part = self.parts[i]
+        l = part.least()
+        return (i, next(iter(part.elements())) if l is None else l)
+
+    def _top(self, i):
+        """The greatest element of part i, or any element when it has none."""
+        part = self.parts[i]
+        g = part.greatest()
+        return (i, next(iter(part.elements())) if g is None else g)
 
     def above(self, x):
         i, a = x
-        z = self._part(i).above(a)
+        z = self.parts[i].above(a)
         if z is not None:
             return (i, z)
-        if i == 0:
-            l = self.right.least()
-            if l is not None:
-                return (1, l)
-            # the right part has no least element: any element is above
-            return (1, next(iter(self.right.elements())))
-        return None
+        return self._bottom(i + 1) if i + 1 < len(self.parts) else None
 
     def below(self, x):
         i, a = x
-        z = self._part(i).below(a)
+        z = self.parts[i].below(a)
         if z is not None:
             return (i, z)
-        if i == 1:
-            g = self.left.greatest()
-            if g is not None:
-                return (0, g)
-            return (0, next(iter(self.left.elements())))
-        return None
+        return self._top(i - 1) if i > 0 else None
 
     def between(self, x, y):
-        if x[0] == y[0]:
-            z = self._part(x[0]).between(x[1], y[1])
-            return None if z is None else (x[0], z)
-        z = self.left.above(x[1])
+        i, j = x[0], y[0]
+        if i == j:
+            z = self.parts[i].between(x[1], y[1])
+            return None if z is None else (i, z)
+        z = self.parts[i].above(x[1])
         if z is not None:
-            return (0, z)
-        w = self.right.below(y[1])
+            return (i, z)
+        w = self.parts[j].below(y[1])
         if w is not None:
-            return (1, w)
-        return None
+            return (j, w)
+        return self._top(j - 1) if j - i > 1 else None
 
     def elements(self):
-        return _interleave(((0, x) for x in self.left.elements()),
-                           ((1, y) for y in self.right.elements()))
+        """Round-robin over the parts, so a prefix of n samples reaches the
+        first n parts."""
+        return _interleave(*(zip(itertools.repeat(i), part.elements())
+                             for i, part in enumerate(self.parts)))
 
     def cofinal(self):
-        kind, payload = self.right.cofinal()
+        last = len(self.parts) - 1
+        kind, payload = self.parts[last].cofinal()
         if kind == "max":
-            return ("max", (1, payload))
-        return ("ladder", lambda: ((1, x) for x in payload()))
+            return ("max", (last, payload))
+        return ("ladder", lambda: zip(itertools.repeat(last), payload()))
 
     def coinitial(self):
-        kind, payload = self.left.coinitial()
+        kind, payload = self.parts[0].coinitial()
         if kind == "min":
             return ("min", (0, payload))
-        return ("ladder", lambda: ((0, x) for x in payload()))
+        return ("ladder", lambda: zip(itertools.repeat(0), payload()))
 
 
 @dataclass(frozen=True)
@@ -559,7 +577,7 @@ def concretize(t: OrderTerm) -> ConcreteChain:
     if isinstance(t, Rev):
         return RevChain(concretize(t.inner))
     if isinstance(t, Sum):
-        return SumChain(concretize(t.left), concretize(t.right))
+        return SumChain(*(concretize(p) for p in sum_parts(t)))
     if isinstance(t, Atom):
         if t.name.lower() in RAT_ATOM_NAMES:
             return RatChain()
@@ -571,11 +589,12 @@ def concretize(t: OrderTerm) -> ConcreteChain:
 # Witness construction following the proofs' ladder recipes
 # ---------------------------------------------------------------------------
 
-def _wrap_side(side: WitnessSide, tag: int) -> WitnessSide:
+def _tag_side(side: WitnessSide, i: int) -> WitnessSide:
+    """The side moved into part i of a sum chain."""
     if side.extremal is not None:
-        return WitnessSide.at((tag, side.extremal))
+        return WitnessSide.at((i, side.extremal))
     factory = side.ladder
-    return WitnessSide.via(lambda: ((tag, x) for x in factory()))
+    return WitnessSide.via(lambda: zip(itertools.repeat(i), factory()))
 
 
 def _cofinal_side(chain: ConcreteChain) -> WitnessSide:
@@ -637,7 +656,13 @@ def _rat_witnesses():
 def term_witnesses(t: OrderTerm):
     """(pair, witness) list covering every claimed pair of the countable
     fragment: extremal neighbours inside discrete pieces, cofinal and
-    coinitial ladders at sum boundaries, bisection ladders at dense gaps."""
+    coinitial ladders at sum boundaries, bisection ladders at dense gaps.
+    Witnesses of a sum address the flat parts of `concretize(t)` and are
+    named by their path in the binary `Sum` tree."""
+    if isinstance(t, Sum):
+        out = []
+        _sum_witnesses(t, concretize(t).parts, "", 0, out)
+        return out
     if isinstance(t, FiniteChain):
         if t.size < 2:
             return []
@@ -655,26 +680,30 @@ def term_witnesses(t: OrderTerm):
                         CutWitness(f"rev({w.name})", w.upper, w.lower,
                                    pair.mirrored())))
         return out
-    if isinstance(t, Sum):
-        out = []
-        for pair, w in term_witnesses(t.left):
-            out.append((pair, CutWitness(f"left:{w.name}",
-                                         _wrap_side(w.lower, 0),
-                                         _wrap_side(w.upper, 0), pair)))
-        for pair, w in term_witnesses(t.right):
-            out.append((pair, CutWitness(f"right:{w.name}",
-                                         _wrap_side(w.lower, 1),
-                                         _wrap_side(w.upper, 1), pair)))
-        ca, cb = concretize(t.left), concretize(t.right)
-        boundary = CofPair(cf(t.left), ci(t.right))
-        out.append((boundary,
-                    CutWitness("sum-boundary",
-                               _wrap_side(_cofinal_side(ca), 0),
-                               _wrap_side(_coinitial_side(cb), 1), boundary)))
-        return out
     if isinstance(t, Atom) and t.name.lower() in RAT_ATOM_NAMES:
         return _rat_witnesses()
     raise DomainError(f"no witness recipe for {t}")
+
+
+def _sum_witnesses(t: OrderTerm, parts, prefix: str, first: int, out) -> int:
+    """Append the witnesses of the subterm t of a sum, whose parts start at
+    flat index `first`, with names under `prefix`; return its part count."""
+    if not isinstance(t, Sum):
+        for pair, w in term_witnesses(t):
+            out.append((pair, CutWitness(prefix + w.name,
+                                         _tag_side(w.lower, first),
+                                         _tag_side(w.upper, first), pair)))
+        return 1
+    n_left = _sum_witnesses(t.left, parts, prefix + "left:", first, out)
+    n_right = _sum_witnesses(t.right, parts, prefix + "right:", first + n_left, out)
+    joint = first + n_left
+    boundary = CofPair(cf(t.left), ci(t.right))
+    out.append((boundary,
+                CutWitness(prefix + "sum-boundary",
+                           _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
+                           _tag_side(_coinitial_side(parts[joint]), joint),
+                           boundary)))
+    return n_left + n_right
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +775,14 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
 def _joint_pairs(chain: ConcreteChain, depth: int) -> frozenset:
     pairs = set()
     if isinstance(chain, SumChain):
-        left_tag = _ladder_tag(chain.left.cofinal(), chain.left, depth, +1)
-        right_tag = _ladder_tag(chain.right.coinitial(), chain.right, depth, -1)
-        pairs.add(CofPair(left_tag, right_tag))
-        pairs.update(_joint_pairs(chain.left, depth))
-        pairs.update(_joint_pairs(chain.right, depth))
+        # a sum repeats a few part kinds: walk each distinct part's ladders once
+        distinct = set(chain.parts)
+        cf_tag = {p: derive_cf(p, depth) for p in distinct}
+        ci_tag = {p: derive_ci(p, depth) for p in distinct}
+        for left, right in zip(chain.parts, chain.parts[1:]):
+            pairs.add(CofPair(cf_tag[left], ci_tag[right]))
+        for part in distinct:
+            pairs.update(_joint_pairs(part, depth))
     elif isinstance(chain, RevChain):
         pairs.update(p.mirrored() for p in _joint_pairs(chain.inner, depth))
     return frozenset(pairs)
@@ -799,6 +831,8 @@ class OracleReport:
 def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     """Verify every claimed countable pair by an explicit witness and hunt
     for sampled pairs missing from the claim."""
+    if depth < 1:
+        raise DomainError(f"witness depth must be at least 1, got {depth}")
     chain = concretize(t)
     claimed = cut_spectrum(t).pairs_below(ALEPH1)
     rows = []

@@ -396,6 +396,9 @@ def test_criterion_5_integers():
 N_CASES = 10_000
 FAMILIES = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
             LexPoints((RAT_CHAIN, INT_CHAIN))]
+# One constant seed per family: string hashes are salted per process, so a
+# seed derived from hash(str(chain)) would draw new cases on every run.
+FAMILY_SEEDS = (6001, 6002, 6003, 6004)
 
 
 def _point(rng, chain_):
@@ -420,8 +423,8 @@ def test_criterion_6_hahn_laws():
     start = time.perf_counter()
     zero_failures = 0
 
-    for chain_ in FAMILIES:
-        rng = random.Random(hash(str(chain_)) & 0xFFFF)
+    for chain_, seed in zip(FAMILIES, FAMILY_SEEDS):
+        rng = random.Random(seed)
         # (UT) with the equality refinement
         for _ in range(N_CASES):
             a, b = _elem(rng, chain_), _elem(rng, chain_)

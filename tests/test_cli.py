@@ -320,3 +320,51 @@ def test_random_definitions_roundtrip(values):
     canon = print_definitions(defs)
     assert print_definitions(parse_definitions(canon)) == canon
     assert [v for _, v in parse_definitions(canon)] == [v for _, v in defs]
+
+
+# ---------------------------------------------------------------------------
+# Input errors exit 2 with a located message and no traceback
+# ---------------------------------------------------------------------------
+
+def invoke_on(tmp_path, text, *args):
+    path = tmp_path / "input.defs"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "ordercuts.cli",
+                           "--in", str(path), *args],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("text", [
+        "let M = sum(well(aleph(0)), rev(well(aleph(0))))\n",
+        "let W0 = well(aleph(0))\n",
+    ])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_rejected(self, tmp_path, text, depth):
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "verify",
+                                   "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert "--depth" in err
+        assert "Traceback" not in err
+
+    def test_depth_one_accepted(self, tmp_path):
+        code, out, err = invoke_on(tmp_path, "let W0 = well(aleph(0))\n",
+                                   "--cmd", "verify", "--depth", "1")
+        assert code == 0
+        assert "verdict=pass" in out
+
+    @pytest.mark.parametrize("text,col,message", [
+        ("let H = hahn(chain=int; 1:1/0)\n", 29, "zero denominator"),
+        ("let S = series(exp=lex2; (0,0):1/0)\n", 34, "zero denominator"),
+        ("let H = hahn(chain=int; 1:1/x)\n", 29, "expected a denominator"),
+    ])
+    def test_bad_denominator(self, tmp_path, text, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse_definitions(text)
+        assert (exc.value.line, exc.value.column) == (1, col)
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "classify")
+        assert code == 2
+        assert f"line 1, col {col}: {message}" in err
+        assert "Traceback" not in err

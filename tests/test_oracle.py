@@ -1,6 +1,7 @@
 """Ladder witnesses and spectrum soundness on the countable fragment."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from ordercuts.cardinals import CardSet, CofPair, ONE, aleph
 from ordercuts.errors import DomainError
+from ordercuts import oracle
 from ordercuts.oracle import (
+    ConcreteChain,
     CutWitness,
+    FinChain,
     LexChain,
     NatChain,
     RatChain,
@@ -147,6 +151,13 @@ class TestSoundness:
         with pytest.raises(DomainError):
             spectrum_soundness(well(aleph(1)))
 
+    def test_depth_below_one_rejected(self):
+        for t in (sum_of(OMEGA, OMEGA_STAR), OMEGA):
+            for depth in (0, -3):
+                with pytest.raises(DomainError):
+                    spectrum_soundness(t, depth)
+        assert spectrum_soundness(OMEGA, 1).ok
+
 
 class TestLexSampling:
     def test_zxz_principal_pattern(self):
@@ -202,3 +213,139 @@ def test_witness_acceptance_monotone_in_depth(t):
         if verify_witness(chain_, witness, 90).ok:
             for depth in (60, 30, 10):
                 assert verify_witness(chain_, witness, depth).ok
+
+
+# ---------------------------------------------------------------------------
+# The flat sum chain: (part, element) addressing
+# ---------------------------------------------------------------------------
+
+def _size(c):
+    if isinstance(c, FinChain):
+        return c.size
+    if isinstance(c, RevChain):
+        return _size(c.inner)
+    return sum(_size(p) for p in c.parts)
+
+
+def _position(c, x):
+    """Rank of x in a finite chain built from FinChain, RevChain, SumChain."""
+    if isinstance(c, FinChain):
+        return x
+    if isinstance(c, RevChain):
+        return _size(c.inner) - 1 - _position(c.inner, x)
+    i, y = x
+    return sum(_size(p) for p in c.parts[:i]) + _position(c.parts[i], y)
+
+
+finite_parts = st.integers(1, 4).map(chain)
+finite_sums = st.lists(
+    st.one_of(finite_parts, finite_parts.map(rev),
+              st.lists(finite_parts, min_size=2, max_size=3)
+              .map(lambda ps: rev(sum_of(*ps)))),
+    min_size=2, max_size=7).map(lambda ps: sum_of(*ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_sums)
+def test_finite_sum_matches_positions(t):
+    c = concretize(t)
+    total = _size(c)
+    elems = list(c.elements())
+    pos = [_position(c, x) for x in elems]
+    assert sorted(pos) == list(range(total))
+    assert _position(c, c.least()) == 0
+    assert _position(c, c.greatest()) == total - 1
+    for x, px in zip(elems, pos):
+        up, down = c.above(x), c.below(x)
+        assert (up is None) == (px == total - 1)
+        assert up is None or _position(c, up) == px + 1
+        assert (down is None) == (px == 0)
+        assert down is None or _position(c, down) == px - 1
+        for y, py in zip(elems, pos):
+            assert c.cmp(x, y) == (px > py) - (px < py)
+            if px < py:
+                z = c.between(x, y)
+                assert (z is None) == (py - px == 1)
+                assert z is None or px < _position(c, z) < py
+
+
+mixed_parts = st.sampled_from([OMEGA, OMEGA_STAR, RAT_ATOM, rev(RAT_ATOM)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(mixed_parts, min_size=2, max_size=6))
+def test_mixed_sum_between_is_strict(parts):
+    c = concretize(sum_of(*parts))
+    elems = list(itertools.islice(c.elements(), 24))
+    for x in elems:
+        for y in elems:
+            if c.cmp(x, y) < 0:
+                z = c.between(x, y)
+                assert z is None or c.cmp(x, z) < 0 < c.cmp(y, z)
+        up, down = c.above(x), c.below(x)
+        assert up is None or c.cmp(x, up) < 0
+        assert down is None or c.cmp(down, x) < 0
+
+
+@pytest.mark.parametrize("term,rows", [
+    (sum_of(sum_of(OMEGA, chain(2)), OMEGA_STAR), [
+        "pair=(1,1) witness=left:left:well-step depth=100 verdict=pass",
+        "pair=(1,1) witness=left:right:finite-step depth=100 verdict=pass",
+        "pair=(aleph(0),1) witness=left:sum-boundary depth=100 verdict=pass",
+        "pair=(1,1) witness=right:rev(well-step) depth=100 verdict=pass",
+        "pair=(1,aleph(0)) witness=sum-boundary depth=100 verdict=pass",
+    ]),
+    (sum_of(OMEGA, rev(sum_of(chain(2), OMEGA))), [
+        "pair=(1,1) witness=left:well-step depth=100 verdict=pass",
+        "pair=(1,1) witness=right:rev(left:finite-step) depth=100 verdict=pass",
+        "pair=(1,1) witness=right:rev(right:well-step) depth=100 verdict=pass",
+        "pair=(1,1) witness=right:rev(sum-boundary) depth=100 verdict=pass",
+        "pair=(aleph(0),aleph(0)) witness=sum-boundary depth=100 verdict=pass",
+    ]),
+])
+def test_nested_sum_rows_pinned(term, rows):
+    report = spectrum_soundness(term)
+    assert report.ok
+    assert report.render_lines() == rows
+
+
+def test_sampling_reaches_every_part():
+    rng = random.Random(60)
+    pool = [OMEGA, OMEGA_STAR, chain(1), chain(3), RAT_ATOM,
+            rev(sum_of(chain(2), OMEGA))]
+    for n in range(2, 61):
+        c = concretize(sum_of(*(rng.choice(pool) for _ in range(n))))
+        reached = {i for i, _ in itertools.islice(c.elements(), 60)}
+        assert reached == set(range(n))
+
+
+def _rat_free_sum(rng, k):
+    parts = []
+    for _ in range(k):
+        triple = [OMEGA, OMEGA_STAR, chain(rng.randint(1, 4))]
+        rng.shuffle(triple)
+        parts.extend(triple)
+    return sum_of(*parts)
+
+
+def test_verify_cmp_count_linear_in_parts(monkeypatch):
+    # a deterministic count, not a timing: 4x the parts may cost at most 5x
+    # the chain comparisons
+    calls = [0]
+
+    def counting(cmp):
+        def wrapper(self, x, y):
+            calls[0] += 1
+            return cmp(self, x, y)
+        return wrapper
+
+    for cls in vars(oracle).values():
+        if isinstance(cls, type) and issubclass(cls, ConcreteChain) \
+                and "cmp" in vars(cls):
+            monkeypatch.setattr(cls, "cmp", counting(cls.cmp))
+    counts = {}
+    for k in (16, 64):
+        calls[0] = 0
+        assert spectrum_soundness(_rat_free_sum(random.Random(k), k)).ok
+        counts[3 * k] = calls[0]
+    assert counts[192] <= 5 * counts[48], counts
