@@ -577,6 +577,8 @@ class Parser:
         if tok.text == "fin":
             self.expect("(")
             n_tok = self.next()
+            if n_tok.kind != "int":
+                raise ParseError("fin(n) needs an integer size", n_tok.line, n_tok.col)
             self.expect(")")
             return hc.FinitePoints(int(n_tok.text))
         if tok.text == "lex":
@@ -614,7 +616,10 @@ class Parser:
             parts = [self._parse_point(chain_.factors[0])]
             i = 1
             while self.peek().text == ",":
-                self.next()
+                comma = self.next()
+                if i == len(chain_.factors):
+                    raise ParseError(f"{chain_} points have {i} coordinates",
+                                     comma.line, comma.col)
                 parts.append(self._parse_point(chain_.factors[i]))
                 i += 1
             self.expect(")")
@@ -628,7 +633,7 @@ class Parser:
         return value
 
     def parse_hahn(self) -> hc.HahnElement:
-        self.next()
+        head = self.next()
         self.expect("(")
         self.expect("chain")
         self.expect("=")
@@ -644,10 +649,13 @@ class Parser:
                 if self.peek().text == ",":
                     self.next()
         self.expect(")")
-        return hc.HahnElement.make(chain_, items)
+        try:
+            return hc.HahnElement.make(chain_, items)
+        except OrderCutsError as exc:
+            raise ParseError(str(exc), head.line, head.col)
 
     def parse_series(self) -> hc.SeriesElement:
-        self.next()
+        head = self.next()
         self.expect("(")
         self.expect("exp")
         self.expect("=")
@@ -672,7 +680,10 @@ class Parser:
                 if self.peek().text == ",":
                     self.next()
         self.expect(")")
-        return hc.SeriesElement.make(group, items)
+        try:
+            return hc.SeriesElement.make(group, items)
+        except OrderCutsError as exc:
+            raise ParseError(str(exc), head.line, head.col)
 
 
 def _is_order_term(value) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .errors import DomainError
@@ -112,16 +113,70 @@ def point_min(a, b):
 # Hahn elements
 # ---------------------------------------------------------------------------
 
-def _normalize_terms(chain: IndexChain, items) -> Tuple:
+def _normalize_terms(check, items, point=None) -> Tuple:
+    """The one validating path: check each point (coerced by `point` when
+    given), coerce each coefficient to Fraction, add up repeated points,
+    drop zeros and sort.  Arithmetic on made elements skips all of this."""
     acc: Dict = {}
-    for point, coeff in items:
-        chain.check(point)
-        c = Fraction(coeff)
-        if point in acc:
-            c += acc[point]
-        acc[point] = c
-    return tuple(sorted(((p, c) for p, c in acc.items() if c != 0),
-                        key=lambda pc: pc[0]))
+    for p, c in items:
+        check(p)
+        if point is not None:
+            p = point(p)
+        c = Fraction(c)
+        if p in acc:
+            c += acc[p]
+        acc[p] = c
+    return _sorted_terms(acc)
+
+
+def _sorted_terms(acc: Dict) -> Tuple:
+    return tuple(sorted(((p, c) for p, c in acc.items() if c), key=itemgetter(0)))
+
+
+def _merge_terms(xs: Tuple, ys: Tuple, negate: bool = False) -> Tuple:
+    """xs + ys, or xs - ys when `negate`, for sorted zero-free term tuples:
+    one linear merge.  A point in both keeps its object from xs."""
+    out = []
+    append = out.append
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        p, c = xs[i]
+        q, d = ys[j]
+        if p == q:
+            s = c - d if negate else c + d
+            if s:
+                append((p, s))
+            i += 1
+            j += 1
+        elif p < q:
+            append(xs[i])
+            i += 1
+        else:
+            append((q, -d) if negate else ys[j])
+            j += 1
+    out.extend(xs[i:])
+    out.extend([(q, -d) for q, d in ys[j:]] if negate else ys[j:])
+    return tuple(out)
+
+
+def _compare_terms(xs: Tuple, ys: Tuple) -> int:
+    """Sign of xs - ys for sorted zero-free term tuples: the sign at the
+    least point where they differ."""
+    for (p, c), (q, d) in zip(xs, ys):
+        if p == q:
+            if c != d:
+                return 1 if c > d else -1
+        elif p < q:
+            return 1 if c > 0 else -1
+        else:
+            return -1 if d > 0 else 1
+    n, m = len(xs), len(ys)
+    if n > m:
+        return 1 if xs[m][1] > 0 else -1
+    if m > n:
+        return -1 if ys[n][1] > 0 else 1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -133,7 +188,7 @@ class HahnElement:
 
     @staticmethod
     def make(chain: IndexChain, items: Iterable) -> "HahnElement":
-        return HahnElement(chain, _normalize_terms(chain, items))
+        return HahnElement(chain, _normalize_terms(chain.check, items))
 
     @staticmethod
     def zero(chain: IndexChain) -> "HahnElement":
@@ -158,13 +213,14 @@ class HahnElement:
 
     def __add__(self, other: "HahnElement") -> "HahnElement":
         self._require_same_chain(other)
-        return HahnElement.make(self.chain, self.terms + other.terms)
+        return HahnElement(self.chain, _merge_terms(self.terms, other.terms))
 
     def __neg__(self) -> "HahnElement":
         return HahnElement(self.chain, tuple((p, -c) for p, c in self.terms))
 
     def __sub__(self, other: "HahnElement") -> "HahnElement":
-        return self + (-other)
+        self._require_same_chain(other)
+        return HahnElement(self.chain, _merge_terms(self.terms, other.terms, True))
 
     def scale(self, k) -> "HahnElement":
         k = Fraction(k)
@@ -178,10 +234,8 @@ class HahnElement:
         return bool(self.terms) and self.terms[0][1] > 0
 
     def compare(self, other: "HahnElement") -> int:
-        diff = self - other
-        if diff.is_zero:
-            return 0
-        return 1 if diff.is_positive else -1
+        self._require_same_chain(other)
+        return _compare_terms(self.terms, other.terms)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -196,7 +250,7 @@ class HahnElement:
         return self.compare(other) >= 0
 
     def abs(self) -> "HahnElement":
-        return self if not (-self).is_positive else -self
+        return -self if self.terms and self.terms[0][1] < 0 else self
 
     def __str__(self) -> str:
         body = ", ".join(f"{_render_point(p)}:{c}" for p, c in self.terms)
@@ -325,13 +379,8 @@ class SeriesElement:
 
     @staticmethod
     def make(group: ExponentGroup, items: Iterable) -> "SeriesElement":
-        acc: Dict = {}
-        for g, c in items:
-            group.check(g)
-            g = tuple(Fraction(q) for q in g)
-            acc[g] = acc.get(g, Fraction(0)) + Fraction(c)
-        terms = tuple(sorted(((g, c) for g, c in acc.items() if c != 0)))
-        return SeriesElement(group, terms)
+        return SeriesElement(group, _normalize_terms(
+            group.check, items, lambda g: tuple(map(Fraction, g))))
 
     @staticmethod
     def zero(group: ExponentGroup) -> "SeriesElement":
@@ -355,31 +404,33 @@ class SeriesElement:
 
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         self._require_same_group(other)
-        return SeriesElement.make(self.group, self.terms + other.terms)
+        return SeriesElement(self.group, _merge_terms(self.terms, other.terms))
 
     def __neg__(self) -> "SeriesElement":
         return SeriesElement(self.group, tuple((g, -c) for g, c in self.terms))
 
     def __sub__(self, other: "SeriesElement") -> "SeriesElement":
-        return self + (-other)
+        self._require_same_group(other)
+        return SeriesElement(self.group, _merge_terms(self.terms, other.terms, True))
 
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
+        """Products added up over exponents that are already valid
+        Fraction tuples, then sorted once."""
         self._require_same_group(other)
-        items = []
+        acc: Dict = {}
         for g, c in self.terms:
             for h, d in other.terms:
-                items.append((self.group.add(g, h), c * d))
-        return SeriesElement.make(self.group, items)
+                k = tuple(map(add, g, h))
+                acc[k] = acc[k] + c * d if k in acc else c * d
+        return SeriesElement(self.group, _sorted_terms(acc))
 
     @property
     def is_positive(self) -> bool:
         return bool(self.terms) and self.terms[0][1] > 0
 
     def compare(self, other: "SeriesElement") -> int:
-        diff = self - other
-        if diff.is_zero:
-            return 0
-        return 1 if diff.is_positive else -1
+        self._require_same_group(other)
+        return _compare_terms(self.terms, other.terms)
 
     def __lt__(self, other):
         return self.compare(other) < 0

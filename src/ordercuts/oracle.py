@@ -468,20 +468,21 @@ class WitnessResult:
 def _materialize(side: WitnessSide, depth: int, direction: int,
                  chain: ConcreteChain, label: str):
     """Entries of a ladder side (strictly monotone, `direction` +1 rising),
-    or the single extremal entry."""
+    or the single extremal entry, with the walker left just past them
+    (None for an extremal side)."""
     if side.extremal is not None:
-        return [side.extremal], None
+        return [side.extremal], None, None
     walker = side.ladder()
     entries = []
     for i in range(depth):
         try:
             nxt = next(walker)
         except StopIteration:
-            return entries, f"{label} ladder exhausted at index {i}"
+            return entries, f"{label} ladder exhausted at index {i}", walker
         if entries and chain.cmp(nxt, entries[-1]) != direction:
-            return entries, f"{label} ladder not strictly monotone at index {i}"
+            return entries, f"{label} ladder not strictly monotone at index {i}", walker
         entries.append(nxt)
-    return entries, None
+    return entries, None, walker
 
 
 def verify_witness(chain: ConcreteChain, w: CutWitness,
@@ -498,21 +499,12 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
         if comp == ALEPH0 and side.ladder is None:
             return WitnessResult(False, f"claim aleph(0) needs a {what} ladder")
 
-    lower, err = _materialize(w.lower, depth, +1, chain, "lower")
+    lower, err, lo_iter = _materialize(w.lower, depth, +1, chain, "lower")
     if err:
         return WitnessResult(False, err)
-    upper, err = _materialize(w.upper, depth, -1, chain, "upper")
+    upper, err, hi_iter = _materialize(w.upper, depth, -1, chain, "upper")
     if err:
         return WitnessResult(False, err)
-
-    lo_iter = w.lower.ladder() if w.lower.ladder else None
-    hi_iter = w.upper.ladder() if w.upper.ladder else None
-    if lo_iter:
-        for _ in range(len(lower)):
-            next(lo_iter)
-    if hi_iter:
-        for _ in range(len(upper)):
-            next(hi_iter)
 
     d_top, e_bot = lower[-1], upper[-1]
     if chain.cmp(d_top, e_bot) >= 0:
@@ -759,7 +751,13 @@ def derive_ci(chain: ConcreteChain, depth: int = 100) -> Card:
 def sample_cuts(chain: ConcreteChain, depth: int = 100,
                 samples: int = 60) -> frozenset:
     """Cofinality pairs of sampled cuts: principal cuts at enumerated
-    elements plus the nonprincipal boundary cuts at sum joints."""
+    elements plus the nonprincipal boundary cuts at sum joints.  A flat sum
+    draws at least one sample per part, so every part is reached."""
+    flat = chain
+    while isinstance(flat, RevChain):
+        flat = flat.inner
+    if isinstance(flat, SumChain):
+        samples = max(samples, len(flat.parts))
     pairs = set()
     for x in itertools.islice(chain.elements(), samples):
         e0 = chain.above(x)

@@ -335,6 +335,18 @@ def invoke_on(tmp_path, text, *args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def assert_located(tmp_path, text, col, message):
+    """A malformed definition is a ParseError at (line 1, col), and the CLI
+    exits 2 with that located message and no traceback."""
+    with pytest.raises(ParseError) as exc:
+        parse_definitions(text)
+    assert (exc.value.line, exc.value.column) == (1, col)
+    code, out, err = invoke_on(tmp_path, text, "--cmd", "classify")
+    assert code == 2
+    assert f"line 1, col {col}: {message}" in err
+    assert "Traceback" not in err
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("text", [
         "let M = sum(well(aleph(0)), rev(well(aleph(0))))\n",
@@ -361,10 +373,17 @@ class TestInputErrors:
         ("let H = hahn(chain=int; 1:1/x)\n", 29, "expected a denominator"),
     ])
     def test_bad_denominator(self, tmp_path, text, col, message):
-        with pytest.raises(ParseError) as exc:
-            parse_definitions(text)
-        assert (exc.value.line, exc.value.column) == (1, col)
-        code, out, err = invoke_on(tmp_path, text, "--cmd", "classify")
-        assert code == 2
-        assert f"line 1, col {col}: {message}" in err
-        assert "Traceback" not in err
+        assert_located(tmp_path, text, col, message)
+
+    @pytest.mark.parametrize("text,col,message", [
+        ("let H = hahn(chain=fin(x); 0:1)\n", 24, "fin(n) needs an integer size"),
+        ("let H = hahn(chain=lex(int,int); (1,2,3):1)\n", 38,
+         "lex(int,int) points have 2 coordinates"),
+        ("let H = hahn(chain=fin(3); 5:1)\n", 9, "5 is not a point of fin(3)"),
+        ("let H = hahn(chain=lex(int,int); (1):1)\n", 9,
+         "(1,) is not a point of lex(int,int)"),
+        ("let S = series(exp=lex2; (1):1)\n", 9,
+         "(Fraction(1, 1),) is not an exponent of lex2"),
+    ])
+    def test_bad_element_located(self, tmp_path, text, col, message):
+        assert_located(tmp_path, text, col, message)

@@ -5,17 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordercuts.errors import DomainError
 from ordercuts.hahn_concrete import (
     BALL_DISJOINT,
     BALL_EQUAL,
     ExponentGroup,
+    FinitePoints,
     HahnElement,
     INF,
     INT_CHAIN,
+    IntegerPoints,
     LexPoints,
     RAT_CHAIN,
+    RationalPoints,
     SeriesElement,
     arch_equiv,
     arch_witness,
@@ -36,6 +40,8 @@ def rand_point(rng, chain):
         return rng.randint(-5, 5)
     if chain is RAT_CHAIN:
         return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+    if isinstance(chain, FinitePoints):
+        return rng.randrange(chain.size)
     return tuple(rand_point(rng, f) for f in chain.factors)
 
 
@@ -264,3 +270,188 @@ def _rand_series(rng, group):
                   for _ in range(group.dims))
         items.append((g, Fraction(rng.randint(-4, 4))))
     return SeriesElement.make(group, items)
+
+
+# ---------------------------------------------------------------------------
+# Merge arithmetic against a plain dict-of-Fraction reference
+# ---------------------------------------------------------------------------
+
+_INT_PT = st.integers(-4, 4)
+# rat points mix ints with Fractions, some of them equal (2 and 2/1)
+_RAT_PT = st.one_of(st.integers(-2, 2),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+MERGE_FAMILIES = [
+    (INT_CHAIN, _INT_PT),
+    (RAT_CHAIN, _RAT_PT),
+    (FinitePoints(5), st.integers(0, 4)),
+    (LEX2, st.tuples(_INT_PT, _INT_PT)),
+    (LexPoints((RAT_CHAIN, INT_CHAIN)), st.tuples(_RAT_PT, st.integers(-2, 2))),
+]
+_COEFF = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _items(point):
+    return st.lists(st.tuples(point, _COEFF), max_size=6)
+
+
+def _ref(items):
+    acc = {}
+    for p, c in items:
+        acc[p] = acc.get(p, Fraction(0)) + Fraction(c)
+    return {p: c for p, c in acc.items() if c != 0}
+
+
+def _ref_combine(x, y, sign):
+    out = dict(x)
+    for p, c in y.items():
+        out[p] = out.get(p, Fraction(0)) + sign * c
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def _ref_sign(d):
+    if not d:
+        return 0
+    return 1 if d[min(d)] > 0 else -1
+
+
+def _assert_normal(e):
+    points = [p for p, _ in e.terms]
+    assert all(p < q for p, q in zip(points, points[1:]))
+    assert all(type(c) is Fraction and c != 0 for _, c in e.terms)
+
+
+class TestMergeArithmetic:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_dict_reference(self, data):
+        chain, point = data.draw(st.sampled_from(MERGE_FAMILIES))
+        xs, ys = data.draw(_items(point)), data.draw(_items(point))
+        a, b = HahnElement.make(chain, xs), HahnElement.make(chain, ys)
+        ra, rb = _ref(xs), _ref(ys)
+        total, diff = a + b, a - b
+        assert dict(total.terms) == _ref_combine(ra, rb, 1)
+        assert dict(diff.terms) == _ref_combine(ra, rb, -1)
+        # the validating path agrees with the merge, term for term
+        assert total == HahnElement.make(chain, xs + ys)
+        assert diff == HahnElement.make(chain, xs + [(p, -Fraction(c)) for p, c in ys])
+        assert a.compare(b) == _ref_sign(_ref_combine(ra, rb, -1))
+        assert b.compare(a) == -a.compare(b)
+        assert dict(a.abs().terms) == (ra if _ref_sign(ra) >= 0
+                                       else {p: -c for p, c in ra.items()})
+        for e in (a, b, total, diff, a.abs()):
+            _assert_normal(e)
+
+    def test_full_cancellation(self):
+        for chain, items in [(INT_CHAIN, [(0, 2), (3, -1)]),
+                             (RAT_CHAIN, [(Fraction(1, 2), 1), (2, Fraction(3, 4))]),
+                             (LEX2, [((1, 0), 5), ((0, 7), -2)])]:
+            a = HahnElement.make(chain, items)
+            neg = HahnElement.make(chain, [(p, -c) for p, c in items])
+            assert (a + neg).terms == () and (a - a).terms == ()
+            assert a.compare(a) == 0
+
+    def test_equal_int_and_fraction_rat_points(self):
+        a = HahnElement.make(RAT_CHAIN, [(2, 1)])
+        b = HahnElement.make(RAT_CHAIN, [(Fraction(2), 3)])
+        # one term, keeping the left operand's point object
+        assert (a + b).terms == ((2, Fraction(4)),)
+        assert type((a + b).terms[0][0]) is int
+        assert type((b + a).terms[0][0]) is Fraction
+        assert (a - HahnElement.make(RAT_CHAIN, [(Fraction(2), 1)])).is_zero
+        assert a.compare(b) == -1 and b.compare(a) == 1
+
+    def test_empty_operands(self):
+        a = HahnElement.make(LEX2, [((0, 1), 2), ((1, -1), -3)])
+        zero = HahnElement.zero(LEX2)
+        assert a + zero == a and zero + a == a
+        assert a - zero == a and zero - a == -a
+        assert (zero + zero).is_zero and (zero - zero).is_zero
+        assert zero.compare(zero) == 0
+        assert a.compare(zero) == 1 and zero.compare(a) == -1
+        assert zero.abs() == zero
+
+    def test_abs_negates_at_most_once(self):
+        a = HahnElement.make(INT_CHAIN, [(0, -2), (3, 5)])
+        pos = a.abs()
+        assert pos == -a and pos.abs() is pos
+
+    def test_compare_rejects_mismatched_chains(self):
+        a = HahnElement.make(INT_CHAIN, [(0, 1)])
+        b = HahnElement.make(FinitePoints(3), [(0, 1)])
+        with pytest.raises(DomainError):
+            a.compare(b)
+        with pytest.raises(DomainError):
+            a - b
+        g1, g2 = ExponentGroup(1), ExponentGroup(2)
+        with pytest.raises(DomainError):
+            SeriesElement.one(g1).compare(SeriesElement.one(g2))
+
+
+_EXP = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+
+
+def _series_items(dims):
+    # exponents as ints or Fractions, so make's coercion is exercised too
+    coord = st.one_of(st.integers(-1, 1), _EXP)
+    return st.lists(st.tuples(st.tuples(*[coord] * dims), _COEFF), max_size=5)
+
+
+def _series_ref(items):
+    return _ref([(tuple(Fraction(q) for q in g), c) for g, c in items])
+
+
+class TestSeriesMerge:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_dict_reference(self, data):
+        dims = data.draw(st.integers(1, 3))
+        group = ExponentGroup(dims)
+        xs, ys = data.draw(_series_items(dims)), data.draw(_series_items(dims))
+        a, b = SeriesElement.make(group, xs), SeriesElement.make(group, ys)
+        ra, rb = _series_ref(xs), _series_ref(ys)
+        assert dict((a + b).terms) == _ref_combine(ra, rb, 1)
+        assert dict((a - b).terms) == _ref_combine(ra, rb, -1)
+        prod = {}
+        for g, c in ra.items():
+            for h, d in rb.items():
+                k = tuple(x + y for x, y in zip(g, h))
+                prod[k] = prod.get(k, Fraction(0)) + c * d
+        assert dict((a * b).terms) == {k: c for k, c in prod.items() if c != 0}
+        assert a.compare(b) == _ref_sign(_ref_combine(ra, rb, -1))
+        for e in (a + b, a - b, a * b):
+            _assert_normal(e)
+            assert all(type(q) is Fraction for g, _ in e.terms for q in g)
+
+
+def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
+    """Validation happens in make only: +, -, compare, abs and the series
+    product on existing elements never re-check a point."""
+    rng = random.Random(21)
+    chains = [INT_CHAIN, RAT_CHAIN, FinitePoints(7), LEX2,
+              LexPoints((RAT_CHAIN, INT_CHAIN))]
+    elems = [rand_elem(rng, chain, max_support=5) for chain in chains for _ in range(20)]
+    series = [_rand_series(rng, ExponentGroup(d)) for d in (1, 2, 3) for _ in range(20)]
+
+    calls = [0]
+
+    def counting(check):
+        def wrapper(self, p):
+            calls[0] += 1
+            return check(self, p)
+        return wrapper
+
+    for cls in (FinitePoints, IntegerPoints, RationalPoints, LexPoints, ExponentGroup):
+        monkeypatch.setattr(cls, "check", counting(cls.check))
+
+    for a, b in zip(elems, elems[1:]):
+        if a.chain == b.chain:
+            a + b, a - b, a.compare(b), a.abs(), a < b
+    for a, b in zip(series, series[1:]):
+        if a.group == b.group:
+            a + b, a - b, a * b, a.compare(b)
+    assert calls[0] == 0
+
+    # make still validates every point: one lex check plus one per factor
+    HahnElement.make(LEX2, [((1, 2), 1)])
+    assert calls[0] == 3

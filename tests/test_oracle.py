@@ -309,14 +309,42 @@ def test_nested_sum_rows_pinned(term, rows):
     assert report.render_lines() == rows
 
 
+SAMPLE_POOL = [OMEGA, OMEGA_STAR, chain(1), chain(3), RAT_ATOM,
+               rev(sum_of(chain(2), OMEGA))]
+
+
 def test_sampling_reaches_every_part():
     rng = random.Random(60)
-    pool = [OMEGA, OMEGA_STAR, chain(1), chain(3), RAT_ATOM,
-            rev(sum_of(chain(2), OMEGA))]
     for n in range(2, 61):
-        c = concretize(sum_of(*(rng.choice(pool) for _ in range(n))))
+        c = concretize(sum_of(*(rng.choice(SAMPLE_POOL) for _ in range(n))))
         reached = {i for i, _ in itertools.islice(c.elements(), 60)}
         assert reached == set(range(n))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [12, 60, 61, 96, 192])
+def test_sample_cuts_reaches_every_part(monkeypatch, n, reverse):
+    # sample_cuts probes each sampled element with one above() and one
+    # below() on the top chain; under a RevChain those reach the flat sum
+    # as below() and above()
+    term = sum_of(*(random.Random(n).choice(SAMPLE_POOL) for _ in range(n)))
+    c = concretize(rev(term) if reverse else term)
+    flat = c.inner if reverse else c
+    assert isinstance(flat, SumChain) and len(flat.parts) == n
+    probed = []
+
+    def recording(step):
+        def wrapper(self, x):
+            if self is flat:
+                probed.append(x)
+            return step(self, x)
+        return wrapper
+
+    monkeypatch.setattr(SumChain, "above", recording(SumChain.above))
+    sample_cuts(c, depth=5)
+    # sums of at most 60 parts keep the fixed 60 samples
+    assert probed == list(itertools.islice(c.elements(), max(60, n)))
+    assert {i for i, _ in probed} == set(range(n))
 
 
 def _rat_free_sum(rng, k):
