@@ -52,6 +52,7 @@ from .order_terms import (
     cut_spectrum,
     extend_order,
     rev,
+    spectrum_completeness,
     sum_of,
     well,
 )
@@ -786,11 +787,12 @@ def _spectrum_item(name: str, term: OrderTerm, bound: Optional[Card]) -> ReportI
     try:
         spec = cut_spectrum(term)
         coin, cofin = coin_cofin(term)
-        records.append({"cf": str(cf(term)), "ci": str(ci(term)),
+        cf_t, ci_t = cf(term), ci(term)
+        records.append({"cf": str(cf_t), "ci": str(ci_t),
                         "coin": str(coin), "cofin": str(cofin)})
         for line in spec.render_lines():
             records.append({"part": line})
-        comp = completeness_predicates(term)
+        comp = spectrum_completeness(spec, cf_t, ci_t)
         records.append({"symmetric": _fmt_bool(comp.symmetric),
                         "strong": _fmt_bool(comp.strong),
                         "extreme": _fmt_bool(comp.extreme),

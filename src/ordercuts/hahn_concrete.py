@@ -28,7 +28,7 @@ class FinitePoints:
 
     def check(self, p) -> None:
         if not isinstance(p, int) or not 0 <= p < self.size:
-            raise DomainError(f"{p!r} is not a point of fin({self.size})")
+            raise DomainError(f"{_render_point(p)} is not a point of fin({self.size})")
 
     def __str__(self) -> str:
         return f"fin({self.size})"
@@ -38,7 +38,7 @@ class FinitePoints:
 class IntegerPoints:
     def check(self, p) -> None:
         if not isinstance(p, int):
-            raise DomainError(f"{p!r} is not an integer point")
+            raise DomainError(f"{_render_point(p)} is not an integer point")
 
     def __str__(self) -> str:
         return "int"
@@ -48,7 +48,7 @@ class IntegerPoints:
 class RationalPoints:
     def check(self, p) -> None:
         if not isinstance(p, (int, Fraction)):
-            raise DomainError(f"{p!r} is not a rational point")
+            raise DomainError(f"{_render_point(p)} is not a rational point")
 
     def __str__(self) -> str:
         return "rat"
@@ -61,7 +61,7 @@ class LexPoints:
 
     def check(self, p) -> None:
         if not isinstance(p, tuple) or len(p) != len(self.factors):
-            raise DomainError(f"{p!r} is not a point of {self}")
+            raise DomainError(f"{_render_point(p)} is not a point of {self}")
         for fac, q in zip(self.factors, p):
             fac.check(q)
 
@@ -99,14 +99,6 @@ def point_le(a, b) -> bool:
     if b is INF:
         return True
     return a <= b
-
-
-def point_lt(a, b) -> bool:
-    return point_le(a, b) and not (a is b or a == b)
-
-
-def point_min(a, b):
-    return a if point_le(a, b) else b
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +346,10 @@ class ExponentGroup:
 
     def check(self, g) -> None:
         if not isinstance(g, tuple) or len(g) != self.dims:
-            raise DomainError(f"{g!r} is not an exponent of lex{self.dims}")
+            raise DomainError(f"{_render_point(g)} is not an exponent of lex{self.dims}")
         for q in g:
             if not isinstance(q, (int, Fraction)):
-                raise DomainError(f"{q!r} is not rational")
+                raise DomainError(f"{_render_point(q)} is not rational")
 
     def zero(self):
         return tuple(Fraction(0) for _ in range(self.dims))

@@ -74,12 +74,46 @@ class Rev:
 
 @dataclass(frozen=True)
 class Sum:
+    """A binary sum node.  Hashing and equality walk the tree with a stack,
+    so neither recurses once per part of a long sum.  The hash is computed
+    on first use, children first, and cached, so building a sum hashes
+    nothing."""
+
     left: "OrderTerm"
     right: "OrderTerm"
 
     def __post_init__(self):
         if isinstance(self.left, Empty) or isinstance(self.right, Empty):
             raise DomainError("sum parts must be nonempty; use the sum_of factory")
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            pending, stack = [], [self]
+            while stack:
+                s = stack.pop()
+                if isinstance(s, Sum) and s._hash is None:
+                    pending.append(s)
+                    stack.append(s.left)
+                    stack.append(s.right)
+            for s in reversed(pending):
+                object.__setattr__(s, "_hash", hash((s.left, s.right)))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Sum):
+                if not isinstance(b, Sum) or hash(a) != hash(b):
+                    return False
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+            elif a != b:
+                return False
+        return True
 
     def __str__(self) -> str:
         parts = ", ".join(str(p) for p in sum_parts(self))
@@ -418,10 +452,22 @@ def completion(t: OrderTerm) -> OrderTerm:
     return Completion(t)
 
 
+def _distinct_parts(t: OrderTerm):
+    """The distinct leaves of a sum tree, in order of first appearance."""
+    return dict.fromkeys(sum_parts(t))
+
+
 def sum_parts(t: OrderTerm):
-    if isinstance(t, Sum):
-        return sum_parts(t.left) + sum_parts(t.right)
-    return [t]
+    """The leaves of a sum tree, left to right; [t] for a non-sum."""
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Sum):
+            stack.append(s.right)
+            stack.append(s.left)
+        else:
+            out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +503,8 @@ def _require_lex_regular(t: OrderTerm) -> None:
 
 def cf(t: OrderTerm) -> Card:
     """Cofinality of the order; `0` sentinel for the empty order."""
+    while isinstance(t, Sum):
+        t = t.right
     if isinstance(t, Empty):
         return ZERO
     if isinstance(t, FiniteChain):
@@ -465,8 +513,6 @@ def cf(t: OrderTerm) -> Card:
         return t.kappa
     if isinstance(t, Rev):
         return ci(t.inner)
-    if isinstance(t, Sum):
-        return cf(t.right)
     if isinstance(t, Completion):
         return cf(t.inner)
     if isinstance(t, Atom):
@@ -479,6 +525,8 @@ def cf(t: OrderTerm) -> Card:
 
 def ci(t: OrderTerm) -> Card:
     """Coinitiality: cofinality under the reversed order."""
+    while isinstance(t, Sum):
+        t = t.left
     if isinstance(t, Empty):
         return ZERO
     if isinstance(t, FiniteChain):
@@ -487,8 +535,6 @@ def ci(t: OrderTerm) -> Card:
         return ONE
     if isinstance(t, Rev):
         return cf(t.inner)
-    if isinstance(t, Sum):
-        return ci(t.left)
     if isinstance(t, Completion):
         return ci(t.inner)
     if isinstance(t, Atom):
@@ -518,9 +564,11 @@ def coin_cofin(t: OrderTerm) -> Tuple[CardSet, CardSet]:
         coin, cofin = coin_cofin(t.inner)
         return cofin, coin
     if isinstance(t, Sum):
-        cl, fl = coin_cofin(t.left)
-        cr, fr = coin_cofin(t.right)
-        return cl.union(cr), fl.union(fr)
+        coin, cofin = CardSet.empty(), CardSet.empty()
+        for part in _distinct_parts(t):
+            c, f = coin_cofin(part)
+            coin, cofin = coin.union(c), cofin.union(f)
+        return coin, cofin
     if isinstance(t, Completion):
         return coin_cofin(t.inner)
     if isinstance(t, Atom):
@@ -571,7 +619,7 @@ def card_bound(t: OrderTerm) -> Card:
     if isinstance(t, Rev):
         return card_bound(t.inner)
     if isinstance(t, Sum):
-        return card_max(card_bound(t.left), card_bound(t.right))
+        return card_max(*(card_bound(p) for p in _distinct_parts(t)))
     if isinstance(t, Completion):
         raise NotDerivableError("the cardinality of a completion is not determined by the inner order")
     if isinstance(t, Atom):
@@ -1241,6 +1289,27 @@ def _refined_rows(t: LexRefined):
     ]
 
 
+def _sum_spectrum(t: Sum) -> CutSpectrum:
+    """The parts' spectra plus the boundary pair (cf(left), ci(right)) of
+    every sum node, normalized once.  The tree is walked in preorder (a
+    node's boundary, then its left, then its right), so the first error
+    raised is the one the recursive definition meets first; each distinct
+    leaf is analysed once."""
+    parts, seen, boundaries = [], set(), {}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Sum):
+            boundaries[CofPair(cf(s.left), ci(s.right))] = None
+            stack.append(s.right)
+            stack.append(s.left)
+        elif s not in seen:
+            seen.add(s)
+            parts.extend(cut_spectrum(s).parts)
+    parts.extend(ExplicitPairs((b,), b.is_principal) for b in boundaries)
+    return CutSpectrum.of(parts)
+
+
 def cut_spectrum(t: OrderTerm) -> CutSpectrum:
     """The exact symbolic set of cut cofinality pairs of the order."""
     if isinstance(t, Empty):
@@ -1256,10 +1325,7 @@ def cut_spectrum(t: OrderTerm) -> CutSpectrum:
     if isinstance(t, Rev):
         return cut_spectrum(t.inner).mirrored()
     if isinstance(t, Sum):
-        boundary = CofPair(cf(t.left), ci(t.right))
-        mid = ExplicitPairs((boundary,), boundary.is_principal)
-        return cut_spectrum(t.left).union(cut_spectrum(t.right)) \
-            .union(CutSpectrum.of((mid,)))
+        return _sum_spectrum(t)
     if isinstance(t, Completion):
         raise NotDerivableError(
             "the cut spectrum of a free-standing completion is not derivable; "
@@ -1403,15 +1469,19 @@ def nonprincipal_cuts_all_asymmetric(spec: CutSpectrum) -> bool:
     return True
 
 
-def completeness_predicates(t: OrderTerm) -> Completeness:
-    """The four completeness notions, decided from the cut spectrum."""
-    spec = cut_spectrum(t)
+def spectrum_completeness(spec: CutSpectrum, cf_t: Card, ci_t: Card) -> Completeness:
+    """The four completeness notions of an order with cut spectrum `spec`,
+    cofinality `cf_t` and coinitiality `ci_t`."""
     symmetric = not spec.has_symmetric_pair()
     strong = not spec.has_not_strongly_asymmetric()
-    cf_t, ci_t = cf(t), ci(t)
     extreme = strong and cf_t.is_uncountable and ci_t.is_uncountable
     spherical = not spec.has_nonprincipal_symmetric()
     return Completeness(symmetric, strong, extreme, spherical)
+
+
+def completeness_predicates(t: OrderTerm) -> Completeness:
+    """The four completeness notions, decided from the cut spectrum."""
+    return spectrum_completeness(cut_spectrum(t), cf(t), ci(t))
 
 
 # ---------------------------------------------------------------------------
@@ -1444,7 +1514,7 @@ def _extension_base(t: OrderTerm) -> Card:
     if isinstance(t, Rev):
         return _extension_base(t.inner)
     if isinstance(t, Sum):
-        return card_max(_extension_base(t.left), _extension_base(t.right))
+        return card_max(*(_extension_base(p) for p in _distinct_parts(t)))
     return card_bound(t)
 
 

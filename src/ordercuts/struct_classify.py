@@ -27,6 +27,7 @@ from .order_terms import (
     cf,
     chain,
     ci,
+    completeness_predicates,
     cut_spectrum,
     extend_order,
     sum_of,
@@ -244,15 +245,6 @@ def type2_cuts_ok(g: GroupDescriptor) -> Optional[bool]:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _value_set_completeness(g: GroupDescriptor):
-    spec = cut_spectrum(g.value_set)
-    symmetric = not spec.has_symmetric_pair()
-    strong = not spec.has_not_strongly_asymmetric()
-    extreme = strong and cf(g.value_set).is_uncountable \
-        and ci(g.value_set).is_uncountable
-    return symmetric, strong, extreme
-
-
 def classify_group_cutwise(g: GroupDescriptor) -> bool:
     """Symmetric completeness decided cut kind by cut kind: principal cuts,
     then both nonprincipal kinds (the shrinking-ball kind needs spherical
@@ -280,33 +272,46 @@ def _quotient_mod_z(g: GroupDescriptor) -> Optional[GroupDescriptor]:
 
 
 def _minus_largest(t: OrderTerm) -> OrderTerm:
+    """t without its largest element.  On a sum only the last part is
+    rewritten; the left children along the right spine are kept as they are."""
+    lefts = []
+    while isinstance(t, Sum):
+        lefts.append(t.left)
+        t = t.right
     if isinstance(t, FiniteChain):
-        return chain(t.size - 1)
-    if isinstance(t, Sum):
-        right = _minus_largest(t.right)
-        return sum_of(t.left, right)
-    if isinstance(t, Rev):
-        return Rev(_minus_least(t.inner)) if not isinstance(
-            _minus_least(t.inner), Empty) else EMPTY
-    raise NotDerivableError(f"cannot remove the largest element of {t}")
+        out = chain(t.size - 1)
+    elif isinstance(t, Rev):
+        inner = _minus_least(t.inner)
+        out = Rev(inner) if not isinstance(inner, Empty) else EMPTY
+    else:
+        raise NotDerivableError(f"cannot remove the largest element of {t}")
+    for left in reversed(lefts):
+        out = sum_of(left, out)
+    return out
 
 
 def _minus_least(t: OrderTerm) -> OrderTerm:
+    """t without its least element; on a sum only the first part changes."""
+    rights = []
+    while isinstance(t, Sum):
+        rights.append(t.right)
+        t = t.left
     if isinstance(t, FiniteChain):
-        return chain(t.size - 1)
-    if isinstance(t, WellOrder):
-        return t
-    if isinstance(t, Sum):
-        left = _minus_least(t.left)
-        return sum_of(left, t.right)
-    if isinstance(t, Rev):
+        out = chain(t.size - 1)
+    elif isinstance(t, WellOrder):
+        out = t
+    elif isinstance(t, Rev):
         inner = _minus_largest(t.inner)
-        return Rev(inner) if not isinstance(inner, Empty) else EMPTY
-    raise NotDerivableError(f"cannot remove the least element of {t}")
+        out = Rev(inner) if not isinstance(inner, Empty) else EMPTY
+    else:
+        raise NotDerivableError(f"cannot remove the least element of {t}")
+    for right in reversed(rights):
+        out = sum_of(out, right)
+    return out
 
 
 def _classify_core(g: GroupDescriptor) -> Tuple[bool, bool, bool]:
-    _, vg_strong, vg_extreme = _value_set_completeness(g)
+    vset = completeness_predicates(g.value_set)
     has_max = _value_set_has_max(g)
     top = g.components.effective_top(has_max)
     all_reals = g.components.base == ComponentKind.REALS and \
@@ -314,9 +319,9 @@ def _classify_core(g: GroupDescriptor) -> Tuple[bool, bool, bool]:
     if _order_size_one(g.value_set):
         all_reals = top == ComponentKind.REALS
 
-    symmetric = g.spherical and vg_strong and all_reals
+    symmetric = g.spherical and vset.strong and all_reals
     strong = symmetric and cf(g.value_set).is_uncountable
-    extreme = symmetric and vg_extreme
+    extreme = symmetric and vset.extreme
 
     if g.spherical:
         lemma_symmetric = classify_group_cutwise(g)

@@ -1,6 +1,8 @@
 """Order-term attributes: cf/ci, Coin/Cofin, cut spectra, side conditions,
 completeness predicates, and the extension recipe."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from ordercuts.cardinals import (
     aleph,
     reg_below,
 )
+from ordercuts.cli import parse_definitions, run
 from ordercuts.errors import DomainError, NotDerivableError, SideConditionError
 from ordercuts.order_terms import (
     Atom,
@@ -32,9 +35,11 @@ from ordercuts.order_terms import (
     PhiMap,
     PhiPiece,
     RowSegLeft,
+    Rev,
     RowSegRight,
     RULE_DSUCC,
     RULE_ID,
+    Sum,
     cf,
     chain,
     check_side_conditions,
@@ -46,6 +51,7 @@ from ordercuts.order_terms import (
     rev,
     nonprincipal_cuts_all_asymmetric,
     sum_of,
+    sum_parts,
     well,
 )
 
@@ -455,3 +461,230 @@ def test_lettered_conditions_iff_symmetric(mu, k0, l0, k1, l1, ks, ls,
     verdicts = {c.name: c.passed for c in check_side_conditions(t)}
     lettered = all(verdicts[n] for n in ("cond-a", "cond-b", "cond-c", "cond-d"))
     assert lettered == completeness_predicates(t).symmetric
+
+
+# ---------------------------------------------------------------------------
+# One-pass sum folds against the pairwise fold
+# ---------------------------------------------------------------------------
+
+def ref_cf(t):
+    if isinstance(t, Sum):
+        return ref_cf(t.right)
+    if isinstance(t, Rev):
+        return ref_ci(t.inner)
+    return cf(t)
+
+
+def ref_ci(t):
+    if isinstance(t, Sum):
+        return ref_ci(t.left)
+    if isinstance(t, Rev):
+        return ref_cf(t.inner)
+    return ci(t)
+
+
+def ref_spectrum(t):
+    """The pairwise fold: each sum node unions its children's spectra and
+    its boundary pair, normalizing at every level."""
+    if isinstance(t, Sum):
+        b = CofPair(ref_cf(t.left), ref_ci(t.right))
+        mid = CutSpectrum.of((ExplicitPairs((b,), b.is_principal),))
+        return ref_spectrum(t.left).union(ref_spectrum(t.right)).union(mid)
+    if isinstance(t, Rev):
+        return ref_spectrum(t.inner).mirrored()
+    return cut_spectrum(t)
+
+
+def ref_coin_cofin(t):
+    if isinstance(t, Sum):
+        cl, fl = ref_coin_cofin(t.left)
+        cr, fr = ref_coin_cofin(t.right)
+        return cl.union(cr), fl.union(fr)
+    if isinstance(t, Rev):
+        coin, cofin = ref_coin_cofin(t.inner)
+        return cofin, coin
+    return coin_cofin(t)
+
+
+def ref_parts(t):
+    if isinstance(t, Sum):
+        return ref_parts(t.left) + ref_parts(t.right)
+    return [t]
+
+
+def ref_eq(a, b):
+    if isinstance(a, Sum) or isinstance(b, Sum):
+        return isinstance(a, Sum) and isinstance(b, Sum) and \
+            ref_eq(a.left, b.left) and ref_eq(a.right, b.right)
+    if isinstance(a, Rev) or isinstance(b, Rev):
+        return isinstance(a, Rev) and isinstance(b, Rev) and ref_eq(a.inner, b.inner)
+    return a == b
+
+
+def rebuild(t):
+    """A structurally equal copy sharing no sum or rev node with t."""
+    if isinstance(t, Sum):
+        return Sum(rebuild(t.left), rebuild(t.right))
+    if isinstance(t, Rev):
+        return Rev(rebuild(t.inner))
+    return t
+
+
+SMALL_LEX = recipe(A2, A1, A1)
+FOLD_LEAVES = [OMEGA, OMEGA_STAR, well(A1), rev(well(A2)), chain(1), chain(3),
+               RAT_ATOM, SMALL_LEX, recipe(A2, A1, A2, RAT_ATOM)]
+
+sum_trees = st.recursive(
+    st.sampled_from(FOLD_LEAVES),
+    lambda inner: st.one_of(st.builds(Sum, inner, inner), inner.map(rev)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sum_trees, sum_trees)
+def test_sum_folds_match_pairwise_reference(t, other):
+    assert cut_spectrum(t) == ref_spectrum(t)
+    assert coin_cofin(t) == ref_coin_cofin(t)
+    assert cf(t) == ref_cf(t) and ci(t) == ref_ci(t)
+    assert sum_parts(t) == ref_parts(t)
+    copy = rebuild(t)
+    assert copy == t and hash(copy) == hash(t)
+    assert (t == other) == ref_eq(t, other)
+
+
+CYCLE = [OMEGA, OMEGA_STAR, chain(2), well(A1), rev(well(A2)), RAT_ATOM]
+
+
+def cycled(n):
+    return [CYCLE[i % len(CYCLE)] for i in range(n)]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepSums:
+    """Long sums fold without recursing once per part.  Every adjacent pair
+    of the cycle occurs within its first two rounds, so a long cycled sum
+    has the spectrum of its 12-part prefix."""
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_right_nested(self, n):
+        t = sum_of(*cycled(n))
+        small = sum_of(*cycled(2 * len(CYCLE)))
+        assert hash(t) == hash(sum_of(*cycled(n)))
+        assert t == sum_of(*cycled(n))
+        assert str(t) == "sum(" + ", ".join(str(p) for p in cycled(n)) + ")"
+        assert cut_spectrum(t) == ref_spectrum(small)
+        assert coin_cofin(t) == ref_coin_cofin(small)
+        assert completeness_predicates(t) == completeness_predicates(small)
+        assert extend_order(t).base == extend_order(small).base
+
+    def test_left_nested(self):
+        parts = cycled(2000)
+        t = parts[0]
+        for p in parts[1:]:
+            t = Sum(t, p)
+        assert sum_parts(t) == parts
+        assert t != sum_of(*parts) and hash(t) != hash(sum_of(*parts))
+        assert cut_spectrum(t) == cut_spectrum(sum_of(*parts))
+        assert (cf(t), ci(t)) == (cf(parts[-1]), ci(parts[0]))
+
+    def test_reversed_long_sum_as_part(self):
+        inner = sum_of(*cycled(2000))
+        t = sum_of(chain(1), rev(inner))
+        again = sum_of(chain(1), rev(sum_of(*cycled(2000))))
+        assert hash(t) == hash(again) and t == again
+        assert len({t, again, rev(inner), rev(sum_of(*cycled(2000)))}) == 2
+        assert str(t) == f"sum(chain(1), rev({inner}))"
+        small = sum_of(chain(1), rev(sum_of(*cycled(2 * len(CYCLE)))))
+        assert cut_spectrum(t) == ref_spectrum(small)
+        assert completeness_predicates(t) == completeness_predicates(small)
+        assert extend_order(t).base == extend_order(small).base
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_classify_group_over_long_sum(self, n):
+        body = ", ".join(str(p) for p in cycled(n))
+        text = (f"let S = sum({body}, chain(1))\n"
+                "let G = group(vset=S; comp=reals; spherical=true; "
+                "discrete=false; divisible=true)\n"
+                "let D = group(vset=S; comp=reals+ints_at_top; spherical=true; "
+                "discrete=true; divisible=false)\n")
+        small = ", ".join(str(p) for p in cycled(2 * len(CYCLE)))
+        report = run(parse_definitions(text), "classify")
+        expect = run(parse_definitions(text.replace(body, small)), "classify")
+        assert [it.status for it in report.items] == ["ok", "ok"]
+        assert report.render_text() == expect.render_text()
+
+
+class TestSumFoldErrors:
+    """The fold raises the error the recursive definition meets first: a
+    node's boundary pair, then its left part, then its right part."""
+
+    BAD_LEX = LexSchedule(A2, A1, ZERO, CardinalSchedule(A2, A3), EMPTY)
+    BAD_PHI = PhiMap((PhiPiece(DOM_DEFAULT, None, A3),))
+    BAD_LEXREF = LexRefined(A1, A1, A1, BAD_PHI, BAD_PHI, EMPTY)
+    COMP = Completion(OMEGA)
+
+    @pytest.mark.parametrize("parts,error,text", [
+        # the root boundary needs ci of the lexsched before any part's spectrum
+        ((COMP, BAD_LEX), SideConditionError, "regular-params"),
+        ((OMEGA, COMP, BAD_LEX), SideConditionError, "regular-params"),
+        # boundaries pass; the completion's spectrum comes first
+        ((OMEGA, COMP, BAD_LEXREF), NotDerivableError, "free-standing completion"),
+        ((OMEGA, BAD_LEXREF, COMP), SideConditionError, "phi-left-range"),
+    ])
+    def test_first_error(self, parts, error, text):
+        with pytest.raises(error, match=text):
+            cut_spectrum(sum_of(*parts))
+
+    def test_first_error_of_the_other_folds(self):
+        t = sum_of(OMEGA, self.COMP, self.BAD_LEXREF)
+        with pytest.raises(NotDerivableError, match="free-standing completion"):
+            completeness_predicates(t)
+        with pytest.raises(NotDerivableError, match="cardinality of a completion"):
+            extend_order(t)
+        with pytest.raises(SideConditionError, match="regular-params"):
+            coin_cofin(sum_of(OMEGA, self.COMP, self.BAD_LEX))
+
+
+class TestSumFoldCounts:
+    """The fold normalizes once per distinct part plus once for the whole."""
+
+    @pytest.fixture
+    def of_calls(self, monkeypatch):
+        calls = [0]
+        original = CutSpectrum.of
+
+        def counting(parts):
+            calls[0] += 1
+            return original(parts)
+
+        monkeypatch.setattr(CutSpectrum, "of", staticmethod(counting))
+        return calls
+
+    def count(self, of_calls, t):
+        of_calls[0] = 0
+        cut_spectrum(t)
+        return of_calls[0]
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 500])
+    def test_one_call_per_distinct_part(self, of_calls, n):
+        distinct = [OMEGA, well(A1), chain(2), RAT_ATOM, SMALL_LEX]
+        t = sum_of(*(distinct[i % len(distinct)] for i in range(n)))
+        d = min(n, len(distinct))
+        assert self.count(of_calls, t) <= d + 1
+
+    def test_reversed_parts(self, of_calls):
+        parts = [OMEGA, OMEGA_STAR, rev(sum_of(chain(2), RAT_ATOM)), chain(3)]
+        t = sum_of(*(parts[i % len(parts)] for i in range(400)))
+        alone = sum(self.count(of_calls, p) for p in parts)
+        assert self.count(of_calls, t) <= alone + 1
