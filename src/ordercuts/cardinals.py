@@ -171,10 +171,6 @@ class Card:
     def is_uncountable(self) -> bool:
         return self.rank == _RANK_ALEPH and not self.index.is_zero
 
-    @property
-    def is_countable(self) -> bool:
-        return not self.is_uncountable
-
     def __str__(self) -> str:
         if self.rank == _RANK_ZERO:
             return "0"

@@ -157,7 +157,14 @@ class Parser:
                 raise ParseError("expected a definition name",
                                  name_tok.line, name_tok.col)
             self.expect("=")
-            value = self.parse_expr()
+            try:
+                value = self.parse_expr()
+            except RecursionError:
+                # the descent recurses once per nesting level; report where
+                # it stopped rather than raising the interpreter's limit
+                tok = self.peek()
+                raise ParseError("definition nested too deeply",
+                                 tok.line, tok.col) from None
             if name_tok.text in self.env:
                 raise ParseError(f"duplicate definition {name_tok.text}",
                                  name_tok.line, name_tok.col)

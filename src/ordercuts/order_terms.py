@@ -11,7 +11,7 @@ symmetrically complete superorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple, Union
 
 from .cardinals import (
@@ -200,32 +200,12 @@ class CardinalSchedule:
             if r not in (RULE_ID, RULE_SUCC, RULE_DSUCC):
                 raise DomainError("schedule successor rule must be id/plus/plusplus")
 
-    def all_values(self):
-        return (self.k1, self.l1, self.klim, self.llim)
-
     def kappa_at(self, n: int) -> Card:
         """kappa at nu = 1+n along the base chain."""
         return aleph(self.k1.index.plus_nat(self.ksucc * n))
 
     def lambda_at(self, n: int) -> Card:
         return aleph(self.l1.index.plus_nat(self.lsucc * n))
-
-    def tracks_can_collide(self, with_limits: bool = True) -> bool:
-        """Is kappa_nu = lambda_nu possible at some successor nu?"""
-        if _chain_eq_exists(self.k1.index, self.ksucc, self.l1.index, self.lsucc):
-            return True
-        return with_limits and _chain_eq_exists(
-            self.klim.index.plus_nat(self.ksucc), self.ksucc,
-            self.llim.index.plus_nat(self.lsucc), self.lsucc)
-
-    def succ_dominates(self, with_limits: bool = True) -> bool:
-        """Does kappa_{nu+1} >= lambda_nu hold along every chain?"""
-        ok = _chain_always_geq(self.k1.index.plus_nat(self.ksucc), self.ksucc,
-                               self.l1.index, self.lsucc)
-        if ok and with_limits:
-            ok = _chain_always_geq(self.klim.index.plus_nat(self.ksucc),
-                                   self.ksucc, self.llim.index, self.lsucc)
-        return ok
 
     def __str__(self) -> str:
         return (f"k1={self.k1}; l1={self.l1}; ksucc={_RULE_NAMES[self.ksucc]}; "
@@ -676,12 +656,45 @@ def _affine(base: OrdinalIndex, step: int, n: int) -> Card:
 # Spectrum parts
 # ---------------------------------------------------------------------------
 
+class _Part:
+    """Shared defaults of the spectrum parts.  A one-sided family stores one
+    orientation; `flipped` mirrors each of its pairs.  The predicates derive
+    from one pair-level identity: a pair fails to be strongly asymmetric
+    exactly when it is symmetric or both of its components are countable.
+    The defaults fit a family: its pairs have infinite left components,
+    except in a row of pairs (1, l) (see `RowSeg`), and its symmetric pairs
+    are infinite."""
+
+    principal = False
+    flipped = False
+
+    def mirrored(self):
+        return replace(self, flipped=not self.flipped)
+
+    def has_infinite_symmetric(self) -> bool:
+        return self.has_symmetric()
+
+    def has_not_strongly(self) -> bool:
+        return self.has_symmetric() or self.has_both_countable()
+
+    def violates_one_left(self) -> bool:
+        return False
+
+    def violates_type2(self) -> bool:
+        return self.has_not_strongly()
+
+    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
+        if self.flipped:
+            return (p.mirrored() for p in self._pairs_below(bound))
+        return self._pairs_below(bound)
+
+
 @dataclass(frozen=True)
-class ExplicitPairs:
+class ExplicitPairs(_Part):
     """A finite set of concrete cofinality pairs, all principal or all not."""
 
     pairs: Tuple[CofPair, ...]
-    principal: bool
+    principal: bool = field()  # required, unlike the inherited default
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
@@ -702,9 +715,6 @@ class ExplicitPairs:
     def has_infinite_symmetric(self) -> bool:
         return any(p.is_symmetric and p.left.is_infinite for p in self.pairs)
 
-    def has_not_strongly(self) -> bool:
-        return any(not p.is_strongly_asymmetric for p in self.pairs)
-
     def violates_one_left(self) -> bool:
         return any(p.left.is_one and not p.right.is_uncountable for p in self.pairs)
 
@@ -715,7 +725,7 @@ class ExplicitPairs:
     def has_both_countable(self) -> bool:
         return any(p.both_countable for p in self.pairs)
 
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
+    def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         for p in self.pairs:
             if p.left < bound and p.right < bound:
                 yield p
@@ -726,11 +736,12 @@ class ExplicitPairs:
 
 
 @dataclass(frozen=True)
-class RowSegRight:
-    """{(left, l) : l in seg}: fixed left component, right from a card set."""
+class RowSeg(_Part):
+    """{(fixed, l) : l in seg}; flipped, {(k, fixed) : k in seg}."""
 
-    left: Card
+    fixed: Card
     seg: CardSet
+    flipped: bool = False
 
     @property
     def is_empty(self) -> bool:
@@ -738,181 +749,67 @@ class RowSegRight:
 
     @property
     def principal(self) -> bool:
-        return self.left.is_one
+        return self.fixed.is_one
 
-    def mirrored(self):
-        return RowSegLeft(self.seg, self.left)
-
-    def has_symmetric(self) -> bool:
-        return self.left.is_infinite and self.seg.contains(self.left)
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        if self.left.is_one:
-            return self.seg.contains(ALEPH0)
-        return self.seg.contains(self.left) or \
-            (self.left == ALEPH0 and self.seg.contains(ALEPH0))
+    def _one_left(self) -> bool:
+        """Are the pairs of this row (1, l)?"""
+        return self.fixed.is_one and not self.flipped
 
     def violates_one_left(self) -> bool:
-        return self.left.is_one and self.seg.contains(ALEPH0)
+        return self._one_left() and self.has_both_countable()
 
     def violates_type2(self) -> bool:
-        return self.left.is_infinite and self.has_not_strongly()
+        return not self._one_left() and self.has_not_strongly()
+
+    def has_symmetric(self) -> bool:
+        return self.seg.contains(self.fixed)
 
     def has_both_countable(self) -> bool:
-        return not self.left.is_uncountable and self.seg.contains(ALEPH0)
+        return not self.fixed.is_uncountable and self.seg.contains(ALEPH0)
 
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
-        if not self.left < bound:
-            return
-        for lam in self.seg.intersect(CardSet.segment_below(bound)).members():
-            yield CofPair(self.left, lam)
+    def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
+        if self.fixed < bound:
+            for lam in self.seg.intersect(CardSet.segment_below(bound)).members():
+                yield CofPair(self.fixed, lam)
 
     def render(self) -> str:
-        return f"{{({self.left},l) : l in {self.seg}}}"
+        if self.flipped:
+            return f"{{(k,{self.fixed}) : k in {self.seg}}}"
+        return f"{{({self.fixed},l) : l in {self.seg}}}"
 
 
 @dataclass(frozen=True)
-class RowSegLeft:
-    """{(k, right) : k in seg}."""
-
-    seg: CardSet
-    right: Card
-
-    @property
-    def is_empty(self) -> bool:
-        return self.seg.is_empty
-
-    @property
-    def principal(self) -> bool:
-        return self.right.is_one
-
-    def mirrored(self):
-        return RowSegRight(self.right, self.seg)
-
-    def has_symmetric(self) -> bool:
-        return self.right.is_infinite and self.seg.contains(self.right)
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        if self.right.is_one:
-            return self.seg.contains(ALEPH0)
-        return self.seg.contains(self.right) or \
-            (self.right == ALEPH0 and self.seg.contains(ALEPH0))
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_not_strongly()
-
-    def has_both_countable(self) -> bool:
-        return not self.right.is_uncountable and self.seg.contains(ALEPH0)
-
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
-        if not self.right < bound:
-            return
-        for kap in self.seg.intersect(CardSet.segment_below(bound)).members():
-            yield CofPair(kap, self.right)
-
-    def render(self) -> str:
-        return f"{{(k,{self.right}) : k in {self.seg}}}"
-
-
-@dataclass(frozen=True)
-class PhiLeftFam:
-    """{(k, phi(k)) : k in seg}."""
+class PhiFam(_Part):
+    """{(k, phi(k)) : k in seg}; flipped, {(phi(l), l) : l in seg}."""
 
     seg: CardSet
     phi: PhiMap
+    flipped: bool = False
 
     @property
     def is_empty(self) -> bool:
         return self.seg.is_empty
-
-    principal = False
-
-    def mirrored(self):
-        return PhiRightFam(self.phi, self.seg)
 
     def has_symmetric(self) -> bool:
         return self.phi.fixed_point_in(self.seg) is not None
 
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_symmetric()
-
     def has_both_countable(self) -> bool:
         return self.seg.contains(ALEPH0) and self.phi.evaluate(ALEPH0) == ALEPH0
 
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
+    def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         for kap in self.seg.intersect(CardSet.segment_below(bound)).members():
             lam = self.phi.evaluate(kap)
             if lam < bound:
                 yield CofPair(kap, lam)
 
     def render(self) -> str:
+        if self.flipped:
+            return f"{{(phi(l),l) : l in {self.seg}, phi={self.phi}}}"
         return f"{{(k,phi(k)) : k in {self.seg}, phi={self.phi}}}"
 
 
 @dataclass(frozen=True)
-class PhiRightFam:
-    """{(phi(l), l) : l in seg}."""
-
-    phi: PhiMap
-    seg: CardSet
-
-    @property
-    def is_empty(self) -> bool:
-        return self.seg.is_empty
-
-    principal = False
-
-    def mirrored(self):
-        return PhiLeftFam(self.seg, self.phi)
-
-    def has_symmetric(self) -> bool:
-        return self.phi.fixed_point_in(self.seg) is not None
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_symmetric()
-
-    def has_both_countable(self) -> bool:
-        return self.seg.contains(ALEPH0) and self.phi.evaluate(ALEPH0) == ALEPH0
-
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
-        for lam in self.seg.intersect(CardSet.segment_below(bound)).members():
-            kap = self.phi.evaluate(lam)
-            if kap < bound:
-                yield CofPair(kap, lam)
-
-    def render(self) -> str:
-        return f"{{(phi(l),l) : l in {self.seg}, phi={self.phi}}}"
-
-
-@dataclass(frozen=True)
-class ChainPairs:
+class ChainPairs(_Part):
     """{(aleph(la + ls*n), aleph(ra + rs*n)) : n >= 0}."""
 
     la: OrdinalIndex
@@ -921,7 +818,6 @@ class ChainPairs:
     rs: int
 
     is_empty = False
-    principal = False
 
     def mirrored(self):
         return ChainPairs(self.ra, self.rs, self.la, self.ls)
@@ -929,22 +825,10 @@ class ChainPairs:
     def has_symmetric(self) -> bool:
         return _chain_eq_exists(self.la, self.ls, self.ra, self.rs)
 
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_symmetric()
-
     def has_both_countable(self) -> bool:
         return self.la.is_zero and self.ra.is_zero
 
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
+    def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         n = 0
         while True:
             left, right = _affine(self.la, self.ls, n), _affine(self.ra, self.rs, n)
@@ -961,37 +845,22 @@ class ChainPairs:
 
 
 @dataclass(frozen=True)
-class ChainSegRight:
-    """{(aleph(la + ls*n), l) : l in reg<aleph(ba + bs*n), n >= 0}."""
+class ChainSeg(_Part):
+    """{(aleph(la + ls*n), l) : l in reg<aleph(ba + bs*n), n >= 0}; flipped,
+    {(k, aleph(la + ls*n)) : k in reg<aleph(ba + bs*n), n >= 0}."""
 
     la: OrdinalIndex
     ls: int
     ba: OrdinalIndex
     bs: int
-
-    principal = False
+    flipped: bool = False
 
     @property
     def is_empty(self) -> bool:
         return self.ba.is_zero and self.bs == 0
 
-    def mirrored(self):
-        return ChainSegLeft(self.ba, self.bs, self.la, self.ls)
-
     def has_symmetric(self) -> bool:
         return _chain_lt_exists(self.la, self.ls, self.ba, self.bs)
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_symmetric()
 
     def has_both_countable(self) -> bool:
         if not self.la.is_zero:
@@ -1000,92 +869,34 @@ class ChainSegRight:
             return not self.ba.is_zero
         return not self.ba.is_zero or self.bs > 0
 
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
+    def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         below = CardSet.segment_below(bound)
         n = 0
         while True:
-            left = _affine(self.la, self.ls, n)
-            if not left < bound:
+            head = _affine(self.la, self.ls, n)
+            if not head < bound:
                 return
             seg = CardSet.segment_below(_affine(self.ba, self.bs, n)).intersect(below)
             for lam in seg.members():
-                yield CofPair(left, lam)
+                yield CofPair(head, lam)
             if self.ls == 0:
-                # fixed left component: stop once the inner segment saturates
+                # constant chain: stop once the inner segment saturates
                 if self.bs == 0 or not _affine(self.ba, self.bs, n) < bound:
                     return
             n += 1
 
     def render(self) -> str:
-        return (f"{{(aleph({self.la}+{self.ls}n), l) : "
-                f"l in reg<aleph({self.ba}+{self.bs}n), n>=0}}")
+        chain_ = f"aleph({self.la}+{self.ls}n)"
+        seg = f"reg<aleph({self.ba}+{self.bs}n)"
+        if self.flipped:
+            return f"{{(k, {chain_}) : k in {seg}, n>=0}}"
+        return f"{{({chain_}, l) : l in {seg}, n>=0}}"
 
 
-@dataclass(frozen=True)
-class ChainSegLeft:
-    """{(k, aleph(ra + rs*n)) : k in reg<aleph(ba + bs*n), n >= 0}."""
+SpectrumPart = Union[ExplicitPairs, RowSeg, PhiFam, ChainPairs, ChainSeg]
 
-    ba: OrdinalIndex
-    bs: int
-    ra: OrdinalIndex
-    rs: int
-
-    principal = False
-
-    @property
-    def is_empty(self) -> bool:
-        return self.ba.is_zero and self.bs == 0
-
-    def mirrored(self):
-        return ChainSegRight(self.ra, self.rs, self.ba, self.bs)
-
-    def has_symmetric(self) -> bool:
-        return _chain_lt_exists(self.ra, self.rs, self.ba, self.bs)
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_symmetric()
-
-    def has_both_countable(self) -> bool:
-        if not self.ra.is_zero:
-            return False
-        if self.rs > 0:
-            return not self.ba.is_zero
-        return not self.ba.is_zero or self.bs > 0
-
-    def pairs_below(self, bound: Card) -> Iterator[CofPair]:
-        below = CardSet.segment_below(bound)
-        n = 0
-        while True:
-            right = _affine(self.ra, self.rs, n)
-            if not right < bound:
-                return
-            seg = CardSet.segment_below(_affine(self.ba, self.bs, n)).intersect(below)
-            for kap in seg.members():
-                yield CofPair(kap, right)
-            if self.rs == 0:
-                if self.bs == 0 or not _affine(self.ba, self.bs, n) < bound:
-                    return
-            n += 1
-
-    def render(self) -> str:
-        return (f"{{(k, aleph({self.ra}+{self.rs}n)) : "
-                f"k in reg<aleph({self.ba}+{self.bs}n), n>=0}}")
-
-
-SpectrumPart = Union[ExplicitPairs, RowSegRight, RowSegLeft, PhiLeftFam,
-                     PhiRightFam, ChainPairs, ChainSegRight, ChainSegLeft]
-
-_PART_ORDER = {ExplicitPairs: 0, RowSegRight: 1, RowSegLeft: 2, PhiLeftFam: 3,
-               PhiRightFam: 4, ChainPairs: 5, ChainSegRight: 6, ChainSegLeft: 7}
+# sort ranks of the shapes; a flipped family ranks one after its shape
+_PART_RANK = {ExplicitPairs: 0, RowSeg: 1, PhiFam: 3, ChainPairs: 5, ChainSeg: 6}
 
 
 def _chain_offset(base: OrdinalIndex, step: int, other: OrdinalIndex):
@@ -1108,18 +919,12 @@ def _subsumes(a: SpectrumPart, b: SpectrumPart) -> bool:
         kl = _chain_offset(a.la, a.ls, b.la)
         kr = _chain_offset(a.ra, a.rs, b.ra)
         return kl is not None and kl == kr
-    if isinstance(a, ChainSegRight) and isinstance(b, ChainSegRight):
-        if (a.ls, a.bs) != (b.ls, b.bs):
+    if isinstance(a, ChainSeg) and isinstance(b, ChainSeg):
+        if (a.ls, a.bs, a.flipped) != (b.ls, b.bs, b.flipped):
             return False
         kl = _chain_offset(a.la, a.ls, b.la)
         kb = _chain_offset(a.ba, a.bs, b.ba)
         return kl is not None and kl == kb
-    if isinstance(a, ChainSegLeft) and isinstance(b, ChainSegLeft):
-        if (a.rs, a.bs) != (b.rs, b.bs):
-            return False
-        kr = _chain_offset(a.ra, a.rs, b.ra)
-        kb = _chain_offset(a.ba, a.bs, b.ba)
-        return kr is not None and kr == kb
     return False
 
 
@@ -1133,63 +938,40 @@ class CutSpectrum:
 
     @staticmethod
     def of(parts) -> "CutSpectrum":
-        flat = []
+        # explicit pairs merge by principality and rows by fixed component
+        # and orientation; phi families over finitely enumerable segments
+        # expand fully, and degenerate chain families collapse to simpler
+        # shapes
+        principal_pairs, other_pairs, rows, rest = set(), set(), {}, []
         for p in parts:
             if p.is_empty:
                 continue
-            # phi families over finitely enumerable segments expand fully
-            if isinstance(p, PhiLeftFam) and p.seg.is_finite():
-                pairs = tuple(CofPair(k, p.phi.evaluate(k)) for k in p.seg.members())
-                flat.append(ExplicitPairs(pairs, principal=False))
-                continue
-            if isinstance(p, PhiRightFam) and p.seg.is_finite():
-                pairs = tuple(CofPair(p.phi.evaluate(l), l) for l in p.seg.members())
-                flat.append(ExplicitPairs(pairs, principal=False))
-                continue
-            # collapse degenerate chain families to simpler shapes
-            if isinstance(p, ChainPairs) and p.ls == 0 and p.rs == 0:
-                flat.append(ExplicitPairs((CofPair(aleph(p.la), aleph(p.ra)),),
-                                          principal=False))
-                continue
-            if isinstance(p, ChainSegRight) and p.ls == 0 and p.bs == 0:
-                flat.append(RowSegRight(aleph(p.la),
-                                        CardSet.segment_below(aleph(p.ba))))
-                continue
-            if isinstance(p, ChainSegLeft) and p.rs == 0 and p.bs == 0:
-                flat.append(RowSegLeft(CardSet.segment_below(aleph(p.ba)),
-                                       aleph(p.ra)))
-                continue
-            flat.append(p)
-        flat = [p for p in flat if not p.is_empty]
-        # merge explicit pair groups of equal principality and segment rows
-        # sharing their fixed component
-        principal_pairs, other_pairs, rest = set(), set(), []
-        seg_right, seg_left = {}, {}
-        for p in flat:
+            if isinstance(p, ChainSeg) and p.ls == 0 and p.bs == 0:
+                p = RowSeg(aleph(p.la), CardSet.segment_below(aleph(p.ba)), p.flipped)
             if isinstance(p, ExplicitPairs):
                 (principal_pairs if p.principal else other_pairs).update(p.pairs)
-            elif isinstance(p, RowSegRight):
-                seg_right[p.left] = seg_right.get(p.left, CardSet.empty()).union(p.seg)
-            elif isinstance(p, RowSegLeft):
-                seg_left[p.right] = seg_left.get(p.right, CardSet.empty()).union(p.seg)
+            elif isinstance(p, RowSeg):
+                key = (p.fixed, p.flipped)
+                rows[key] = rows.get(key, CardSet.empty()).union(p.seg)
+            elif isinstance(p, PhiFam) and p.seg.is_finite():
+                fam = (CofPair(k, p.phi.evaluate(k)) for k in p.seg.members())
+                other_pairs.update(q.mirrored() if p.flipped else q for q in fam)
+            elif isinstance(p, ChainPairs) and p.ls == 0 and p.rs == 0:
+                other_pairs.add(CofPair(aleph(p.la), aleph(p.ra)))
             else:
                 rest.append(p)
-        rest.extend(RowSegRight(left, seg) for left, seg in seg_right.items())
-        rest.extend(RowSegLeft(seg, right) for right, seg in seg_left.items())
-        # drop chain families subsumed by another chain family
-        kept = []
-        for i, p in enumerate(rest):
-            if any(j != i and _subsumes(q, p) and not (_subsumes(p, q) and j > i)
-                   for j, q in enumerate(rest)):
-                continue
-            kept.append(p)
-        parts = []
+        out = [RowSeg(fixed, seg, flipped) for (fixed, flipped), seg in rows.items()]
         if principal_pairs:
-            parts.append(ExplicitPairs(tuple(sorted(principal_pairs)), True))
+            out.append(ExplicitPairs(tuple(principal_pairs), True))
         if other_pairs:
-            parts.append(ExplicitPairs(tuple(sorted(other_pairs)), False))
-        parts.extend(kept)
-        uniq = sorted(set(parts), key=lambda p: (_PART_ORDER[type(p)], p.render()))
+            out.append(ExplicitPairs(tuple(other_pairs), False))
+        # drop chain families subsumed by another chain family
+        for i, p in enumerate(rest):
+            if not any(j != i and _subsumes(q, p) and not (_subsumes(p, q) and j > i)
+                       for j, q in enumerate(rest)):
+                out.append(p)
+        uniq = sorted(set(out), key=lambda p: (_PART_RANK[type(p)] + p.flipped,
+                                               p.render()))
         return CutSpectrum(tuple(uniq))
 
     @property
@@ -1207,9 +989,6 @@ class CutSpectrum:
 
     def has_not_strongly_asymmetric(self) -> bool:
         return any(p.has_not_strongly() for p in self.parts)
-
-    def has_pair_both_countable(self) -> bool:
-        return any(p.has_both_countable() for p in self.parts)
 
     def has_nonprincipal_symmetric(self) -> bool:
         """Tag-based route: symmetric pair inside a part not tagged principal."""
@@ -1251,26 +1030,26 @@ def _schedule_rows(t: LexSchedule):
     rows = [
         ExplicitPairs((CofPair(ONE, t.mu), CofPair(t.mu, ONE)), principal=True),
         # mu_0 = 0: one side comes from a cut in I_0 = l0* + I^c + k0
-        RowSegRight(s.k1, coin_i.union(CardSet.segment_below(t.l0))),
-        RowSegLeft(cofin_i.union(CardSet.segment_below(t.k0)), s.l1),
+        RowSeg(s.k1, coin_i.union(CardSet.segment_below(t.l0))),
+        RowSeg(s.l1, cofin_i.union(CardSet.segment_below(t.k0)), True),
         # 0 < mu_0 along the base chain nu = 1 + n
-        ChainSegRight(s.k1.index.plus_nat(s.ksucc), s.ksucc, s.l1.index, s.lsucc),
-        ChainSegLeft(s.k1.index, s.ksucc, s.l1.index.plus_nat(s.lsucc), s.lsucc),
+        ChainSeg(s.k1.index.plus_nat(s.ksucc), s.ksucc, s.l1.index, s.lsucc),
+        ChainSeg(s.l1.index.plus_nat(s.lsucc), s.lsucc, s.k1.index, s.ksucc, True),
         # both sides extremal at mu_0: (kappa_nu, lambda_nu), nu successor
         ChainPairs(s.k1.index, s.ksucc, s.l1.index, s.lsucc),
     ]
     if t.mu.is_uncountable:
         rows.extend([
             # chains restarting above each limit ordinal
-            ChainSegRight(s.klim.index.plus_nat(s.ksucc), s.ksucc,
-                          s.llim.index, s.lsucc),
-            ChainSegLeft(s.klim.index, s.ksucc,
-                         s.llim.index.plus_nat(s.lsucc), s.lsucc),
+            ChainSeg(s.klim.index.plus_nat(s.ksucc), s.ksucc,
+                     s.llim.index, s.lsucc),
+            ChainSeg(s.llim.index.plus_nat(s.lsucc), s.lsucc,
+                     s.klim.index, s.ksucc, True),
             ChainPairs(s.klim.index.plus_nat(s.ksucc), s.ksucc,
                        s.llim.index.plus_nat(s.lsucc), s.lsucc),
             # cuts one-sided at a limit mu_0: the other cofinality is cf(mu_0)
-            RowSegRight(s.klim, CardSet.segment_below(t.mu)),
-            RowSegLeft(CardSet.segment_below(t.mu), s.llim),
+            RowSeg(s.klim, CardSet.segment_below(t.mu)),
+            RowSeg(s.llim, CardSet.segment_below(t.mu), True),
         ])
     return rows
 
@@ -1284,8 +1063,8 @@ def _refined_rows(t: LexRefined):
             raise SideConditionError(name, witness)
     return [
         ExplicitPairs((CofPair(ONE, t.mu), CofPair(t.mu, ONE)), principal=True),
-        PhiLeftFam(rl, t.phir),
-        PhiRightFam(t.phil, rr),
+        PhiFam(rl, t.phir),
+        PhiFam(rr, t.phil, True),
     ]
 
 
@@ -1320,7 +1099,7 @@ def cut_spectrum(t: OrderTerm) -> CutSpectrum:
         return CutSpectrum.of((ExplicitPairs((CofPair(ONE, ONE),), True),))
     if isinstance(t, WellOrder):
         parts = [ExplicitPairs((CofPair(ONE, ONE),), True),
-                 RowSegLeft(CardSet.segment_below(t.kappa), ONE)]
+                 RowSeg(ONE, CardSet.segment_below(t.kappa), True)]
         return CutSpectrum.of(parts)
     if isinstance(t, Rev):
         return cut_spectrum(t.inner).mirrored()
@@ -1459,14 +1238,7 @@ def nonprincipal_cuts_all_asymmetric(spec: CutSpectrum) -> bool:
     """Second route for the order-ball criterion: inspect components instead
     of the principal tags.  A symmetric pair without a `1` component is a
     nonprincipal symmetric cut."""
-    for part in spec.parts:
-        if isinstance(part, ExplicitPairs):
-            if any(p.is_symmetric and not (p.left.is_one or p.right.is_one)
-                   for p in part.pairs):
-                return False
-        elif part.has_infinite_symmetric():
-            return False
-    return True
+    return not any(p.has_infinite_symmetric() for p in spec.parts)
 
 
 def spectrum_completeness(spec: CutSpectrum, cf_t: Card, ci_t: Card) -> Completeness:

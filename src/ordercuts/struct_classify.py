@@ -164,10 +164,6 @@ class Verdict:
         return self.symmetric
 
 
-def _tri(v: Optional[bool]) -> str:
-    return "n/a" if v is None else ("true" if v else "false")
-
-
 # ---------------------------------------------------------------------------
 # The cofinality calculus
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from ordercuts.order_terms import (
     Atom,
     CardinalSchedule,
     ChainPairs,
-    ChainSegLeft,
-    ChainSegRight,
+    ChainSeg,
     CutSpectrum,
     DOM_DEFAULT,
     DOM_ONE,
@@ -54,8 +53,7 @@ from ordercuts.order_terms import (
     LexSchedule,
     PhiMap,
     PhiPiece,
-    RowSegLeft,
-    RowSegRight,
+    RowSeg,
     RULE_DSUCC,
     RULE_ID,
     cf,
@@ -112,11 +110,11 @@ def test_criterion_1_spectrum_fidelity():
     j1 = LexSchedule(A[2], A[1], A[1], sched1, EMPTY)
     expect1 = CutSpectrum.of((
         ExplicitPairs((CofPair(ONE, A[2]), CofPair(A[2], ONE)), True),
-        RowSegRight(A[2], reg_below(A[2])),
-        RowSegLeft(reg_below(A[2]), A[3]),
+        RowSeg(A[2], reg_below(A[2])),
+        RowSeg(A[3], reg_below(A[2]), True),
         ChainPairs(A[2].index, 2, A[3].index, 2),
-        ChainSegRight(A[4].index, 2, A[3].index, 2),
-        ChainSegLeft(A[2].index, 2, A[5].index, 2),
+        ChainSeg(A[4].index, 2, A[3].index, 2),
+        ChainSeg(A[5].index, 2, A[2].index, 2, True),
     ))
     assert cut_spectrum(j1) == expect1
     assert cut_spectrum(j1).pairs_below(A[6]) == pairs(
@@ -129,11 +127,11 @@ def test_criterion_1_spectrum_fidelity():
     j2 = LexSchedule(A[3], A[2], A[1], sched2, EMPTY)
     expect2 = CutSpectrum.of((
         ExplicitPairs((CofPair(ONE, A[3]), CofPair(A[3], ONE)), True),
-        RowSegRight(A[3], reg_below(A[3])),
-        RowSegLeft(reg_below(A[3]), A[4]),
+        RowSeg(A[3], reg_below(A[3])),
+        RowSeg(A[4], reg_below(A[3]), True),
         ChainPairs(A[3].index, 2, A[4].index, 2),
-        ChainSegRight(A[5].index, 2, A[4].index, 2),
-        ChainSegLeft(A[3].index, 2, A[6].index, 2),
+        ChainSeg(A[5].index, 2, A[4].index, 2),
+        ChainSeg(A[6].index, 2, A[3].index, 2, True),
     ))
     assert cut_spectrum(j2) == expect2
 
@@ -143,8 +141,8 @@ def test_criterion_1_spectrum_fidelity():
     expect3 = CutSpectrum.of((
         ExplicitPairs((CofPair(ONE, A[0]), CofPair(A[0], ONE)), True),
         ExplicitPairs((CofPair(A[1], A[2]),), False),
-        RowSegRight(A[1], reg_below(A[2])),
-        RowSegLeft(reg_below(A[1]), A[2]),
+        RowSeg(A[1], reg_below(A[2])),
+        RowSeg(A[2], reg_below(A[1]), True),
     ))
     assert cut_spectrum(j3) == expect3
 
@@ -154,16 +152,16 @@ def test_criterion_1_spectrum_fidelity():
     j4 = LexSchedule(A[3], A[1], A[1], sched4, atom)
     expect4 = CutSpectrum.of((
         ExplicitPairs((CofPair(ONE, A[3]), CofPair(A[3], ONE)), True),
-        RowSegRight(A[4], reg_below(A[2])),
-        RowSegRight(A[3], reg_below(A[3])),
-        RowSegLeft(reg_below(A[1]), A[5]),
-        RowSegLeft(reg_below(A[3]), A[4]),
+        RowSeg(A[4], reg_below(A[2])),
+        RowSeg(A[3], reg_below(A[3])),
+        RowSeg(A[5], reg_below(A[1]), True),
+        RowSeg(A[4], reg_below(A[3]), True),
         ChainPairs(A[4].index, 2, A[5].index, 2),
         ChainPairs(A[5].index, 2, A[6].index, 2),
-        ChainSegRight(A[6].index, 2, A[5].index, 2),
-        ChainSegRight(A[5].index, 2, A[4].index, 2),
-        ChainSegLeft(A[4].index, 2, A[7].index, 2),
-        ChainSegLeft(A[3].index, 2, A[6].index, 2),
+        ChainSeg(A[6].index, 2, A[5].index, 2),
+        ChainSeg(A[5].index, 2, A[4].index, 2),
+        ChainSeg(A[7].index, 2, A[4].index, 2, True),
+        ChainSeg(A[6].index, 2, A[3].index, 2, True),
     ))
     assert cut_spectrum(j4) == expect4
 

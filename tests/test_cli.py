@@ -4,6 +4,7 @@ and the exit-status contract."""
 import contextlib
 import io
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -390,6 +391,30 @@ class TestInputErrors:
     ])
     def test_bad_element_located(self, tmp_path, text, col, message):
         assert_located(tmp_path, text, col, message)
+
+    @pytest.mark.parametrize("head,tail,depth", [
+        ("rev(", ")", 1000),
+        ("rev(", ")", 3000),
+        ("sum(chain(1), rev(", "))", 300),
+    ])
+    def test_deep_nesting_located(self, tmp_path, head, tail, depth):
+        text = "let T = " + head * depth + "well(aleph(0))" + tail * depth + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_definitions(text)
+        line, col = exc.value.line, exc.value.column
+        assert line == 1 and len("let T = ") < col <= len(head) * depth
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+        assert code == 2
+        assert out == ""
+        assert re.search(r"line 1, col \d+: definition nested too deeply", err)
+        assert "Traceback" not in err
+
+    def test_nesting_400_deep_still_parses(self, tmp_path):
+        text = "let T = " + "rev(" * 400 + "well(aleph(0))" + ")" * 400 + "\n"
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+        assert (code, err) == (0, "")
+        assert out == invoke_on(tmp_path, "let T = well(aleph(0))\n",
+                                "--cmd", "spectrum")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Each test re-derives an answer through a deliberately different mechanism
 models) and compares it with the closed-form implementation.
 """
 
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordercuts.cardinals import (
@@ -19,8 +21,20 @@ from ordercuts.cardinals import (
 from ordercuts.order_terms import (
     Atom,
     CardinalSchedule,
+    ChainPairs,
+    ChainSeg,
+    DOM_DEFAULT,
+    DOM_ONE,
+    DOM_SEG,
+    DOM_SINGLE,
     EMPTY,
+    ExplicitPairs,
     LexSchedule,
+    PHI_SUCC,
+    PhiFam,
+    PhiMap,
+    PhiPiece,
+    RowSeg,
     _chain_always_geq,
     _chain_eq_exists,
     _chain_lt_exists,
@@ -201,3 +215,81 @@ def test_schedule_enumeration_matches_pointwise_walk(mu, k0, l0, k1, l1,
     t = LexSchedule(mu, k0, l0, sched, inner)
     bound = aleph(9)
     assert cut_spectrum(t).pairs_below(bound) == brute_schedule_pairs(t, bound)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum-part predicates against their pair-level definitions
+# ---------------------------------------------------------------------------
+
+# every witness pair of the parts below has components under aleph(10)
+PART_BOUND = aleph(14)
+
+PAIR_DEFINITIONS = {
+    "has_symmetric": lambda p: p.is_symmetric,
+    "has_infinite_symmetric": lambda p: p.is_symmetric and p.left.is_infinite,
+    "has_not_strongly": lambda p: not p.is_strongly_asymmetric,
+    "has_both_countable": lambda p: p.both_countable,
+    "violates_one_left": lambda p: p.left.is_one and not p.right.is_uncountable,
+    "violates_type2": lambda p: p.left.is_infinite and not p.is_strongly_asymmetric,
+}
+
+PART_SEGS = [CardSet.empty(), CardSet.segment_below(aleph(OrdinalIndex.omega())),
+             CardSet.of(A[0], A[2], A[3])] + \
+    [CardSet.segment_below(aleph(i)) for i in range(1, 5)] + \
+    [CardSet.singleton(aleph(i)) for i in range(4)]
+
+
+def _random_phi(rng):
+    """A total first-match map on {1} u Reg with values up to aleph(5)."""
+    values = A[:5]
+    pieces = [PhiPiece(DOM_ONE, None, rng.choice(values))]
+    for i in rng.sample(range(5), rng.randint(0, 4)):
+        value = PHI_SUCC if rng.random() < 0.2 else rng.choice(values)
+        pieces.append(PhiPiece(DOM_SINGLE, A[i], value))
+    if rng.random() < 0.5:
+        pieces.append(PhiPiece(DOM_SEG, A[rng.randint(1, 4)], rng.choice(values)))
+    pieces.append(PhiPiece(DOM_DEFAULT, None, rng.choice(values)))
+    return PhiMap(tuple(pieces))
+
+
+def _part_families():
+    """Parts of every shape, in both orientations."""
+    orients = (False, True)
+    small = [ONE] + A[:4]
+    explicit = [ExplicitPairs((CofPair(a, b),), a.is_one or b.is_one)
+                for a in small for b in small]
+    explicit += [ExplicitPairs((CofPair(A[0], A[1]), CofPair(A[2], A[2])), False),
+                 ExplicitPairs((CofPair(ONE, A[1]), CofPair(A[0], ONE)), True)]
+    idx = [OrdinalIndex.of(i) for i in range(4)]
+    rng = random.Random(20131)
+    phis = [_random_phi(rng) for _ in range(40)]
+    return {
+        "ExplicitPairs": explicit,
+        "RowSeg": [RowSeg(fixed, seg, f) for fixed in small for seg in PART_SEGS
+                   for f in orients],
+        "PhiFam": [PhiFam(seg, phi, f) for phi in phis for seg in PART_SEGS[1:6]
+                   for f in orients],
+        "ChainPairs": [ChainPairs(la, ls, ra, rs) for la in idx for ra in idx
+                       for ls in range(3) for rs in range(3)],
+        "ChainSeg": [ChainSeg(la, ls, ba, bs, f) for la in idx for ba in idx
+                     for ls in range(3) for bs in range(3) for f in orients],
+    }
+
+
+PART_FAMILIES = _part_families()
+
+
+@pytest.mark.parametrize("shape", sorted(PART_FAMILIES))
+def test_part_predicates_match_pair_definitions(shape):
+    mismatches = []
+    for part in PART_FAMILIES[shape]:
+        below = frozenset(part.pairs_below(PART_BOUND))
+        for name, holds in PAIR_DEFINITIONS.items():
+            if getattr(part, name)() != any(holds(p) for p in below):
+                mismatches.append((part.render(), name))
+        if any(p.is_principal != part.principal for p in below):
+            mismatches.append((part.render(), "principal"))
+        mirror = frozenset(part.mirrored().pairs_below(PART_BOUND))
+        if mirror != frozenset(p.mirrored() for p in below):
+            mismatches.append((part.render(), "mirrored"))
+    assert not mismatches, mismatches[:10]

@@ -20,8 +20,7 @@ from ordercuts.order_terms import (
     Atom,
     CardinalSchedule,
     ChainPairs,
-    ChainSegLeft,
-    ChainSegRight,
+    ChainSeg,
     Completion,
     CutSpectrum,
     DOM_DEFAULT,
@@ -34,9 +33,8 @@ from ordercuts.order_terms import (
     PHI_SUCC,
     PhiMap,
     PhiPiece,
-    RowSegLeft,
     Rev,
-    RowSegRight,
+    RowSeg,
     RULE_DSUCC,
     RULE_ID,
     Sum,
@@ -208,11 +206,11 @@ class TestScheduleSpectrum:
         t = recipe(A2, A1, A1)
         expected = CutSpectrum.of((
             ExplicitPairs((CofPair(ONE, A2), CofPair(A2, ONE)), True),
-            RowSegRight(A2, reg_below(A2)),
-            RowSegLeft(reg_below(A2), A3),
+            RowSeg(A2, reg_below(A2)),
+            RowSeg(A3, reg_below(A2), True),
             ChainPairs(A2.index, 2, A3.index, 2),
-            ChainSegRight(A4.index, 2, A3.index, 2),
-            ChainSegLeft(A2.index, 2, A5.index, 2),
+            ChainSeg(A4.index, 2, A3.index, 2),
+            ChainSeg(A5.index, 2, A2.index, 2, True),
         ))
         assert cut_spectrum(t) == expected
 
@@ -241,16 +239,16 @@ class TestScheduleSpectrum:
         t = LexSchedule(A3, A1, A1, sched, atom)
         expected = CutSpectrum.of((
             ExplicitPairs((CofPair(ONE, A3), CofPair(A3, ONE)), True),
-            RowSegRight(A4, reg_below(A2)),
-            RowSegRight(A3, reg_below(A3)),
-            RowSegLeft(reg_below(A1), A5),
-            RowSegLeft(reg_below(A3), A4),
+            RowSeg(A4, reg_below(A2)),
+            RowSeg(A3, reg_below(A3)),
+            RowSeg(A5, reg_below(A1), True),
+            RowSeg(A4, reg_below(A3), True),
             ChainPairs(A4.index, 2, A5.index, 2),
             ChainPairs(A5.index, 2, aleph(6).index, 2),
-            ChainSegRight(aleph(6).index, 2, A5.index, 2),
-            ChainSegRight(A5.index, 2, A4.index, 2),
-            ChainSegLeft(A4.index, 2, aleph(7).index, 2),
-            ChainSegLeft(A3.index, 2, aleph(6).index, 2),
+            ChainSeg(aleph(6).index, 2, A5.index, 2),
+            ChainSeg(A5.index, 2, A4.index, 2),
+            ChainSeg(aleph(7).index, 2, A4.index, 2, True),
+            ChainSeg(aleph(6).index, 2, A3.index, 2, True),
         ))
         assert cut_spectrum(t) == expected
 
