@@ -2,96 +2,26 @@
 
 Usage: python scripts/law_fuzz.py [--cases N] [--seed S]
 
-Checks, per index-chain family: the ultrametric triangle law with its
-equality refinement, order compatibility, the archimedean-equivalence
-criterion against explicit witness search, ball membership/nesting/coset
-closure, and valuation additivity of series products.
+Runs `ordercuts.hahn_concrete.law_failures`, the law suite of acceptance
+criterion 6, on N cases per law for each index-chain family and exponent
+group, and exits 1 when any law fails.
 """
 
 import argparse
 import random
 import time
-from fractions import Fraction
 
 from ordercuts.hahn_concrete import (
     ExponentGroup,
-    HahnElement,
     INT_CHAIN,
     LexPoints,
     RAT_CHAIN,
-    SeriesElement,
-    arch_equiv,
-    arch_witness,
-    ball,
-    ball_compare,
-    nat_valuation,
-    point_le,
-    series_valuation,
+    law_failures,
 )
 
-FAMILIES = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
-            LexPoints((RAT_CHAIN, INT_CHAIN))]
-
-
-def rand_point(rng, chain):
-    if chain is INT_CHAIN:
-        return rng.randint(-6, 6)
-    if chain is RAT_CHAIN:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return tuple(rand_point(rng, f) for f in chain.factors)
-
-
-def rand_elem(rng, chain, nonzero=False):
-    items = [(rand_point(rng, chain), rng.randint(-4, 4))
-             for _ in range(rng.randint(1 if nonzero else 0, 3))]
-    out = HahnElement.make(chain, items)
-    if nonzero and out.is_zero:
-        return HahnElement.make(chain, [(rand_point(rng, chain), 1)])
-    return out
-
-
-def fuzz_family(chain, cases, rng):
-    failures = []
-    for i in range(cases):
-        a, b = rand_elem(rng, chain), rand_elem(rng, chain)
-        va, vb, vd = nat_valuation(a), nat_valuation(b), nat_valuation(a - b)
-        low = va if point_le(va, vb) else vb
-        if not point_le(low, vd) or (va != vb and vd != low):
-            failures.append(("ultrametric", i))
-        x, y = sorted([a.abs(), b.abs()])
-        if not point_le(nat_valuation(y), nat_valuation(x)):
-            failures.append(("order-compat", i))
-        u = rand_elem(rng, chain, nonzero=True)
-        w = rand_elem(rng, chain, nonzero=True)
-        if arch_equiv(u, w) != (arch_witness(u, w) is not None):
-            failures.append(("archimedean", i))
-        B = ball(a, b)
-        if not (B.member(a) and B.member(b)):
-            failures.append(("ball-span", i))
-        bump = HahnElement.make(chain, [(rand_point(rng, chain),
-                                         rng.randint(-3, 3))])
-        member = B.center + bump if point_le(B.radius, nat_valuation(bump)) \
-            else B.center
-        if ball_compare(ball(member, b), B) not in ("equal", "first-within-second"):
-            failures.append(("ball-center", i))
-    return failures
-
-
-def fuzz_series(dims, cases, rng):
-    group = ExponentGroup(dims)
-    failures = []
-    for i in range(cases):
-        items = [(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-                        for _ in range(dims)), rng.randint(-4, 4))
-                 for _ in range(rng.randint(1, 3))]
-        a = SeriesElement.make(group, items)
-        b = SeriesElement.make(group, list(reversed(items)))
-        if a.is_zero or b.is_zero:
-            continue
-        if series_valuation(a * b) != group.add(series_valuation(a),
-                                                series_valuation(b)):
-            failures.append(("series-valuation", i))
-    return failures
+CHAINS = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
+          LexPoints((RAT_CHAIN, INT_CHAIN)),
+          ExponentGroup(1), ExponentGroup(2), ExponentGroup(3)]
 
 
 def main():
@@ -102,18 +32,12 @@ def main():
 
     start = time.perf_counter()
     total_failures = 0
-    for chain in FAMILIES:
-        rng = random.Random(args.seed)
-        failures = fuzz_family(chain, args.cases, rng)
+    for chain in CHAINS:
+        failures = law_failures(chain, args.cases, random.Random(args.seed))
         total_failures += len(failures)
         print(f"{chain}: {args.cases} cases, {len(failures)} failures")
-        for tag, i in failures[:5]:
-            print(f"  {tag} at case {i}")
-    for dims in (1, 2, 3):
-        rng = random.Random(args.seed + dims)
-        failures = fuzz_series(dims, args.cases, rng)
-        total_failures += len(failures)
-        print(f"lex{dims} series: {args.cases} cases, {len(failures)} failures")
+        for law, i in failures[:5]:
+            print(f"  {law} at case {i}")
     elapsed = time.perf_counter() - start
     print(f"total failures: {total_failures} in {elapsed:.1f}s")
     return 1 if total_failures else 0

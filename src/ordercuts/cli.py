@@ -49,6 +49,7 @@ from .order_terms import (
     ci,
     coin_cofin,
     completeness_predicates,
+    completion,
     cut_spectrum,
     extend_order,
     rev,
@@ -191,10 +192,8 @@ class Parser:
             return self.parse_group()
         if tok.text == "field":
             return self.parse_field()
-        if tok.text == "hahn":
+        if tok.text in ("hahn", "series"):
             return self.parse_hahn()
-        if tok.text == "series":
-            return self.parse_series()
         if tok.kind == "name":
             return self.lookup(self.next())
         self.fail("cannot parse expression")
@@ -329,7 +328,7 @@ class Parser:
             self.expect("(")
             inner = self.parse_term_ref()
             self.expect(")")
-            return Completion(inner) if not isinstance(inner, Empty) else EMPTY
+            return completion(inner)
         if head == "sum":
             self.expect("(")
             parts = [self.parse_term_ref()]
@@ -619,6 +618,15 @@ class Parser:
         return Fraction(sign * num)
 
     def _parse_point(self, chain_):
+        if isinstance(chain_, hc.ExponentGroup):
+            # the coordinate count is checked by make, located at the head
+            self.expect("(")
+            coords = [self._parse_rational()]
+            while self.peek().text == ",":
+                self.next()
+                coords.append(self._parse_rational())
+            self.expect(")")
+            return tuple(coords)
         if isinstance(chain_, hc.LexPoints):
             self.expect("(")
             parts = [self._parse_point(chain_.factors[0])]
@@ -641,11 +649,21 @@ class Parser:
         return value
 
     def parse_hahn(self) -> hc.HahnElement:
+        """hahn(chain=C; p:c, ...) or series(exp=lexN; (q, ...):c, ...)."""
         head = self.next()
         self.expect("(")
-        self.expect("chain")
-        self.expect("=")
-        chain_ = self._parse_index_chain()
+        if head.text == "hahn":
+            self.expect("chain")
+            self.expect("=")
+            chain_ = self._parse_index_chain()
+        else:
+            self.expect("exp")
+            self.expect("=")
+            tok = self.next()
+            m = re.fullmatch(r"lex(\d+)", tok.text)
+            if not m:
+                raise ParseError("exponent group is lexN", tok.line, tok.col)
+            chain_ = hc.ExponentGroup(int(m.group(1)))
         items = []
         if self.peek().text == ";":
             self.next()
@@ -659,37 +677,6 @@ class Parser:
         self.expect(")")
         try:
             return hc.HahnElement.make(chain_, items)
-        except OrderCutsError as exc:
-            raise ParseError(str(exc), head.line, head.col)
-
-    def parse_series(self) -> hc.SeriesElement:
-        head = self.next()
-        self.expect("(")
-        self.expect("exp")
-        self.expect("=")
-        tok = self.next()
-        m = re.fullmatch(r"lex(\d+)", tok.text)
-        if not m:
-            raise ParseError("exponent group is lexN", tok.line, tok.col)
-        group = hc.ExponentGroup(int(m.group(1)))
-        items = []
-        if self.peek().text == ";":
-            self.next()
-            while self.peek().text != ")":
-                self.expect("(")
-                coords = [self._parse_rational()]
-                while self.peek().text == ",":
-                    self.next()
-                    coords.append(self._parse_rational())
-                self.expect(")")
-                self.expect(":")
-                coeff = self._parse_rational()
-                items.append((tuple(coords), coeff))
-                if self.peek().text == ",":
-                    self.next()
-        self.expect(")")
-        try:
-            return hc.SeriesElement.make(group, items)
         except OrderCutsError as exc:
             raise ParseError(str(exc), head.line, head.col)
 

@@ -2,9 +2,11 @@
 
 Elements are finite maps from a concrete decidable index chain into exact
 rationals, ordered lexicographically by the least support point (the Krull
-convention: a large valuation means a small element).  This grounds the
+convention: a large valuation means a small element).  A power series is a
+Hahn element whose index chain is an exponent group.  This grounds the
 symbolic layer's vocabulary: natural valuation, archimedean equivalence,
-ultrametric balls, and the value-additive series product.
+ultrametric balls, and the value-additive series product.  `law_failures`
+checks these laws on random elements.
 """
 
 from __future__ import annotations
@@ -69,7 +71,36 @@ class LexPoints:
         return "lex(" + ",".join(str(f) for f in self.factors) + ")"
 
 
-IndexChain = Union[FinitePoints, IntegerPoints, RationalPoints, LexPoints]
+@dataclass(frozen=True)
+class ExponentGroup:
+    """Q^dims with componentwise addition, ordered lexicographically: an
+    index chain that is also a group, so its Hahn elements are power series
+    and multiply."""
+
+    dims: int
+
+    def check(self, g) -> None:
+        if not isinstance(g, tuple) or len(g) != self.dims:
+            raise DomainError(f"{_render_point(g)} is not an exponent of lex{self.dims}")
+        for q in g:
+            if not isinstance(q, (int, Fraction)):
+                raise DomainError(f"{_render_point(q)} is not rational")
+
+    def coerce(self, g) -> tuple:
+        """The stored form of a checked exponent: a tuple of Fractions."""
+        return tuple(map(Fraction, g))
+
+    def zero(self):
+        return tuple(Fraction(0) for _ in range(self.dims))
+
+    def add(self, g, h):
+        return tuple(Fraction(x) + Fraction(y) for x, y in zip(g, h))
+
+    def __str__(self) -> str:
+        return f"lex{self.dims}"
+
+
+IndexChain = Union[FinitePoints, IntegerPoints, RationalPoints, LexPoints, ExponentGroup]
 
 INT_CHAIN = IntegerPoints()
 RAT_CHAIN = RationalPoints()
@@ -105,15 +136,15 @@ def point_le(a, b) -> bool:
 # Hahn elements
 # ---------------------------------------------------------------------------
 
-def _normalize_terms(check, items, point=None) -> Tuple:
-    """The one validating path: check each point (coerced by `point` when
+def _normalize_terms(check, items, coerce=None) -> Tuple:
+    """The one validating path: check each point (coerced by `coerce` when
     given), coerce each coefficient to Fraction, add up repeated points,
     drop zeros and sort.  Arithmetic on made elements skips all of this."""
     acc: Dict = {}
     for p, c in items:
         check(p)
-        if point is not None:
-            p = point(p)
+        if coerce is not None:
+            p = coerce(p)
         c = Fraction(c)
         if p in acc:
             c += acc[p]
@@ -173,18 +204,28 @@ def _compare_terms(xs: Tuple, ys: Tuple) -> int:
 
 @dataclass(frozen=True)
 class HahnElement:
-    """Finite support, sorted, no zero coefficients."""
+    """Finite support, sorted, no zero coefficients.  Over an exponent group
+    the element is a power series sum c_g t^g and has a product."""
 
     chain: IndexChain
     terms: Tuple[Tuple[object, Fraction], ...]
 
     @staticmethod
     def make(chain: IndexChain, items: Iterable) -> "HahnElement":
-        return HahnElement(chain, _normalize_terms(chain.check, items))
+        coerce = chain.coerce if isinstance(chain, ExponentGroup) else None
+        return HahnElement(chain, _normalize_terms(chain.check, items, coerce))
 
     @staticmethod
     def zero(chain: IndexChain) -> "HahnElement":
         return HahnElement(chain, ())
+
+    @staticmethod
+    def one(group: ExponentGroup) -> "HahnElement":
+        return HahnElement.make(group, [(group.zero(), 1)])
+
+    @staticmethod
+    def monomial(chain: IndexChain, p, c=1) -> "HahnElement":
+        return HahnElement.make(chain, [(p, c)])
 
     @property
     def is_zero(self) -> bool:
@@ -213,6 +254,20 @@ class HahnElement:
     def __sub__(self, other: "HahnElement") -> "HahnElement":
         self._require_same_chain(other)
         return HahnElement(self.chain, _merge_terms(self.terms, other.terms, True))
+
+    def __mul__(self, other: "HahnElement") -> "HahnElement":
+        """The series product: products added up over exponents that are
+        already valid Fraction tuples, then sorted once."""
+        if not isinstance(self.chain, ExponentGroup):
+            raise DomainError(f"elements over {self.chain} have no product; "
+                              "only series over an exponent group multiply")
+        self._require_same_chain(other)
+        acc: Dict = {}
+        for g, c in self.terms:
+            for h, d in other.terms:
+                k = tuple(map(add, g, h))
+                acc[k] = acc[k] + c * d if k in acc else c * d
+        return HahnElement(self.chain, _sorted_terms(acc))
 
     def scale(self, k) -> "HahnElement":
         k = Fraction(k)
@@ -246,7 +301,13 @@ class HahnElement:
 
     def __str__(self) -> str:
         body = ", ".join(f"{_render_point(p)}:{c}" for p, c in self.terms)
-        return f"hahn(chain={self.chain}" + (f"; {body})" if body else ")")
+        head = (f"series(exp={self.chain}" if isinstance(self.chain, ExponentGroup)
+                else f"hahn(chain={self.chain}")
+        return head + (f"; {body})" if body else ")")
+
+
+# the power-series name of the one element type
+SeriesElement = HahnElement
 
 
 def _render_point(p) -> str:
@@ -335,135 +396,106 @@ def ball_compare(b1: UltraBall, b2: UltraBall) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Power series elements over a concrete exponent group
+# Power series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentGroup:
-    """Q^dims with componentwise addition, ordered lexicographically."""
-
-    dims: int
-
-    def check(self, g) -> None:
-        if not isinstance(g, tuple) or len(g) != self.dims:
-            raise DomainError(f"{_render_point(g)} is not an exponent of lex{self.dims}")
-        for q in g:
-            if not isinstance(q, (int, Fraction)):
-                raise DomainError(f"{_render_point(q)} is not rational")
-
-    def zero(self):
-        return tuple(Fraction(0) for _ in range(self.dims))
-
-    def add(self, g, h):
-        return tuple(Fraction(x) + Fraction(y) for x, y in zip(g, h))
-
-    def __str__(self) -> str:
-        return f"lex{self.dims}"
+series_valuation = nat_valuation
 
 
-@dataclass(frozen=True)
-class SeriesElement:
-    """Finite-support series sum c_g t^g with rational c_g, exponents in a
-    concrete ordered abelian group; ordered by the least exponent's sign."""
-
-    group: ExponentGroup
-    terms: Tuple[Tuple[tuple, Fraction], ...]
-
-    @staticmethod
-    def make(group: ExponentGroup, items: Iterable) -> "SeriesElement":
-        return SeriesElement(group, _normalize_terms(
-            group.check, items, lambda g: tuple(map(Fraction, g))))
-
-    @staticmethod
-    def zero(group: ExponentGroup) -> "SeriesElement":
-        return SeriesElement(group, ())
-
-    @staticmethod
-    def one(group: ExponentGroup) -> "SeriesElement":
-        return SeriesElement.make(group, [(group.zero(), 1)])
-
-    @staticmethod
-    def monomial(group: ExponentGroup, g, c=1) -> "SeriesElement":
-        return SeriesElement.make(group, [(g, c)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_group(self, other: "SeriesElement") -> None:
-        if self.group != other.group:
-            raise DomainError("series live over different exponent groups")
-
-    def __add__(self, other: "SeriesElement") -> "SeriesElement":
-        self._require_same_group(other)
-        return SeriesElement(self.group, _merge_terms(self.terms, other.terms))
-
-    def __neg__(self) -> "SeriesElement":
-        return SeriesElement(self.group, tuple((g, -c) for g, c in self.terms))
-
-    def __sub__(self, other: "SeriesElement") -> "SeriesElement":
-        self._require_same_group(other)
-        return SeriesElement(self.group, _merge_terms(self.terms, other.terms, True))
-
-    def __mul__(self, other: "SeriesElement") -> "SeriesElement":
-        """Products added up over exponents that are already valid
-        Fraction tuples, then sorted once."""
-        self._require_same_group(other)
-        acc: Dict = {}
-        for g, c in self.terms:
-            for h, d in other.terms:
-                k = tuple(map(add, g, h))
-                acc[k] = acc[k] + c * d if k in acc else c * d
-        return SeriesElement(self.group, _sorted_terms(acc))
-
-    @property
-    def is_positive(self) -> bool:
-        return bool(self.terms) and self.terms[0][1] > 0
-
-    def compare(self, other: "SeriesElement") -> int:
-        self._require_same_group(other)
-        return _compare_terms(self.terms, other.terms)
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def coeff_at(self, g) -> Fraction:
-        for h, c in self.terms:
-            if h == g:
-                return c
-        return Fraction(0)
-
-    def __str__(self) -> str:
-        body = ", ".join(f"{_render_point(g)}:{c}" for g, c in self.terms)
-        return f"series(exp={self.group}" + (f"; {body})" if body else ")")
-
-
-def series_valuation(a: SeriesElement):
-    """Least exponent; infinity sentinel for zero.  Additive on products."""
-    if a.is_zero:
-        return INF
-    return a.terms[0][0]
-
-
-def series_mul(a: SeriesElement, b: SeriesElement) -> SeriesElement:
-    return a * b
-
-
-def residue(a: SeriesElement) -> Fraction:
+def residue(a: HahnElement) -> Fraction:
     """Coefficient at exponent zero; defined for elements of the valuation
     ring (v >= 0)."""
-    v = series_valuation(a)
-    if v is not INF and v < a.group.zero():
-        raise DomainError("residue of an element with negative valuation")
+    zero = a.chain.zero()
+    v = nat_valuation(a)
     if v is INF:
         return Fraction(0)
-    return a.coeff_at(a.group.zero())
+    if v < zero:
+        raise DomainError("residue of an element with negative valuation")
+    return a.coeff(zero)
+
+
+# ---------------------------------------------------------------------------
+# Law suite
+# ---------------------------------------------------------------------------
+
+def _law_point(rng, chain: IndexChain):
+    if chain is INT_CHAIN:
+        return rng.randint(-6, 6)
+    if chain is RAT_CHAIN:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    if isinstance(chain, ExponentGroup):
+        return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                     for _ in range(chain.dims))
+    return tuple(_law_point(rng, f) for f in chain.factors)
+
+
+def _law_elem(rng, chain: IndexChain, nonzero: bool = False) -> HahnElement:
+    items = [(_law_point(rng, chain), rng.randint(-4, 4))
+             for _ in range(rng.randint(1 if nonzero else 0, 3))]
+    out = HahnElement.make(chain, items)
+    if nonzero and out.is_zero:
+        return HahnElement.make(chain, [(_law_point(rng, chain), 1)])
+    return out
+
+
+def law_failures(chain: IndexChain, cases: int, rng) -> list:
+    """Check the concrete Hahn laws on `cases` random draws from `rng` per
+    law and return the failures as (law, case index) pairs.
+
+    Over an exponent group: the product of zero is zero, the valuation is
+    additive on products, and a product of positives is positive.  Over the
+    int and rat chains and their lex products: the ultrametric inequality
+    with its equality refinement, order compatibility of the valuation, the
+    archimedean criterion against the valuation and an explicit witness
+    search, and that balls hold their spanning points, are centred at each
+    member, and are closed under the coset operations."""
+    failures = []
+    if isinstance(chain, ExponentGroup):
+        for i in range(cases):
+            a, b = _law_elem(rng, chain), _law_elem(rng, chain)
+            ab = a * b
+            if a.is_zero or b.is_zero:
+                if not ab.is_zero:
+                    failures.append(("zero-product", i))
+                continue
+            if nat_valuation(ab) != chain.add(nat_valuation(a), nat_valuation(b)):
+                failures.append(("series-valuation", i))
+            if a.is_positive and b.is_positive and not ab.is_positive:
+                failures.append(("series-sign", i))
+        return failures
+
+    for i in range(cases):
+        a, b = _law_elem(rng, chain), _law_elem(rng, chain)
+        va, vb, vd = nat_valuation(a), nat_valuation(b), nat_valuation(a - b)
+        low = va if point_le(va, vb) else vb
+        if not point_le(low, vd):
+            failures.append(("ultrametric", i))
+        if va != vb and vd != low:
+            failures.append(("ultrametric-equality", i))
+    # 0 <= lo <= hi  =>  v(lo) >= v(hi)
+    for i in range(cases):
+        x, y = _law_elem(rng, chain).abs(), _law_elem(rng, chain).abs()
+        lo, hi = (x, y) if x <= y else (y, x)
+        if not point_le(nat_valuation(hi), nat_valuation(lo)):
+            failures.append(("order-compat", i))
+    for i in range(cases):
+        a = _law_elem(rng, chain, nonzero=True)
+        b = _law_elem(rng, chain, nonzero=True)
+        crit = arch_equiv(a, b)
+        if crit != (nat_valuation(a) == nat_valuation(b)):
+            failures.append(("archimedean-criterion", i))
+        if crit != (arch_witness(a, b) is not None):
+            failures.append(("archimedean-witness", i))
+    for i in range(cases):
+        a, b = _law_elem(rng, chain), _law_elem(rng, chain)
+        B = ball(a, b)
+        if not (B.member(a) and B.member(b)):
+            failures.append(("ball-span", i))
+        bump = HahnElement.make(chain, [(_law_point(rng, chain), rng.randint(-3, 3))])
+        x = B.center + bump if point_le(B.radius, nat_valuation(bump)) else B.center
+        if ball_compare(ball(x, b), B) not in (BALL_EQUAL, BALL_NESTED_12):
+            failures.append(("ball-center", i))
+        u, v = x - a, b - a
+        if not (B.member(a + u + v) and B.member(a - u)):
+            failures.append(("ball-coset", i))
+    return failures

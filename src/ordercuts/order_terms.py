@@ -69,7 +69,7 @@ class Rev:
     inner: "OrderTerm"
 
     def __str__(self) -> str:
-        return f"rev({self.inner})"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ class Sum:
         return True
 
     def __str__(self) -> str:
-        parts = ", ".join(str(p) for p in sum_parts(self))
-        return f"sum({parts})"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class Completion:
     inner: "OrderTerm"
 
     def __str__(self) -> str:
-        return f"comp({self.inner})"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -448,6 +447,28 @@ def sum_parts(t: OrderTerm):
         else:
             out.append(s)
     return out
+
+
+def _render(t: OrderTerm) -> str:
+    """The text of a term.  Nested sums, reversals and completions are
+    walked with a stack, so rendering a deep term does not recurse once per
+    level; other terms render themselves."""
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Sum):
+            seq = ["sum("]
+            for p in sum_parts(s):
+                seq += [p, ", "]
+            seq[-1] = ")"
+            stack += reversed(seq)
+        elif isinstance(s, (Rev, Completion)):
+            stack += [")", s.inner, "rev(" if isinstance(s, Rev) else "comp("]
+        else:
+            out.append(str(s))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

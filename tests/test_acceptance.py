@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 from ordercuts.cardinals import (
     CardSet,
@@ -23,19 +22,11 @@ from ordercuts.cardinals import (
 )
 from ordercuts.errors import DescriptorError
 from ordercuts.hahn_concrete import (
-    HahnElement,
     INT_CHAIN,
     LexPoints,
     RAT_CHAIN,
     ExponentGroup,
-    SeriesElement,
-    arch_equiv,
-    arch_witness,
-    ball,
-    ball_compare,
-    nat_valuation,
-    point_le,
-    series_valuation,
+    law_failures,
 )
 from ordercuts.oracle import spectrum_soundness
 from ordercuts.order_terms import (
@@ -399,100 +390,18 @@ FAMILIES = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
 FAMILY_SEEDS = (6001, 6002, 6003, 6004)
 
 
-def _point(rng, chain_):
-    if chain_ is INT_CHAIN:
-        return rng.randint(-6, 6)
-    if chain_ is RAT_CHAIN:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return tuple(_point(rng, f) for f in chain_.factors)
-
-
-def _elem(rng, chain_, nonzero=False):
-    items = [(_point(rng, chain_), rng.randint(-4, 4))
-             for _ in range(rng.randint(0 if not nonzero else 1, 3))]
-    out = HahnElement.make(chain_, items)
-    if nonzero and out.is_zero:
-        return HahnElement.make(chain_, [(_point(rng, chain_), 1)])
-    return out
-
-
 @criterion("6 concrete Hahn law suite")
 def test_criterion_6_hahn_laws():
     start = time.perf_counter()
-    zero_failures = 0
-
+    failures = []
     for chain_, seed in zip(FAMILIES, FAMILY_SEEDS):
-        rng = random.Random(seed)
-        # (UT) with the equality refinement
-        for _ in range(N_CASES):
-            a, b = _elem(rng, chain_), _elem(rng, chain_)
-            va, vb, vd = nat_valuation(a), nat_valuation(b), nat_valuation(a - b)
-            low = va if point_le(va, vb) else vb
-            if not point_le(low, vd):
-                zero_failures += 1
-            if va != vb and vd != low:
-                zero_failures += 1
-        # order compatibility 0 <= a <= b  =>  va >= vb
-        for _ in range(N_CASES):
-            x, y = _elem(rng, chain_).abs(), _elem(rng, chain_).abs()
-            lo, hi = (x, y) if x <= y else (y, x)
-            if not point_le(nat_valuation(hi), nat_valuation(lo)):
-                zero_failures += 1
-        # archimedean equivalence iff equal valuation, by witness search
-        for _ in range(N_CASES):
-            a = _elem(rng, chain_, nonzero=True)
-            b = _elem(rng, chain_, nonzero=True)
-            crit = arch_equiv(a, b)
-            if crit != (nat_valuation(a) == nat_valuation(b)):
-                zero_failures += 1
-            if crit != (arch_witness(a, b) is not None):
-                zero_failures += 1
-        # balls: spanning membership, every member a center, nesting, coset
-        for _ in range(N_CASES):
-            a, b = _elem(rng, chain_), _elem(rng, chain_)
-            B = ball(a, b)
-            if not (B.member(a) and B.member(b)):
-                zero_failures += 1
-            bump = HahnElement.make(chain_, [(_point(rng, chain_),
-                                              rng.randint(-3, 3))])
-            x = B.center + bump if point_le(B.radius, nat_valuation(bump)) \
-                else B.center
-            y = b
-            inner = ball(x, y)
-            if ball_compare(inner, B) not in ("equal", "first-within-second"):
-                zero_failures += 1
-            u, v = x - a, y - a
-            if not (B.member(a + u + v) and B.member(a - u)):
-                zero_failures += 1
-
+        failures += law_failures(chain_, N_CASES, random.Random(seed))
     for dims in (1, 2, 3):
-        group = ExponentGroup(dims)
-        rng = random.Random(1000 + dims)
-        for _ in range(N_CASES):
-            a = _series(rng, group)
-            b = _series(rng, group)
-            if a.is_zero or b.is_zero:
-                if not (a * b).is_zero:
-                    zero_failures += 1
-                continue
-            if series_valuation(a * b) != group.add(series_valuation(a),
-                                                    series_valuation(b)):
-                zero_failures += 1
-            if a.is_positive and b.is_positive and not (a * b).is_positive:
-                zero_failures += 1
-
+        failures += law_failures(ExponentGroup(dims), N_CASES,
+                                 random.Random(1000 + dims))
     elapsed = time.perf_counter() - start
-    assert zero_failures == 0
+    assert failures == []
     assert elapsed < 30.0, f"law suite took {elapsed:.1f}s"
-
-
-def _series(rng, group):
-    items = []
-    for _ in range(rng.randint(0, 3)):
-        g = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-                  for _ in range(group.dims))
-        items.append((g, rng.randint(-4, 4)))
-    return SeriesElement.make(group, items)
 
 
 # ---------------------------------------------------------------------------

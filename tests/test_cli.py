@@ -54,6 +54,15 @@ class TestRoundTrip:
         text = "let T = well(aleph(1))\n"
         assert print_definitions(parse_definitions(text)) == text
 
+    def test_nested_comp_collapses(self):
+        defs = parse_definitions("let A = comp(comp(well(aleph(1))))\n"
+                                 "let B = comp(well(aleph(1)))\n"
+                                 "let E = comp(empty)\n")
+        assert defs[0][1] == defs[1][1]
+        assert print_definitions(defs) == ("let A = comp(well(aleph(1)))\n"
+                                           "let B = comp(well(aleph(1)))\n"
+                                           "let E = empty\n")
+
     def test_unknown_keyword_is_named(self):
         with pytest.raises(ParseError) as err:
             parse_definitions("let T = wobble(aleph(1))\n")
@@ -415,6 +424,15 @@ class TestInputErrors:
         assert (code, err) == (0, "")
         assert out == invoke_on(tmp_path, "let T = well(aleph(0))\n",
                                 "--cmd", "spectrum")[1]
+
+    @pytest.mark.parametrize("depth", [150, 200])
+    def test_deep_sum_rev_renders(self, tmp_path, depth):
+        body = "sum(chain(1), rev(" * depth + "well(aleph(0))" + "))" * depth
+        ((_, term),) = parse_definitions(f"let T = {body}\n")
+        assert str(term) == body
+        code, out, err = invoke_on(tmp_path, f"let T = {body}\n", "--cmd", "extend")
+        assert code == 0
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordercuts import hahn_concrete as hc
 from ordercuts.errors import DomainError
 from ordercuts.hahn_concrete import (
     BALL_DISJOINT,
@@ -25,6 +26,7 @@ from ordercuts.hahn_concrete import (
     arch_witness,
     ball,
     ball_compare,
+    law_failures,
     nat_valuation,
     point_le,
     residue,
@@ -253,6 +255,21 @@ class TestSeries:
         with pytest.raises(DomainError):
             residue(SeriesElement.monomial(g, (Fraction(-1),)))
 
+    def test_series_are_hahn_elements(self):
+        assert SeriesElement is HahnElement
+        t = HahnElement.monomial(ExponentGroup(1), (1,), Fraction(1, 2))
+        assert str(t) == "series(exp=lex1; (1):1/2)"
+        assert t.terms[0][0] == (Fraction(1),)
+
+    @pytest.mark.parametrize("chain,point", [
+        (INT_CHAIN, 1), (RAT_CHAIN, Fraction(1, 2)), (FinitePoints(3), 2),
+        (LEX2, (1, 2)),
+    ])
+    def test_product_needs_an_exponent_group(self, chain, point):
+        a = HahnElement.monomial(chain, point)
+        with pytest.raises(DomainError):
+            a * a
+
     def test_ring_laws_random(self):
         rng = random.Random(18)
         g = ExponentGroup(2)
@@ -261,6 +278,31 @@ class TestSeries:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+def _drop_least_term(mul):
+    def faulty(self, other):
+        out = mul(self, other)
+        return HahnElement(out.chain, out.terms[1:])
+    return faulty
+
+
+def _greatest_point(a):
+    return a.terms[-1][0] if a.terms else INF
+
+
+@pytest.mark.parametrize("chain,owner,attr,fault", [
+    (ExponentGroup(2), HahnElement, "__mul__", _drop_least_term(HahnElement.__mul__)),
+    (INT_CHAIN, hc, "nat_valuation", _greatest_point),
+    (RAT_CHAIN, hc, "arch_witness", lambda a, b: None),
+    (LEX2, hc.UltraBall, "member", lambda self, x: x == self.center),
+], ids=["product", "valuation", "witness", "ball"])
+def test_law_failures_catch_planted_faults(monkeypatch, chain, owner, attr, fault):
+    """The law suite is not vacuous: it passes on the real arithmetic and
+    reports failures once one operation is broken."""
+    assert law_failures(chain, 300, random.Random(8)) == []
+    monkeypatch.setattr(owner, attr, fault)
+    assert law_failures(chain, 300, random.Random(8))
 
 
 def _rand_series(rng, group):
@@ -448,7 +490,7 @@ def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
         if a.chain == b.chain:
             a + b, a - b, a.compare(b), a.abs(), a < b
     for a, b in zip(series, series[1:]):
-        if a.group == b.group:
+        if a.chain == b.chain:
             a + b, a - b, a * b, a.compare(b)
     assert calls[0] == 0
 
