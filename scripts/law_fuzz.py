@@ -11,16 +11,16 @@ import argparse
 import random
 import time
 
+from ordercuts.chains import LexChain
 from ordercuts.hahn_concrete import (
     ExponentGroup,
     INT_CHAIN,
-    LexPoints,
     RAT_CHAIN,
     law_failures,
 )
 
-CHAINS = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
-          LexPoints((RAT_CHAIN, INT_CHAIN)),
+CHAINS = [INT_CHAIN, RAT_CHAIN, LexChain((INT_CHAIN, INT_CHAIN)),
+          LexChain((RAT_CHAIN, INT_CHAIN)),
           ExponentGroup(1), ExponentGroup(2), ExponentGroup(3)]
 
 

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from . import hahn_concrete as hc
 from . import oracle as orc
 from .cardinals import ALEPH0, Card, CardSet, CofPair, ONE, OrdinalIndex, aleph
+from .chains import IntChain, LexChain
 from .errors import DomainError, OrderCutsError, ParseError
 from .order_terms import (
     Atom,
@@ -587,7 +588,10 @@ class Parser:
             if n_tok.kind != "int":
                 raise ParseError("fin(n) needs an integer size", n_tok.line, n_tok.col)
             self.expect(")")
-            return hc.FinitePoints(int(n_tok.text))
+            try:
+                return IntChain(0, int(n_tok.text))
+            except DomainError as exc:
+                raise ParseError(str(exc), tok.line, tok.col)
         if tok.text == "lex":
             self.expect("(")
             factors = [self._parse_index_chain()]
@@ -595,7 +599,7 @@ class Parser:
                 self.next()
                 factors.append(self._parse_index_chain())
             self.expect(")")
-            return hc.LexPoints(tuple(factors))
+            return LexChain(tuple(factors))
         raise ParseError("index chain is int/rat/fin(n)/lex(...)", tok.line, tok.col)
 
     def _parse_rational(self) -> Fraction:
@@ -627,7 +631,7 @@ class Parser:
                 coords.append(self._parse_rational())
             self.expect(")")
             return tuple(coords)
-        if isinstance(chain_, hc.LexPoints):
+        if isinstance(chain_, LexChain):
             self.expect("(")
             parts = [self._parse_point(chain_.factors[0])]
             i = 1
@@ -641,7 +645,7 @@ class Parser:
             self.expect(")")
             return tuple(parts)
         value = self._parse_rational()
-        if isinstance(chain_, (hc.FinitePoints, hc.IntegerPoints)):
+        if isinstance(chain_, IntChain):
             if value.denominator != 1:
                 raise ParseError("integer point expected",
                                  self.peek().line, self.peek().col)

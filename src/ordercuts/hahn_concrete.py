@@ -1,6 +1,6 @@
 """Executable finite-support Hahn sums and power-series arithmetic.
 
-Elements are finite maps from a concrete decidable index chain into exact
+Elements are finite maps from an index chain of `chains` into exact
 rationals, ordered lexicographically by the least support point (the Krull
 convention: a large valuation means a small element).  A power series is a
 Hahn element whose index chain is an exponent group.  This grounds the
@@ -16,60 +16,13 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from .chains import IntChain, LexChain, RatChain, render_point
 from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
 # Index chains
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinitePoints:
-    """Points 0 .. size-1."""
-    size: int
-
-    def check(self, p) -> None:
-        if not isinstance(p, int) or not 0 <= p < self.size:
-            raise DomainError(f"{_render_point(p)} is not a point of fin({self.size})")
-
-    def __str__(self) -> str:
-        return f"fin({self.size})"
-
-
-@dataclass(frozen=True)
-class IntegerPoints:
-    def check(self, p) -> None:
-        if not isinstance(p, int):
-            raise DomainError(f"{_render_point(p)} is not an integer point")
-
-    def __str__(self) -> str:
-        return "int"
-
-
-@dataclass(frozen=True)
-class RationalPoints:
-    def check(self, p) -> None:
-        if not isinstance(p, (int, Fraction)):
-            raise DomainError(f"{_render_point(p)} is not a rational point")
-
-    def __str__(self) -> str:
-        return "rat"
-
-
-@dataclass(frozen=True)
-class LexPoints:
-    """Tuples compared lexicographically, one factor chain per slot."""
-    factors: Tuple["IndexChain", ...]
-
-    def check(self, p) -> None:
-        if not isinstance(p, tuple) or len(p) != len(self.factors):
-            raise DomainError(f"{_render_point(p)} is not a point of {self}")
-        for fac, q in zip(self.factors, p):
-            fac.check(q)
-
-    def __str__(self) -> str:
-        return "lex(" + ",".join(str(f) for f in self.factors) + ")"
-
 
 @dataclass(frozen=True)
 class ExponentGroup:
@@ -81,10 +34,10 @@ class ExponentGroup:
 
     def check(self, g) -> None:
         if not isinstance(g, tuple) or len(g) != self.dims:
-            raise DomainError(f"{_render_point(g)} is not an exponent of lex{self.dims}")
+            raise DomainError(f"{render_point(g)} is not an exponent of lex{self.dims}")
         for q in g:
             if not isinstance(q, (int, Fraction)):
-                raise DomainError(f"{_render_point(q)} is not rational")
+                raise DomainError(f"{render_point(q)} is not rational")
 
     def coerce(self, g) -> tuple:
         """The stored form of a checked exponent: a tuple of Fractions."""
@@ -100,10 +53,21 @@ class ExponentGroup:
         return f"lex{self.dims}"
 
 
-IndexChain = Union[FinitePoints, IntegerPoints, RationalPoints, LexPoints, ExponentGroup]
+IndexChain = Union[IntChain, RatChain, LexChain, ExponentGroup]
 
-INT_CHAIN = IntegerPoints()
-RAT_CHAIN = RationalPoints()
+INT_CHAIN = IntChain()
+RAT_CHAIN = RatChain()
+
+# Names of the index chains before they merged with the oracle's chains;
+# perfbench resolves them.  `FinitePoints` is a function so that tracing
+# wraps `IntChain.check` once, through `IntegerPoints`.
+IntegerPoints = IntChain
+RationalPoints = RatChain
+LexPoints = LexChain
+
+
+def FinitePoints(size: int) -> IntChain:
+    return IntChain(0, size)
 
 
 class Infinity:
@@ -244,6 +208,11 @@ class HahnElement:
         if self.chain != other.chain:
             raise DomainError("elements live over different index chains")
 
+    def _require_series(self, what: str) -> None:
+        if not isinstance(self.chain, ExponentGroup):
+            raise DomainError(f"elements over {self.chain} have no {what}; "
+                              "only series over an exponent group do")
+
     def __add__(self, other: "HahnElement") -> "HahnElement":
         self._require_same_chain(other)
         return HahnElement(self.chain, _merge_terms(self.terms, other.terms))
@@ -258,9 +227,7 @@ class HahnElement:
     def __mul__(self, other: "HahnElement") -> "HahnElement":
         """The series product: products added up over exponents that are
         already valid Fraction tuples, then sorted once."""
-        if not isinstance(self.chain, ExponentGroup):
-            raise DomainError(f"elements over {self.chain} have no product; "
-                              "only series over an exponent group multiply")
+        self._require_series("product")
         self._require_same_chain(other)
         acc: Dict = {}
         for g, c in self.terms:
@@ -300,7 +267,7 @@ class HahnElement:
         return -self if self.terms and self.terms[0][1] < 0 else self
 
     def __str__(self) -> str:
-        body = ", ".join(f"{_render_point(p)}:{c}" for p, c in self.terms)
+        body = ", ".join(f"{render_point(p)}:{c}" for p, c in self.terms)
         head = (f"series(exp={self.chain}" if isinstance(self.chain, ExponentGroup)
                 else f"hahn(chain={self.chain}")
         return head + (f"; {body})" if body else ")")
@@ -308,12 +275,6 @@ class HahnElement:
 
 # the power-series name of the one element type
 SeriesElement = HahnElement
-
-
-def _render_point(p) -> str:
-    if isinstance(p, tuple):
-        return "(" + ",".join(_render_point(q) for q in p) + ")"
-    return str(p)
 
 
 def nat_valuation(a: HahnElement):
@@ -404,7 +365,8 @@ series_valuation = nat_valuation
 
 def residue(a: HahnElement) -> Fraction:
     """Coefficient at exponent zero; defined for elements of the valuation
-    ring (v >= 0)."""
+    ring (v >= 0) of a series."""
+    a._require_series("residue")
     zero = a.chain.zero()
     v = nat_valuation(a)
     if v is INF:

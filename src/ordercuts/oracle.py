@@ -1,11 +1,11 @@
 """Witness-based verification of spectrum claims on countable orders.
 
-Concrete chains re-derive, by explicit ladders, what the symbolic layer
-claims about the countable fragment: a cut witness is a strictly increasing
-lower ladder and strictly decreasing upper ladder (or extremal elements for
-the `1` components), checked for monotonicity, separation, and frontier
-convergence up to a depth.  Sampled cut generation hunts for pairs the
-symbolic claim would have missed.
+The concrete chains of `chains` re-derive, by explicit ladders, what the
+symbolic layer claims about the countable fragment: a cut witness is a
+strictly increasing lower ladder and strictly decreasing upper ladder (or
+extremal elements for the `1` components), checked for monotonicity,
+separation, and frontier convergence up to a depth.  Sampled cut
+generation hunts for pairs the symbolic claim would have missed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .cardinals import ALEPH0, ALEPH1, Card, CofPair, ONE
+from .chains import ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain
 from .errors import DomainError
 from .order_terms import (
     Atom,
@@ -33,399 +34,16 @@ from .order_terms import (
 PROBE_PULLS = 8
 
 
-# ---------------------------------------------------------------------------
-# Concrete countable chains
-# ---------------------------------------------------------------------------
+# perfbench resolves `LexChain` in this module (imported above, unused
+# here) and these two names of the integer chains from before `IntChain`
+# replaced them.  As functions, they leave `IntChain.cmp` untraced there.
 
-class ConcreteChain:
-    """A countable linear order with decidable comparison, an element
-    enumeration, and computable betweenness."""
+def FinChain(size: int) -> IntChain:
+    return IntChain(0, size)
 
-    def cmp(self, x, y) -> int:
-        raise NotImplementedError
 
-    def least(self):
-        return None
-
-    def greatest(self):
-        return None
-
-    def above(self, x):
-        """Some element strictly above x, or None."""
-        raise NotImplementedError
-
-    def below(self, x):
-        raise NotImplementedError
-
-    def between(self, x, y):
-        """Some element strictly between x < y, or None."""
-        raise NotImplementedError
-
-    def elements(self) -> Iterator:
-        raise NotImplementedError
-
-    def cofinal(self):
-        """('max', element) or ('ladder', factory of a strictly increasing
-        cofinal iterator)."""
-        raise NotImplementedError
-
-    def coinitial(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FinChain(ConcreteChain):
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise DomainError("finite chains here have at least one point")
-
-    def cmp(self, x, y):
-        return (x > y) - (x < y)
-
-    def least(self):
-        return 0
-
-    def greatest(self):
-        return self.size - 1
-
-    def above(self, x):
-        return x + 1 if x + 1 < self.size else None
-
-    def below(self, x):
-        return x - 1 if x > 0 else None
-
-    def between(self, x, y):
-        return (x + y) // 2 if y - x > 1 else None
-
-    def elements(self):
-        return iter(range(self.size))
-
-    def cofinal(self):
-        return ("max", self.size - 1)
-
-    def coinitial(self):
-        return ("min", 0)
-
-
-@dataclass(frozen=True)
-class NatChain(ConcreteChain):
-    def cmp(self, x, y):
-        return (x > y) - (x < y)
-
-    def least(self):
-        return 0
-
-    def above(self, x):
-        return x + 1
-
-    def below(self, x):
-        return x - 1 if x > 0 else None
-
-    def between(self, x, y):
-        return (x + y) // 2 if y - x > 1 else None
-
-    def elements(self):
-        return itertools.count(0)
-
-    def cofinal(self):
-        return ("ladder", lambda: itertools.count(0))
-
-    def coinitial(self):
-        return ("min", 0)
-
-
-def _calkin_wilf():
-    yield Fraction(0)
-    q = Fraction(1)
-    while True:
-        yield q
-        yield -q
-        q = 1 / (2 * (q.numerator // q.denominator) + 1 - q)
-
-
-@dataclass(frozen=True)
-class RatChain(ConcreteChain):
-    def cmp(self, x, y):
-        return (x > y) - (x < y)
-
-    def above(self, x):
-        return x + 1
-
-    def below(self, x):
-        return x - 1
-
-    def between(self, x, y):
-        return (x + y) / 2
-
-    def elements(self):
-        return _calkin_wilf()
-
-    def cofinal(self):
-        return ("ladder", lambda: (Fraction(n) for n in itertools.count(1)))
-
-    def coinitial(self):
-        return ("ladder", lambda: (Fraction(-n) for n in itertools.count(1)))
-
-
-@dataclass(frozen=True)
-class RevChain(ConcreteChain):
-    inner: ConcreteChain
-
-    def cmp(self, x, y):
-        return -self.inner.cmp(x, y)
-
-    def least(self):
-        return self.inner.greatest()
-
-    def greatest(self):
-        return self.inner.least()
-
-    def above(self, x):
-        return self.inner.below(x)
-
-    def below(self, x):
-        return self.inner.above(x)
-
-    def between(self, x, y):
-        return self.inner.between(y, x)
-
-    def elements(self):
-        return self.inner.elements()
-
-    def cofinal(self):
-        kind, payload = self.inner.coinitial()
-        return ("max", payload) if kind == "min" else ("ladder", payload)
-
-    def coinitial(self):
-        kind, payload = self.inner.cofinal()
-        return ("min", payload) if kind == "max" else ("ladder", payload)
-
-
-def _interleave(*iterators):
-    live = list(iterators)
-    while live:
-        nxt = []
-        for it in live:
-            try:
-                yield next(it)
-            except StopIteration:
-                continue
-            nxt.append(it)
-        live = nxt
-
-
-@dataclass(frozen=True, init=False)
-class SumChain(ConcreteChain):
-    """The parts in order; elements are (i, x) with x an element of part i."""
-
-    parts: Tuple[ConcreteChain, ...]
-
-    def __init__(self, *parts: ConcreteChain):
-        if len(parts) < 2:
-            raise DomainError("a sum chain needs at least two parts")
-        object.__setattr__(self, "parts", parts)
-
-    # The first and the last part: the whole chain when there are two.
-    # perfbench/tracing.py still walks sums through these two names.
-    @property
-    def left(self) -> ConcreteChain:
-        return self.parts[0]
-
-    @property
-    def right(self) -> ConcreteChain:
-        return self.parts[-1]
-
-    def cmp(self, x, y):
-        i, j = x[0], y[0]
-        if i != j:
-            return -1 if i < j else 1
-        return self.parts[i].cmp(x[1], y[1])
-
-    def least(self):
-        l = self.parts[0].least()
-        return None if l is None else (0, l)
-
-    def greatest(self):
-        g = self.parts[-1].greatest()
-        return None if g is None else (len(self.parts) - 1, g)
-
-    def _bottom(self, i):
-        """The least element of part i, or any element when it has none."""
-        part = self.parts[i]
-        l = part.least()
-        return (i, next(iter(part.elements())) if l is None else l)
-
-    def _top(self, i):
-        """The greatest element of part i, or any element when it has none."""
-        part = self.parts[i]
-        g = part.greatest()
-        return (i, next(iter(part.elements())) if g is None else g)
-
-    def above(self, x):
-        i, a = x
-        z = self.parts[i].above(a)
-        if z is not None:
-            return (i, z)
-        return self._bottom(i + 1) if i + 1 < len(self.parts) else None
-
-    def below(self, x):
-        i, a = x
-        z = self.parts[i].below(a)
-        if z is not None:
-            return (i, z)
-        return self._top(i - 1) if i > 0 else None
-
-    def between(self, x, y):
-        i, j = x[0], y[0]
-        if i == j:
-            z = self.parts[i].between(x[1], y[1])
-            return None if z is None else (i, z)
-        z = self.parts[i].above(x[1])
-        if z is not None:
-            return (i, z)
-        w = self.parts[j].below(y[1])
-        if w is not None:
-            return (j, w)
-        return self._top(j - 1) if j - i > 1 else None
-
-    def elements(self):
-        """Round-robin over the parts, so a prefix of n samples reaches the
-        first n parts."""
-        return _interleave(*(zip(itertools.repeat(i), part.elements())
-                             for i, part in enumerate(self.parts)))
-
-    def cofinal(self):
-        last = len(self.parts) - 1
-        kind, payload = self.parts[last].cofinal()
-        if kind == "max":
-            return ("max", (last, payload))
-        return ("ladder", lambda: zip(itertools.repeat(last), payload()))
-
-    def coinitial(self):
-        kind, payload = self.parts[0].coinitial()
-        if kind == "min":
-            return ("min", (0, payload))
-        return ("ladder", lambda: zip(itertools.repeat(0), payload()))
-
-
-@dataclass(frozen=True)
-class LexChain(ConcreteChain):
-    """Finite lexicographic product; elements are tuples, leftmost factor
-    dominates."""
-
-    factors: Tuple[ConcreteChain, ...]
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise DomainError("a lex product needs at least one factor")
-
-    def cmp(self, x, y):
-        for fac, a, b in zip(self.factors, x, y):
-            c = fac.cmp(a, b)
-            if c:
-                return c
-        return 0
-
-    def least(self):
-        out = []
-        for fac in self.factors:
-            l = fac.least()
-            if l is None:
-                return None
-            out.append(l)
-        return tuple(out)
-
-    def greatest(self):
-        out = []
-        for fac in self.factors:
-            g = fac.greatest()
-            if g is None:
-                return None
-            out.append(g)
-        return tuple(out)
-
-    def _first(self, i):
-        return next(iter(self.factors[i].elements()))
-
-    def above(self, x):
-        for j in range(len(self.factors) - 1, -1, -1):
-            z = self.factors[j].above(x[j])
-            if z is not None:
-                return x[:j] + (z,) + x[j + 1:]
-        return None
-
-    def below(self, x):
-        for j in range(len(self.factors) - 1, -1, -1):
-            z = self.factors[j].below(x[j])
-            if z is not None:
-                return x[:j] + (z,) + x[j + 1:]
-        return None
-
-    def between(self, x, y):
-        k = 0
-        while self.factors[k].cmp(x[k], y[k]) == 0:
-            k += 1
-        z = self.factors[k].between(x[k], y[k])
-        if z is not None:
-            return x[:k] + (z,) + x[k + 1:]
-        for j in range(k + 1, len(self.factors)):
-            z = self.factors[j].above(x[j])
-            if z is not None:
-                return x[:j] + (z,) + x[j + 1:]
-        for j in range(k + 1, len(self.factors)):
-            z = self.factors[j].below(y[j])
-            if z is not None:
-                return y[:j] + (z,) + y[j + 1:]
-        return None
-
-    def elements(self):
-        caches = [[] for _ in self.factors]
-        gens = [fac.elements() for fac in self.factors]
-        done = [False] * len(self.factors)
-        for d in itertools.count(0):
-            for i, g in enumerate(gens):
-                while not done[i] and len(caches[i]) <= d:
-                    try:
-                        caches[i].append(next(g))
-                    except StopIteration:
-                        done[i] = True
-            if all(done) and all(len(c) <= d for c in caches):
-                if d > max(len(c) for c in caches):
-                    return
-            ranges = [range(min(d + 1, len(c))) for c in caches]
-            for combo in itertools.product(*ranges):
-                if max(combo) == d:
-                    yield tuple(caches[i][j] for i, j in enumerate(combo))
-
-    def cofinal(self):
-        head = self.factors[0]
-        kind, payload = head.cofinal()
-        rest = self.factors[1:]
-        if kind == "max":
-            if not rest:
-                return ("max", (payload,))
-            tailkind, tailload = LexChain(rest).cofinal()
-            if tailkind == "max":
-                return ("max", (payload,) + tailload)
-            return ("ladder", lambda: ((payload,) + t for t in tailload()))
-        tail = tuple(self._first(i) for i in range(1, len(self.factors)))
-        return ("ladder", lambda: ((x,) + tail for x in payload()))
-
-    def coinitial(self):
-        head = self.factors[0]
-        kind, payload = head.coinitial()
-        rest = self.factors[1:]
-        if kind == "min":
-            if not rest:
-                return ("min", (payload,))
-            tailkind, tailload = LexChain(rest).coinitial()
-            if tailkind == "min":
-                return ("min", (payload,) + tailload)
-            return ("ladder", lambda: ((payload,) + t for t in tailload()))
-        tail = tuple(self._first(i) for i in range(1, len(self.factors)))
-        return ("ladder", lambda: ((x,) + tail for x in payload()))
+def NatChain() -> IntChain:
+    return IntChain(0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +179,11 @@ RAT_ATOM_NAMES = ("rat", "q", "rationals")
 
 def concretize(t: OrderTerm) -> ConcreteChain:
     if isinstance(t, FiniteChain):
-        return FinChain(t.size)
+        return IntChain(0, t.size)
     if isinstance(t, WellOrder):
         if t.kappa != ALEPH0:
             raise DomainError(f"{t} is uncountable; only well(aleph(0)) concretizes")
-        return NatChain()
+        return IntChain(0)
     if isinstance(t, Rev):
         return RevChain(concretize(t.inner))
     if isinstance(t, Sum):
@@ -591,14 +209,7 @@ def _tag_side(side: WitnessSide, i: int) -> WitnessSide:
 
 def _cofinal_side(chain: ConcreteChain) -> WitnessSide:
     kind, payload = chain.cofinal()
-    if kind == "max":
-        return WitnessSide.at(payload)
-    return WitnessSide.via(payload)
-
-
-def _coinitial_side(chain: ConcreteChain) -> WitnessSide:
-    kind, payload = chain.coinitial()
-    if kind == "min":
+    if kind == "end":
         return WitnessSide.at(payload)
     return WitnessSide.via(payload)
 
@@ -693,7 +304,7 @@ def _sum_witnesses(t: OrderTerm, parts, prefix: str, first: int, out) -> int:
     out.append((boundary,
                 CutWitness(prefix + "sum-boundary",
                            _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
-                           _tag_side(_coinitial_side(parts[joint]), joint),
+                           _tag_side(_cofinal_side(RevChain(parts[joint])), joint),
                            boundary)))
     return n_left + n_right
 
@@ -704,7 +315,8 @@ def _sum_witnesses(t: OrderTerm, parts, prefix: str, first: int, out) -> int:
 
 def _descend_to(chain: ConcreteChain, floor, start, depth: int) -> Card:
     """Coinitiality tag of {z : z > floor} explored from start: 1 when an
-    immediate successor shows up, aleph(0) when the descent survives."""
+    immediate successor shows up, aleph(0) when the descent survives.  On
+    the reversed chain it is the cofinality tag of {z : z < floor}."""
     cur = start
     for _ in range(depth):
         nxt = chain.between(floor, cur)
@@ -714,38 +326,23 @@ def _descend_to(chain: ConcreteChain, floor, start, depth: int) -> Card:
     return ALEPH0
 
 
-def _ascend_to(chain: ConcreteChain, ceil, start, depth: int) -> Card:
-    cur = start
-    for _ in range(depth):
-        nxt = chain.between(cur, ceil)
-        if nxt is None:
-            return ONE
-        cur = nxt
-    return ALEPH0
-
-
-def _ladder_tag(kind_payload, chain: ConcreteChain, depth: int,
-                direction: int) -> Card:
-    kind, payload = kind_payload
-    if kind in ("max", "min"):
+def derive_cf(chain: ConcreteChain, depth: int = 100) -> Card:
+    """Cofinality re-derived by ladder search: 1 or aleph(0)-to-depth."""
+    kind, payload = chain.cofinal()
+    if kind == "end":
         return ONE
     walker = payload()
     prev = next(walker)
     for _ in range(depth):
         cur = next(walker)
-        if chain.cmp(cur, prev) != direction:
+        if chain.cmp(cur, prev) != 1:
             raise DomainError("structural ladder is not strictly monotone")
         prev = cur
     return ALEPH0
 
 
-def derive_cf(chain: ConcreteChain, depth: int = 100) -> Card:
-    """Cofinality re-derived by ladder search: 1 or aleph(0)-to-depth."""
-    return _ladder_tag(chain.cofinal(), chain, depth, +1)
-
-
 def derive_ci(chain: ConcreteChain, depth: int = 100) -> Card:
-    return _ladder_tag(chain.coinitial(), chain, depth, -1)
+    return derive_cf(RevChain(chain), depth)
 
 
 def sample_cuts(chain: ConcreteChain, depth: int = 100,
@@ -758,6 +355,7 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
         flat = flat.inner
     if isinstance(flat, SumChain):
         samples = max(samples, len(flat.parts))
+    mirror = RevChain(chain)
     pairs = set()
     for x in itertools.islice(chain.elements(), samples):
         e0 = chain.above(x)
@@ -765,7 +363,7 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
             pairs.add(CofPair(ONE, _descend_to(chain, x, e0, depth)))
         d0 = chain.below(x)
         if d0 is not None:
-            pairs.add(CofPair(_ascend_to(chain, x, d0, depth), ONE))
+            pairs.add(CofPair(_descend_to(mirror, x, d0, depth), ONE))
     pairs.update(_joint_pairs(chain, depth))
     return frozenset(pairs)
 

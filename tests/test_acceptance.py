@@ -20,10 +20,10 @@ from ordercuts.cardinals import (
     aleph,
     reg_below,
 )
+from ordercuts.chains import LexChain
 from ordercuts.errors import DescriptorError
 from ordercuts.hahn_concrete import (
     INT_CHAIN,
-    LexPoints,
     RAT_CHAIN,
     ExponentGroup,
     law_failures,
@@ -383,8 +383,8 @@ def test_criterion_5_integers():
 # ---------------------------------------------------------------------------
 
 N_CASES = 10_000
-FAMILIES = [INT_CHAIN, RAT_CHAIN, LexPoints((INT_CHAIN, INT_CHAIN)),
-            LexPoints((RAT_CHAIN, INT_CHAIN))]
+FAMILIES = [INT_CHAIN, RAT_CHAIN, LexChain((INT_CHAIN, INT_CHAIN)),
+            LexChain((RAT_CHAIN, INT_CHAIN))]
 # One constant seed per family: string hashes are salted per process, so a
 # seed derived from hash(str(chain)) would draw new cases on every run.
 FAMILY_SEEDS = (6001, 6002, 6003, 6004)

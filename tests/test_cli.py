@@ -183,11 +183,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ordercuts.cardinals import CardSet, CofPair, ONE, aleph
+from ordercuts.chains import LexChain
 from ordercuts.hahn_concrete import (
     ExponentGroup,
     HahnElement,
     INT_CHAIN,
-    LexPoints,
     RAT_CHAIN,
     SeriesElement,
 )
@@ -303,7 +303,7 @@ hahn_elems = st.one_of(
       .map(lambda items: HahnElement.make(RAT_CHAIN, items)),
     st.lists(st.tuples(st.tuples(points_int, points_int), st.integers(-4, 4)),
              max_size=3)
-      .map(lambda items: HahnElement.make(LexPoints((INT_CHAIN, INT_CHAIN)),
+      .map(lambda items: HahnElement.make(LexChain((INT_CHAIN, INT_CHAIN)),
                                           items)),
 )
 series_elems = st.lists(
@@ -397,6 +397,9 @@ class TestInputErrors:
          "(1) is not a point of lex(int,int)"),
         ("let S = series(exp=lex2; (1):1)\n", 9,
          "(1) is not an exponent of lex2"),
+        ("let H = hahn(chain=fin(0))\n", 20, "fin(0) has no points"),
+        ("let H = hahn(chain=lex(int,fin(0)); (1,0):1)\n", 28,
+         "fin(0) has no points"),
     ])
     def test_bad_element_located(self, tmp_path, text, col, message):
         assert_located(tmp_path, text, col, message)

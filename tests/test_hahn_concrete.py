@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordercuts import hahn_concrete as hc
+from ordercuts.chains import IntChain, LexChain, RatChain
 from ordercuts.errors import DomainError
 from ordercuts.hahn_concrete import (
     BALL_DISJOINT,
     BALL_EQUAL,
     ExponentGroup,
-    FinitePoints,
     HahnElement,
     INF,
     INT_CHAIN,
-    IntegerPoints,
-    LexPoints,
     RAT_CHAIN,
-    RationalPoints,
     SeriesElement,
     arch_equiv,
     arch_witness,
@@ -33,7 +30,7 @@ from ordercuts.hahn_concrete import (
     series_valuation,
 )
 
-LEX2 = LexPoints((INT_CHAIN, INT_CHAIN))
+LEX2 = LexChain((INT_CHAIN, INT_CHAIN))
 CHAINS = [INT_CHAIN, RAT_CHAIN, LEX2]
 
 
@@ -42,8 +39,8 @@ def rand_point(rng, chain):
         return rng.randint(-5, 5)
     if chain is RAT_CHAIN:
         return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-    if isinstance(chain, FinitePoints):
-        return rng.randrange(chain.size)
+    if isinstance(chain, IntChain):
+        return rng.randrange(chain.lo, chain.hi)
     return tuple(rand_point(rng, f) for f in chain.factors)
 
 
@@ -261,14 +258,21 @@ class TestSeries:
         assert str(t) == "series(exp=lex1; (1):1/2)"
         assert t.terms[0][0] == (Fraction(1),)
 
-    @pytest.mark.parametrize("chain,point", [
-        (INT_CHAIN, 1), (RAT_CHAIN, Fraction(1, 2)), (FinitePoints(3), 2),
+    NON_GROUP_POINTS = [
+        (INT_CHAIN, 1), (RAT_CHAIN, Fraction(1, 2)), (IntChain(0, 3), 2),
         (LEX2, (1, 2)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("chain,point", NON_GROUP_POINTS)
     def test_product_needs_an_exponent_group(self, chain, point):
         a = HahnElement.monomial(chain, point)
         with pytest.raises(DomainError):
             a * a
+
+    @pytest.mark.parametrize("chain,point", NON_GROUP_POINTS)
+    def test_residue_needs_an_exponent_group(self, chain, point):
+        with pytest.raises(DomainError, match="no residue"):
+            residue(HahnElement.monomial(chain, point))
 
     def test_ring_laws_random(self):
         rng = random.Random(18)
@@ -325,9 +329,9 @@ _RAT_PT = st.one_of(st.integers(-2, 2),
 MERGE_FAMILIES = [
     (INT_CHAIN, _INT_PT),
     (RAT_CHAIN, _RAT_PT),
-    (FinitePoints(5), st.integers(0, 4)),
+    (IntChain(0, 5), st.integers(0, 4)),
     (LEX2, st.tuples(_INT_PT, _INT_PT)),
-    (LexPoints((RAT_CHAIN, INT_CHAIN)), st.tuples(_RAT_PT, st.integers(-2, 2))),
+    (LexChain((RAT_CHAIN, INT_CHAIN)), st.tuples(_RAT_PT, st.integers(-2, 2))),
 ]
 _COEFF = st.one_of(st.integers(-3, 3),
                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
@@ -420,7 +424,7 @@ class TestMergeArithmetic:
 
     def test_compare_rejects_mismatched_chains(self):
         a = HahnElement.make(INT_CHAIN, [(0, 1)])
-        b = HahnElement.make(FinitePoints(3), [(0, 1)])
+        b = HahnElement.make(IntChain(0, 3), [(0, 1)])
         with pytest.raises(DomainError):
             a.compare(b)
         with pytest.raises(DomainError):
@@ -470,8 +474,8 @@ def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
     """Validation happens in make only: +, -, compare, abs and the series
     product on existing elements never re-check a point."""
     rng = random.Random(21)
-    chains = [INT_CHAIN, RAT_CHAIN, FinitePoints(7), LEX2,
-              LexPoints((RAT_CHAIN, INT_CHAIN))]
+    chains = [INT_CHAIN, RAT_CHAIN, IntChain(0, 7), LEX2,
+              LexChain((RAT_CHAIN, INT_CHAIN))]
     elems = [rand_elem(rng, chain, max_support=5) for chain in chains for _ in range(20)]
     series = [_rand_series(rng, ExponentGroup(d)) for d in (1, 2, 3) for _ in range(20)]
 
@@ -483,7 +487,7 @@ def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
             return check(self, p)
         return wrapper
 
-    for cls in (FinitePoints, IntegerPoints, RationalPoints, LexPoints, ExponentGroup):
+    for cls in (IntChain, RatChain, LexChain, ExponentGroup):
         monkeypatch.setattr(cls, "check", counting(cls.check))
 
     for a, b in zip(elems, elems[1:]):

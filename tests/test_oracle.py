@@ -7,18 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordercuts.cardinals import CardSet, CofPair, ONE, aleph
+from ordercuts.cardinals import ALEPH1, CardSet, CofPair, ONE, aleph
 from ordercuts.errors import DomainError
 from ordercuts import oracle
-from ordercuts.oracle import (
+from ordercuts.chains import (
     ConcreteChain,
-    CutWitness,
-    FinChain,
+    IntChain,
     LexChain,
-    NatChain,
     RatChain,
     RevChain,
     SumChain,
+)
+from ordercuts.oracle import (
+    CutWitness,
     WitnessSide,
     concretize,
     derive_cf,
@@ -32,6 +33,7 @@ from ordercuts.order_terms import (
     cf,
     chain,
     ci,
+    cut_spectrum,
     rev,
     sum_of,
     well,
@@ -82,7 +84,7 @@ class TestVerifyWitness:
             assert verify_witness(rat, w, depth).ok
 
     def test_nat_symmetric_claims_fail(self):
-        nat = NatChain()
+        nat = IntChain(0)
         wide = CutWitness("wide", WitnessSide.via(lambda: itertools.count(0)),
                           WitnessSide.via(lambda: (10 ** 6 - n
                                                    for n in itertools.count(0))),
@@ -96,7 +98,7 @@ class TestVerifyWitness:
             assert not verify_witness(nat, tight, depth).ok
 
     def test_malformed_ladder_reports_index(self):
-        nat = NatChain()
+        nat = IntChain(0)
         w = CutWitness("bad", WitnessSide.via(lambda: iter([0, 2, 1])),
                        WitnessSide.via(lambda: (100 - n for n in itertools.count(0))),
                        CofPair(A0, A0))
@@ -105,7 +107,7 @@ class TestVerifyWitness:
         assert "index 2" in result.reason
 
     def test_unseparated_rejected(self):
-        nat = NatChain()
+        nat = IntChain(0)
         w = CutWitness("crossed", WitnessSide.at(10), WitnessSide.at(5),
                        CofPair(ONE, ONE))
         assert not verify_witness(nat, w, 10).ok
@@ -161,13 +163,13 @@ class TestSoundness:
 
 class TestLexSampling:
     def test_zxz_principal_pattern(self):
-        zz = LexChain((SumChain(RevChain(NatChain()), NatChain()),) * 2)
+        zz = LexChain((SumChain(RevChain(IntChain(0)), IntChain(0)),) * 2)
         sampled = sample_cuts(zz, depth=100, samples=40)
         principal = {p for p in sampled if p.is_principal}
         assert principal == {CofPair(ONE, ONE)}
 
     def test_zxz_between(self):
-        zz = LexChain((SumChain(RevChain(NatChain()), NatChain()),) * 2)
+        zz = LexChain((SumChain(RevChain(IntChain(0)), IntChain(0)),) * 2)
         a = ((1, 0), (1, 0))
         b = ((1, 1), (1, 0))
         mid = zz.between(a, b)
@@ -180,10 +182,15 @@ class TestDerivedCfCi:
         terms = [OMEGA, OMEGA_STAR, chain(1), chain(4),
                  sum_of(OMEGA_STAR, OMEGA), sum_of(OMEGA, OMEGA),
                  sum_of(chain(2), OMEGA_STAR), RAT_ATOM]
-        for t in terms:
-            c = concretize(t)
+        # Z as one integer chain, against the symbolic answer for omega* + omega
+        cases = [(concretize(t), t) for t in terms] + \
+            [(IntChain(), sum_of(OMEGA_STAR, OMEGA))]
+        for c, t in cases:
             assert derive_cf(c) == cf(t)
             assert derive_ci(c) == ci(t)
+            assert sample_cuts(c) <= cut_spectrum(t).pairs_below(ALEPH1)
+        assert sample_cuts(IntChain()) == \
+            cut_spectrum(sum_of(OMEGA_STAR, OMEGA)).pairs_below(ALEPH1)
 
 
 countable_terms = st.recursive(
@@ -220,16 +227,16 @@ def test_witness_acceptance_monotone_in_depth(t):
 # ---------------------------------------------------------------------------
 
 def _size(c):
-    if isinstance(c, FinChain):
-        return c.size
+    if isinstance(c, IntChain):
+        return c.hi
     if isinstance(c, RevChain):
         return _size(c.inner)
     return sum(_size(p) for p in c.parts)
 
 
 def _position(c, x):
-    """Rank of x in a finite chain built from FinChain, RevChain, SumChain."""
-    if isinstance(c, FinChain):
+    """Rank of x in a finite chain built from IntChain, RevChain, SumChain."""
+    if isinstance(c, IntChain):
         return x
     if isinstance(c, RevChain):
         return _size(c.inner) - 1 - _position(c.inner, x)
