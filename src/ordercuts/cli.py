@@ -14,28 +14,22 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_args
 
 from . import hahn_concrete as hc
 from . import oracle as orc
 from .cardinals import ALEPH0, Card, CardSet, CofPair, ONE, OrdinalIndex, aleph
 from .chains import IntChain, LexChain
-from .errors import DomainError, OrderCutsError, ParseError
+from .errors import OrderCutsError, ParseError
 from .order_terms import (
     Atom,
     CardinalSchedule,
-    Completion,
     EMPTY,
-    Empty,
-    FiniteChain,
     LexRefined,
     LexSchedule,
     OrderTerm,
     PhiMap,
     PhiPiece,
-    Rev,
-    Sum,
-    WellOrder,
     DOM_DEFAULT,
     DOM_ONE,
     DOM_SEG,
@@ -69,6 +63,9 @@ from .struct_classify import (
     extend_field,
     extend_group,
 )
+
+TERM_TYPES = get_args(OrderTerm)
+STRUCTURE_TYPES = (GroupDescriptor, FieldDescriptor)
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -135,6 +132,13 @@ class Parser:
         self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token when it reads `text`."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
@@ -142,9 +146,59 @@ class Parser:
                              tok.line, tok.col)
         return tok
 
+    def expect_int(self, message: str) -> int:
+        tok = self.next()
+        if tok.kind != "int":
+            raise ParseError(message, tok.line, tok.col)
+        return int(tok.text)
+
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message + f" (at {tok.text!r})", tok.line, tok.col)
+
+    @staticmethod
+    def located(tok: Token, build, *args, **kwargs):
+        """`build(*args, **kwargs)`, with a library error it raises reported
+        as a parse error at `tok`."""
+        try:
+            return build(*args, **kwargs)
+        except OrderCutsError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
+    def parse_list(self, open_: str, close: str, item, nonempty: bool = False) -> list:
+        """`item`s between `open_` and `close`, with a comma between each
+        pair and none after the last; a `nonempty` list holds at least one."""
+        self.expect(open_)
+        out = []
+        if nonempty or self.peek().text != close:
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+        self.expect(close)
+        return out
+
+    def parse_block(self, head: str, spec, required=()) -> Dict[str, object]:
+        """`key=value` entries separated by `;`, then the closing `)`.  Each
+        key of `spec`, which maps it to the parser of its value, appears at
+        most once and every `required` key appears; `card` is written
+        `card<=`."""
+        out: Dict[str, object] = {}
+        while True:
+            key_tok = self.next()
+            key = key_tok.text
+            if key not in spec:
+                raise ParseError(f"unknown key {key!r}", key_tok.line, key_tok.col)
+            if key in out:
+                raise ParseError(f"duplicate key {key!r}", key_tok.line, key_tok.col)
+            self.expect("<=" if key == "card" else "=")
+            out[key] = spec[key]()
+            if not self.accept(";"):
+                break
+        self.expect(")")
+        for key in required:
+            if key not in out:
+                self.fail(f"{head} needs {key}=")
+        return out
 
     # -- entry ----------------------------------------------------------------
 
@@ -225,28 +279,14 @@ class Parser:
             if tok.kind == "int":
                 terms.append((0, int(tok.text)))
             elif tok.text == "w":
-                exp = 1
-                if self.peek().text == "^":
-                    self.next()
-                    exp_tok = self.next()
-                    if exp_tok.kind != "int":
-                        raise ParseError("expected an exponent", exp_tok.line, exp_tok.col)
-                    exp = int(exp_tok.text)
-                coeff = 1
-                if self.peek().text == "*":
-                    self.next()
-                    coeff_tok = self.next()
-                    if coeff_tok.kind != "int":
-                        raise ParseError("expected a coefficient", coeff_tok.line, coeff_tok.col)
-                    coeff = int(coeff_tok.text)
+                exp = self.expect_int("expected an exponent") if self.accept("^") else 1
+                coeff = self.expect_int("expected a coefficient") if self.accept("*") else 1
                 terms.append((exp, coeff))
             else:
                 raise ParseError(f"expected an ordinal term, found {tok.text!r}",
                                  tok.line, tok.col)
-            if self.peek().text == "+":
-                self.next()
-                continue
-            break
+            if not self.accept("+"):
+                break
         if len(terms) == 1 and terms[0] == (0, 0):
             return OrdinalIndex.of(0)
         acc: Dict[int, int] = {}
@@ -258,19 +298,16 @@ class Parser:
         return OrdinalIndex(tuple(sorted(acc.items(), reverse=True)))
 
     def parse_cardset(self) -> CardSet:
-        self.expect("{")
         out = CardSet.empty()
-        while self.peek().text != "}":
-            if self.peek().text == "reg":
-                self.next()
-                self.expect("<")
-                out = out.union(CardSet.segment_below(self.parse_cardinal()))
-            else:
-                out = out.union(CardSet.singleton(self.parse_cardinal()))
-            if self.peek().text == ",":
-                self.next()
-        self.expect("}")
+        for part in self.parse_list("{", "}", self._parse_cardset_part):
+            out = out.union(part)
         return out
+
+    def _parse_cardset_part(self) -> CardSet:
+        if self.accept("reg"):
+            self.expect("<")
+            return CardSet.segment_below(self.parse_cardinal())
+        return CardSet.singleton(self.parse_cardinal())
 
     def parse_pair(self) -> CofPair:
         self.expect("(")
@@ -280,16 +317,6 @@ class Parser:
         self.expect(")")
         return CofPair(left, right)
 
-    def parse_pairset(self) -> Tuple[CofPair, ...]:
-        self.expect("{")
-        out = []
-        while self.peek().text != "}":
-            out.append(self.parse_pair())
-            if self.peek().text == ",":
-                self.next()
-        self.expect("}")
-        return tuple(out)
-
     # -- order terms -------------------------------------------------------------
 
     def parse_term_ref(self) -> OrderTerm:
@@ -298,7 +325,7 @@ class Parser:
             return self.parse_term()
         if tok.kind == "name":
             value = self.lookup(self.next())
-            if not _is_order_term(value):
+            if not isinstance(value, TERM_TYPES):
                 raise ParseError(f"{tok.text} is not an order term", tok.line, tok.col)
             return value
         self.fail("expected an order term")
@@ -310,31 +337,24 @@ class Parser:
             return EMPTY
         if head == "chain":
             self.expect("(")
-            n_tok = self.next()
-            if n_tok.kind != "int":
-                raise ParseError("chain needs a size", n_tok.line, n_tok.col)
+            size = self.expect_int("chain needs a size")
             self.expect(")")
-            return chain(int(n_tok.text))
+            return chain(size)
         if head == "well":
             self.expect("(")
             k = self.parse_cardinal()
             self.expect(")")
             return well(k)
-        if head == "rev":
+        if head in ("rev", "comp"):
             self.expect("(")
             inner = self.parse_term_ref()
             self.expect(")")
-            return rev(inner)
-        if head == "comp":
-            self.expect("(")
-            inner = self.parse_term_ref()
-            self.expect(")")
-            return completion(inner)
+            return rev(inner) if head == "rev" else completion(inner)
         if head == "sum":
+            # an inline loop: a list helper would cost a frame per nesting level
             self.expect("(")
             parts = [self.parse_term_ref()]
-            while self.peek().text == ",":
-                self.next()
+            while self.accept(","):
                 parts.append(self.parse_term_ref())
             self.expect(")")
             return sum_of(*parts)
@@ -352,51 +372,20 @@ class Parser:
         if name_tok.kind != "name":
             raise ParseError("atom needs a name", name_tok.line, name_tok.col)
         fields: Dict[str, object] = {}
-        while self.peek().text == ";":
-            self.next()
-            key_tok = self.next()
-            key = key_tok.text
-            if key == "card":
-                self.expect("<=")
-                fields["card"] = self.parse_cardinal()
-                continue
-            self.expect("=")
-            if key in ("cf", "ci"):
-                fields[key] = self.parse_cardinal()
-            elif key in ("coin", "cofin"):
-                fields[key] = self.parse_cardset()
-            elif key == "cuts":
-                fields[key] = self.parse_pairset()
-            else:
-                raise ParseError(f"unknown atom field {key!r}", key_tok.line, key_tok.col)
-        self.expect(")")
-        try:
-            return Atom(name_tok.text,
-                        fields.get("cf", ALEPH0), fields.get("ci", ALEPH0),
-                        fields.get("coin", CardSet.empty()),
-                        fields.get("cofin", CardSet.empty()),
-                        fields.get("card"), fields.get("cuts"))
-        except DomainError as exc:
-            raise ParseError(str(exc), name_tok.line, name_tok.col)
-
-    def _parse_kv_block(self, allowed) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        first = True
-        while True:
-            if not first:
-                if self.peek().text != ";":
-                    break
-                self.next()
-            first = False
-            key_tok = self.next()
-            key = key_tok.text
-            if key not in allowed:
-                raise ParseError(f"unknown key {key!r}", key_tok.line, key_tok.col)
-            if key in out:
-                raise ParseError(f"duplicate key {key!r}", key_tok.line, key_tok.col)
-            self.expect("=")
-            out[key] = allowed[key]()
-        return out
+        if self.accept(";"):
+            fields = self.parse_block("atom", {
+                "cf": self.parse_cardinal, "ci": self.parse_cardinal,
+                "coin": self.parse_cardset, "cofin": self.parse_cardset,
+                "card": self.parse_cardinal,
+                "cuts": lambda: tuple(self.parse_list("{", "}", self.parse_pair)),
+            })
+        else:
+            self.expect(")")
+        return self.located(name_tok, Atom, name_tok.text,
+                            fields.get("cf", ALEPH0), fields.get("ci", ALEPH0),
+                            fields.get("coin", CardSet.empty()),
+                            fields.get("cofin", CardSet.empty()),
+                            fields.get("card"), fields.get("cuts"))
 
     def _parse_rule(self) -> int:
         tok = self.next()
@@ -407,19 +396,13 @@ class Parser:
 
     def parse_lexsched(self) -> LexSchedule:
         self.expect("(")
-        spec = {
-            "mu": self.parse_cardinal, "k0": self.parse_cardinal,
-            "l0": self.parse_cardinal, "k1": self.parse_cardinal,
-            "l1": self.parse_cardinal, "succ": self._parse_rule,
-            "ksucc": self._parse_rule, "lsucc": self._parse_rule,
-            "lim": self._parse_lim, "klim": self.parse_cardinal,
-            "llim": self.parse_cardinal, "i": self.parse_term_ref,
-        }
-        kv = self._parse_kv_block(spec)
-        self.expect(")")
-        for required in ("mu", "k0", "l0", "k1", "l1"):
-            if required not in kv:
-                self.fail(f"lexsched needs {required}=")
+        card, rule = self.parse_cardinal, self._parse_rule
+        kv = self.parse_block("lexsched", {
+            "mu": card, "k0": card, "l0": card, "k1": card, "l1": card,
+            "succ": rule, "ksucc": rule, "lsucc": rule,
+            "lim": self._parse_lim, "klim": card, "llim": card,
+            "i": self.parse_term_ref,
+        }, required=("mu", "k0", "l0", "k1", "l1"))
         mu = kv["mu"]
         ksucc = kv.get("ksucc", kv.get("succ", RULE_DSUCC))
         lsucc = kv.get("lsucc", kv.get("succ", RULE_DSUCC))
@@ -445,49 +428,30 @@ class Parser:
         return self.parse_cardinal()
 
     def parse_phimap(self) -> PhiMap:
-        self.expect("[")
-        pieces = []
-        while self.peek().text != "]":
-            tok = self.peek()
-            if tok.text == "1":
-                self.next()
-                dom_kind, dom_card = DOM_ONE, None
-            elif tok.text == "default":
-                self.next()
-                dom_kind, dom_card = DOM_DEFAULT, None
-            elif tok.text == "reg":
-                self.next()
-                self.expect("<")
-                dom_kind, dom_card = DOM_SEG, self.parse_cardinal()
-            else:
-                dom_kind, dom_card = DOM_SINGLE, self.parse_cardinal()
-            self.expect("->")
-            if self.peek().text == "succ":
-                self.next()
-                value = PHI_SUCC
-            else:
-                value = self.parse_cardinal()
-            try:
-                pieces.append(PhiPiece(dom_kind, dom_card, value))
-            except DomainError as exc:
-                raise ParseError(str(exc), tok.line, tok.col)
-            if self.peek().text == ",":
-                self.next()
-        self.expect("]")
-        return PhiMap(tuple(pieces))
+        return PhiMap(tuple(self.parse_list("[", "]", self._parse_phi_piece)))
+
+    def _parse_phi_piece(self) -> PhiPiece:
+        tok = self.peek()
+        if self.accept("1"):
+            dom_kind, dom_card = DOM_ONE, None
+        elif self.accept("default"):
+            dom_kind, dom_card = DOM_DEFAULT, None
+        elif self.accept("reg"):
+            self.expect("<")
+            dom_kind, dom_card = DOM_SEG, self.parse_cardinal()
+        else:
+            dom_kind, dom_card = DOM_SINGLE, self.parse_cardinal()
+        self.expect("->")
+        value = PHI_SUCC if self.accept("succ") else self.parse_cardinal()
+        return self.located(tok, PhiPiece, dom_kind, dom_card, value)
 
     def parse_lexref(self) -> LexRefined:
         self.expect("(")
-        spec = {
-            "mu": self.parse_cardinal, "k0": self.parse_cardinal,
-            "l0": self.parse_cardinal, "phil": self.parse_phimap,
+        card = self.parse_cardinal
+        kv = self.parse_block("lexref", {
+            "mu": card, "k0": card, "l0": card, "phil": self.parse_phimap,
             "phir": self.parse_phimap, "i": self.parse_term_ref,
-        }
-        kv = self._parse_kv_block(spec)
-        self.expect(")")
-        for required in ("mu", "k0", "l0", "phil", "phir"):
-            if required not in kv:
-                self.fail(f"lexref needs {required}=")
+        }, required=("mu", "k0", "l0", "phil", "phir"))
         return LexRefined(kv["mu"], kv["k0"], kv["l0"], kv["phil"], kv["phir"],
                           kv.get("i", EMPTY))
 
@@ -509,8 +473,7 @@ class Parser:
         if tok.text not in kinds:
             raise ParseError("component kind is reals/ints/dense", tok.line, tok.col)
         base = kinds[tok.text]
-        if self.peek().text == "+":
-            self.next()
+        if self.accept("+"):
             top_tok = self.next()
             if not top_tok.text.endswith("_at_top") or \
                     top_tok.text.split("_")[0] not in kinds:
@@ -521,23 +484,16 @@ class Parser:
     def parse_group(self) -> GroupDescriptor:
         head = self.next()
         self.expect("(")
-        spec = {
+        boolean = self._parse_bool
+        kv = self.parse_block("group", {
             "vset": self.parse_term_ref, "comp": self._parse_comp,
-            "spherical": self._parse_bool, "discrete": self._parse_bool,
-            "divisible": self._parse_bool,
-        }
-        kv = self._parse_kv_block(spec)
-        self.expect(")")
-        if "vset" not in kv:
-            self.fail("group needs vset=")
-        try:
-            return GroupDescriptor(kv["vset"],
-                                   kv.get("comp", ComponentAssignment(ComponentKind.REALS)),
-                                   spherical=kv.get("spherical", False),
-                                   discrete=kv.get("discrete", False),
-                                   divisible=kv.get("divisible", False))
-        except OrderCutsError as exc:
-            raise ParseError(str(exc), head.line, head.col)
+            "spherical": boolean, "discrete": boolean, "divisible": boolean,
+        }, required=("vset",))
+        return self.located(head, GroupDescriptor, kv["vset"],
+                            kv.get("comp", ComponentAssignment(ComponentKind.REALS)),
+                            spherical=kv.get("spherical", False),
+                            discrete=kv.get("discrete", False),
+                            divisible=kv.get("divisible", False))
 
     def parse_field(self) -> FieldDescriptor:
         head = self.next()
@@ -561,18 +517,14 @@ class Parser:
                 return Residue.PROPER
             raise ParseError("residue is reals/proper", tok.line, tok.col)
 
-        spec = {"group": group_ref, "residue": residue,
-                "realclosed": self._parse_bool, "spherical": self._parse_bool}
-        kv = self._parse_kv_block(spec)
-        self.expect(")")
-        if "group" not in kv:
-            self.fail("field needs group=")
-        try:
-            return FieldDescriptor(kv["group"], kv.get("residue", Residue.PROPER),
-                                   real_closed=kv.get("realclosed", False),
-                                   spherical=kv.get("spherical", False))
-        except OrderCutsError as exc:
-            raise ParseError(str(exc), head.line, head.col)
+        kv = self.parse_block("field", {
+            "group": group_ref, "residue": residue,
+            "realclosed": self._parse_bool, "spherical": self._parse_bool,
+        }, required=("group",))
+        return self.located(head, FieldDescriptor, kv["group"],
+                            kv.get("residue", Residue.PROPER),
+                            real_closed=kv.get("realclosed", False),
+                            spherical=kv.get("spherical", False))
 
     # -- concrete elements ---------------------------------------------------------
 
@@ -584,66 +536,40 @@ class Parser:
             return hc.RAT_CHAIN
         if tok.text == "fin":
             self.expect("(")
-            n_tok = self.next()
-            if n_tok.kind != "int":
-                raise ParseError("fin(n) needs an integer size", n_tok.line, n_tok.col)
+            size = self.expect_int("fin(n) needs an integer size")
             self.expect(")")
-            try:
-                return IntChain(0, int(n_tok.text))
-            except DomainError as exc:
-                raise ParseError(str(exc), tok.line, tok.col)
+            return self.located(tok, IntChain, 0, size)
         if tok.text == "lex":
-            self.expect("(")
-            factors = [self._parse_index_chain()]
-            while self.peek().text == ",":
-                self.next()
-                factors.append(self._parse_index_chain())
-            self.expect(")")
-            return LexChain(tuple(factors))
+            return LexChain(tuple(self.parse_list("(", ")", self._parse_index_chain,
+                                                  nonempty=True)))
         raise ParseError("index chain is int/rat/fin(n)/lex(...)", tok.line, tok.col)
 
     def _parse_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().text == "-":
-            self.next()
-            sign = -1
-        num_tok = self.next()
-        if num_tok.kind != "int":
-            raise ParseError("expected a rational", num_tok.line, num_tok.col)
-        num = int(num_tok.text)
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok.kind != "int":
-                raise ParseError("expected a denominator", den_tok.line, den_tok.col)
-            if int(den_tok.text) == 0:
+        sign = -1 if self.accept("-") else 1
+        num = self.expect_int("expected a rational")
+        if self.accept("/"):
+            den_tok = self.peek()
+            den = self.expect_int("expected a denominator")
+            if den == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(sign * num, int(den_tok.text))
+            return Fraction(sign * num, den)
         return Fraction(sign * num)
 
     def _parse_point(self, chain_):
         if isinstance(chain_, hc.ExponentGroup):
             # the coordinate count is checked by make, located at the head
-            self.expect("(")
-            coords = [self._parse_rational()]
-            while self.peek().text == ",":
-                self.next()
-                coords.append(self._parse_rational())
-            self.expect(")")
-            return tuple(coords)
+            return tuple(self.parse_list("(", ")", self._parse_rational, nonempty=True))
         if isinstance(chain_, LexChain):
-            self.expect("(")
-            parts = [self._parse_point(chain_.factors[0])]
-            i = 1
-            while self.peek().text == ",":
-                comma = self.next()
-                if i == len(chain_.factors):
-                    raise ParseError(f"{chain_} points have {i} coordinates",
-                                     comma.line, comma.col)
-                parts.append(self._parse_point(chain_.factors[i]))
-                i += 1
-            self.expect(")")
-            return tuple(parts)
+            factors = iter(chain_.factors)
+
+            def coordinate():
+                factor = next(factors, None)
+                if factor is None:
+                    comma = self.tokens[self.pos - 1]
+                    raise ParseError(f"{chain_} points have {len(chain_.factors)} "
+                                     "coordinates", comma.line, comma.col)
+                return self._parse_point(factor)
+            return tuple(self.parse_list("(", ")", coordinate, nonempty=True))
         value = self._parse_rational()
         if isinstance(chain_, IntChain):
             if value.denominator != 1:
@@ -668,26 +594,17 @@ class Parser:
             if not m:
                 raise ParseError("exponent group is lexN", tok.line, tok.col)
             chain_ = hc.ExponentGroup(int(m.group(1)))
+
+        def term():
+            point = self._parse_point(chain_)
+            self.expect(":")
+            return point, self._parse_rational()
         items = []
         if self.peek().text == ";":
-            self.next()
-            while self.peek().text != ")":
-                point = self._parse_point(chain_)
-                self.expect(":")
-                coeff = self._parse_rational()
-                items.append((point, coeff))
-                if self.peek().text == ",":
-                    self.next()
-        self.expect(")")
-        try:
-            return hc.HahnElement.make(chain_, items)
-        except OrderCutsError as exc:
-            raise ParseError(str(exc), head.line, head.col)
-
-
-def _is_order_term(value) -> bool:
-    return isinstance(value, (Empty, FiniteChain, WellOrder, Rev, Sum,
-                              Completion, Atom, LexSchedule, LexRefined))
+            items = self.parse_list(";", ")", term)
+        else:
+            self.expect(")")
+        return self.located(head, hc.HahnElement.make, chain_, items)
 
 
 def parse_definitions(text: str) -> List[Definition]:
@@ -780,28 +697,22 @@ def _fmt_bool(b) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _spectrum_item(name: str, term: OrderTerm, bound: Optional[Card]) -> ReportItem:
-    records: List[Dict[str, str]] = []
-    try:
-        spec = cut_spectrum(term)
-        coin, cofin = coin_cofin(term)
-        cf_t, ci_t = cf(term), ci(term)
-        records.append({"cf": str(cf_t), "ci": str(ci_t),
-                        "coin": str(coin), "cofin": str(cofin)})
-        for line in spec.render_lines():
-            records.append({"part": line})
-        comp = spectrum_completeness(spec, cf_t, ci_t)
-        records.append({"symmetric": _fmt_bool(comp.symmetric),
-                        "strong": _fmt_bool(comp.strong),
-                        "extreme": _fmt_bool(comp.extreme),
-                        "spherical_balls": _fmt_bool(comp.spherical_balls)})
-        if bound is not None:
-            for pair in sorted(spec.pairs_below(bound)):
-                records.append({"below": str(bound), "pair": str(pair)})
-        return ReportItem(name, "order", records, STATUS_OK)
-    except OrderCutsError as exc:
-        records.append({"error": str(exc)})
-        return ReportItem(name, "order", records, STATUS_ERROR)
+def _spectrum_records(term: OrderTerm, records, depth: int, bound: Optional[Card]) -> str:
+    spec = cut_spectrum(term)
+    coin, cofin = coin_cofin(term)
+    cf_t, ci_t = cf(term), ci(term)
+    records.append({"cf": str(cf_t), "ci": str(ci_t),
+                    "coin": str(coin), "cofin": str(cofin)})
+    records.extend({"part": line} for line in spec.render_lines())
+    comp = spectrum_completeness(spec, cf_t, ci_t)
+    records.append({"symmetric": _fmt_bool(comp.symmetric),
+                    "strong": _fmt_bool(comp.strong),
+                    "extreme": _fmt_bool(comp.extreme),
+                    "spherical_balls": _fmt_bool(comp.spherical_balls)})
+    if bound is not None:
+        records.extend({"below": str(bound), "pair": str(pair)}
+                       for pair in sorted(spec.pairs_below(bound)))
+    return STATUS_OK
 
 
 def _verdict_records(v) -> List[Dict[str, str]]:
@@ -815,93 +726,85 @@ def _verdict_records(v) -> List[Dict[str, str]]:
     return records
 
 
-def _classify_item(name: str, value) -> ReportItem:
-    kind = "group" if isinstance(value, GroupDescriptor) else "field"
-    try:
-        verdict = classify_group(value) if kind == "group" else classify_field(value)
-        return ReportItem(name, kind, _verdict_records(verdict), STATUS_OK)
-    except OrderCutsError as exc:
-        return ReportItem(name, kind, [{"error": str(exc)}], STATUS_ERROR)
+def _classify(value):
+    return (classify_group if isinstance(value, GroupDescriptor) else classify_field)(value)
 
 
-def _extend_item(name: str, value) -> ReportItem:
-    try:
-        if _is_order_term(value):
-            ext = extend_order(value)
-            records = [{"mu": str(ext.mu), "k1": str(ext.k1), "l1": str(ext.l1),
-                        "base": str(ext.base)},
-                       {"note": ext.note},
-                       {"term": str(ext.term)}]
-            comp = completeness_predicates(ext.term)
-            records.append({"extreme": _fmt_bool(comp.extreme)})
-            return ReportItem(name, "order", records, STATUS_OK)
-        if isinstance(value, GroupDescriptor):
-            gext = extend_group(value)
-            records = [{"mu": str(gext.recipe.mu), "k1": str(gext.recipe.k1),
-                        "l1": str(gext.recipe.l1)},
-                       {"descriptor": str(gext.descriptor)}]
-            records.extend(_verdict_records(classify_group(gext.descriptor)))
-            return ReportItem(name, "group", records, STATUS_OK)
-        fext = extend_field(value)
-        records = [{"mu": str(fext.recipe.mu), "k1": str(fext.recipe.k1),
-                    "l1": str(fext.recipe.l1)},
-                   {"descriptor": str(fext.descriptor)}]
-        records.extend(_verdict_records(classify_field(fext.descriptor)))
-        return ReportItem(name, "field", records, STATUS_OK)
-    except OrderCutsError as exc:
-        kind = "order" if _is_order_term(value) else \
-            ("group" if isinstance(value, GroupDescriptor) else "field")
-        return ReportItem(name, kind, [{"error": str(exc)}], STATUS_ERROR)
+def _classify_records(value, records, depth: int, bound: Optional[Card]) -> str:
+    records.extend(_verdict_records(_classify(value)))
+    return STATUS_OK
 
 
-def _conditions_item(name: str, term: OrderTerm) -> ReportItem:
-    try:
-        checks = check_side_conditions(term)
-        records = [{"condition": c.name,
+def _extend_records(value, records, depth: int, bound: Optional[Card]) -> str:
+    if isinstance(value, TERM_TYPES):
+        ext = extend_order(value)
+        comp = completeness_predicates(ext.term)
+        records.extend([{"mu": str(ext.mu), "k1": str(ext.k1), "l1": str(ext.l1),
+                         "base": str(ext.base)},
+                        {"note": ext.note},
+                        {"term": str(ext.term)},
+                        {"extreme": _fmt_bool(comp.extreme)}])
+        return STATUS_OK
+    ext = (extend_group if isinstance(value, GroupDescriptor) else extend_field)(value)
+    verdict = _classify(ext.descriptor)
+    records.extend([{"mu": str(ext.recipe.mu), "k1": str(ext.recipe.k1),
+                     "l1": str(ext.recipe.l1)},
+                    {"descriptor": str(ext.descriptor)},
+                    *_verdict_records(verdict)])
+    return STATUS_OK
+
+
+def _conditions_records(term: OrderTerm, records, depth: int, bound: Optional[Card]) -> str:
+    checks = check_side_conditions(term)
+    records.extend({"condition": c.name,
                     "verdict": "pass" if c.passed else "fail",
                     **({"detail": c.detail} if c.detail else {})}
-                   for c in checks]
-        status = STATUS_OK if all(c.passed for c in checks) else STATUS_FAIL
-        return ReportItem(name, "order", records, status)
-    except OrderCutsError as exc:
-        return ReportItem(name, "order", [{"error": str(exc)}], STATUS_ERROR)
+                   for c in checks)
+    return STATUS_OK if all(c.passed for c in checks) else STATUS_FAIL
 
 
-def _verify_item(name: str, term: OrderTerm, depth: int) -> ReportItem:
-    try:
-        report = orc.spectrum_soundness(term, depth)
-        records = [{"line": line} for line in report.render_lines()]
-        records.append({"note": report.note})
-        return ReportItem(name, "order", records,
-                          STATUS_OK if report.ok else STATUS_FAIL)
-    except OrderCutsError as exc:
-        return ReportItem(name, "order", [{"error": str(exc)}], STATUS_ERROR)
+def _verify_records(term: OrderTerm, records, depth: int, bound: Optional[Card]) -> str:
+    report = orc.spectrum_soundness(term, depth)
+    records.extend({"line": line} for line in report.render_lines())
+    records.append({"note": report.note})
+    return STATUS_OK if report.ok else STATUS_FAIL
+
+
+# command -> (the definition types it reports on, the function that appends
+# one definition's records and returns its status)
+COMMANDS = {
+    "spectrum": (TERM_TYPES, _spectrum_records),
+    "classify": (STRUCTURE_TYPES, _classify_records),
+    "extend": (TERM_TYPES + STRUCTURE_TYPES, _extend_records),
+    "verify": (TERM_TYPES, _verify_records),
+    "check-conditions": ((LexSchedule, LexRefined), _conditions_records),
+}
 
 
 def run(defs: List[Definition], command: str, depth: int = 100,
         bound: Optional[Card] = None) -> Report:
+    """Report `command` on each definition of the types it applies to.  An
+    error stops that definition's records with an error record."""
+    types, records_of = COMMANDS.get(command, ((), None))
     items: List[ReportItem] = []
     for name, value in defs:
-        if command == "spectrum" and _is_order_term(value):
-            items.append(_spectrum_item(name, value, bound))
-        elif command == "classify" and isinstance(value, (GroupDescriptor, FieldDescriptor)):
-            items.append(_classify_item(name, value))
-        elif command == "extend" and (
-                _is_order_term(value) or isinstance(value, (GroupDescriptor, FieldDescriptor))):
-            items.append(_extend_item(name, value))
-        elif command == "check-conditions" and isinstance(value, (LexSchedule, LexRefined)):
-            items.append(_conditions_item(name, value))
-        elif command == "verify" and _is_order_term(value):
-            items.append(_verify_item(name, value, depth))
+        if not isinstance(value, types):
+            continue
+        kind = "group" if isinstance(value, GroupDescriptor) else \
+            "field" if isinstance(value, FieldDescriptor) else "order"
+        records: List[Dict[str, str]] = []
+        try:
+            status = records_of(value, records, depth, bound)
+        except OrderCutsError as exc:
+            records.append({"error": str(exc)})
+            status = STATUS_ERROR
+        items.append(ReportItem(name, kind, records, status))
     return Report(command, items)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-COMMANDS = ("spectrum", "classify", "extend", "verify", "check-conditions")
-
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
@@ -911,21 +814,28 @@ def main(argv=None) -> int:
     ap.add_argument("--cmd", dest="command", required=True, choices=COMMANDS)
     ap.add_argument("--depth", type=int, default=100, help="witness depth")
     ap.add_argument("--bound", default=None,
-                    help="enumeration bound, e.g. aleph(3)")
+                    help="enumeration bound aleph(n) with finite n, e.g. aleph(3)")
     ap.add_argument("--format", dest="fmt", choices=("text", "machine"),
                     default="text")
     args = ap.parse_args(argv)
     if args.depth < 1:
         ap.error(f"--depth must be at least 1, got {args.depth}")
+    bound = None
+    if args.bound is not None:
+        try:
+            bound_parser = Parser(args.bound)
+            bound = bound_parser.parse_cardinal()
+            if bound_parser.peek().kind != "eof":
+                bound_parser.fail("trailing text after the cardinal")
+        except OrderCutsError as exc:
+            ap.error(f"--bound {args.bound!r}: {exc}")
+        if not (bound.is_infinite and bound.index.is_finite_number()):
+            ap.error(f"--bound must be aleph(n) with finite n, got {bound}")
 
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
         defs = parse_definitions(text)
-        bound = None
-        if args.bound is not None:
-            bound_parser = Parser(args.bound)
-            bound = bound_parser.parse_cardinal()
     except (OSError, OrderCutsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -381,9 +381,12 @@ def residue(a: HahnElement) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _law_point(rng, chain: IndexChain):
-    if chain is INT_CHAIN:
-        return rng.randint(-6, 6)
-    if chain is RAT_CHAIN:
+    if isinstance(chain, IntChain):
+        # up to 13 integers inside the chain: [-6, 6] on Z, else from a closed end
+        lo = chain.lo if chain.lo is not None else -6 if chain.hi is None else chain.hi - 13
+        hi = lo + 12 if chain.hi is None else min(lo + 12, chain.hi - 1)
+        return rng.randint(lo, hi)
+    if isinstance(chain, RatChain):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
     if isinstance(chain, ExponentGroup):
         return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))

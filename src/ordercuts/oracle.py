@@ -263,9 +263,7 @@ def term_witnesses(t: OrderTerm):
     Witnesses of a sum address the flat parts of `concretize(t)` and are
     named by their path in the binary `Sum` tree."""
     if isinstance(t, Sum):
-        out = []
-        _sum_witnesses(t, concretize(t).parts, "", 0, out)
-        return out
+        return _sum_witnesses(t, concretize(t).parts)
     if isinstance(t, FiniteChain):
         if t.size < 2:
             return []
@@ -288,25 +286,35 @@ def term_witnesses(t: OrderTerm):
     raise DomainError(f"no witness recipe for {t}")
 
 
-def _sum_witnesses(t: OrderTerm, parts, prefix: str, first: int, out) -> int:
-    """Append the witnesses of the subterm t of a sum, whose parts start at
-    flat index `first`, with names under `prefix`; return its part count."""
-    if not isinstance(t, Sum):
-        for pair, w in term_witnesses(t):
-            out.append((pair, CutWitness(prefix + w.name,
-                                         _tag_side(w.lower, first),
-                                         _tag_side(w.upper, first), pair)))
-        return 1
-    n_left = _sum_witnesses(t.left, parts, prefix + "left:", first, out)
-    n_right = _sum_witnesses(t.right, parts, prefix + "right:", first + n_left, out)
-    joint = first + n_left
-    boundary = CofPair(cf(t.left), ci(t.right))
-    out.append((boundary,
-                CutWitness(prefix + "sum-boundary",
-                           _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
-                           _tag_side(_cofinal_side(RevChain(parts[joint])), joint),
-                           boundary)))
-    return n_left + n_right
+def _sum_witnesses(t: Sum, parts) -> list:
+    """The witnesses of the sum t over its flat parts `parts`, in the order
+    of the recursive definition: a node's left side, its right side, then
+    its boundary.  The tree is walked with an explicit stack, so a long sum
+    does not recurse once per part.  `n` is the flat index of the next part
+    and `joints` holds the index where each open node's right side starts."""
+    out, joints, n = [], [], 0
+    stack = [("side", t, "")]
+    while stack:
+        step, s, prefix = stack.pop()
+        if step == "joint":
+            joints.append(n)
+        elif step == "boundary":
+            joint = joints.pop()
+            boundary = CofPair(cf(s.left), ci(s.right))
+            out.append((boundary,
+                        CutWitness(prefix + "sum-boundary",
+                                   _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
+                                   _tag_side(_cofinal_side(RevChain(parts[joint])), joint),
+                                   boundary)))
+        elif isinstance(s, Sum):
+            stack += [("boundary", s, prefix), ("side", s.right, prefix + "right:"),
+                      ("joint", s, prefix), ("side", s.left, prefix + "left:")]
+        else:
+            for pair, w in term_witnesses(s):
+                out.append((pair, CutWitness(prefix + w.name, _tag_side(w.lower, n),
+                                             _tag_side(w.upper, n), pair)))
+            n += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

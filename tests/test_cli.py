@@ -404,6 +404,62 @@ class TestInputErrors:
     def test_bad_element_located(self, tmp_path, text, col, message):
         assert_located(tmp_path, text, col, message)
 
+    @pytest.mark.parametrize("text,args,col,message", [
+        ("let a = {aleph(0) aleph(1)}\n", (), 19, "expected '}', found 'aleph'"),
+        ("let a = {aleph(0), reg<aleph(2),}\n", (), 33, "expected a cardinal, found '}'"),
+        ("let x = atom(q; cuts={(1,1) (1,aleph(0))})\n", (), 29, "expected '}', found '('"),
+        ("let x = atom(q; cuts={(1,1),})\n", (), 29, "expected '(', found '}'"),
+        ("let R = lexref(mu=aleph(2); k0=aleph(2); l0=aleph(2); "
+         "phil=[1->aleph(0) default->aleph(1)]; phir=[1->aleph(0)])\n", (), 73,
+         "expected ']', found 'default'"),
+        ("let R = lexref(mu=aleph(2); k0=aleph(2); l0=aleph(2); "
+         "phil=[1->aleph(0),]; phir=[1->aleph(0)])\n", (), 73,
+         "expected a cardinal, found ']'"),
+        ("let h = hahn(chain=lex(int rat); (1,2):1)\n", (), 28, "expected ')', found 'rat'"),
+        ("let h = hahn(chain=lex(int,); (1,2):1)\n", (), 28,
+         "index chain is int/rat/fin(n)/lex(...)"),
+        ("let s = series(exp=lex2; (0 1):1)\n", (), 29, "expected ')', found '1'"),
+        ("let s = series(exp=lex2; (0,1,):1)\n", (), 31, "expected a rational"),
+        ("let h = hahn(chain=lex(int,int); (1 2):1)\n", (), 37, "expected ')', found '2'"),
+        ("let h = hahn(chain=lex(int,int); (1,):1)\n", (), 37, "expected a rational"),
+        ("let h = hahn(chain=int; 1:2 3:4)\n", (), 29, "expected ')', found '3'"),
+        ("let h = hahn(chain=int; 1:2,)\n", (), 29, "expected a rational"),
+        ("let s = series(exp=lex2; (0,0):1 (1,0):1)\n", (), 34, "expected ')', found '('"),
+        ("let s = series(exp=lex2; (0,0):1,)\n", (), 34, "expected '(', found ')'"),
+        ("let x = atom(q; cf=aleph(0); cofin={aleph(0)}; cf=aleph(1))\n", (), 48,
+         "duplicate key 'cf'"),
+        ("let x = atom(q; card<=aleph(0); card<=aleph(1))\n", (), 33,
+         "duplicate key 'card'"),
+        ("let W0 = well(aleph(0))\n", ("--bound", "aleph(3) junk"), 10,
+         "trailing text after the cardinal"),
+    ], ids=["cardset-missing", "cardset-trailing", "cuts-missing", "cuts-trailing",
+            "phi-missing", "phi-trailing", "lexchain-missing", "lexchain-trailing",
+            "exponent-missing", "exponent-trailing", "lexpoint-missing",
+            "lexpoint-trailing", "hahn-missing", "hahn-trailing", "series-missing",
+            "series-trailing", "atom-key-repeated", "atom-card-repeated",
+            "bound-trailing"])
+    def test_lists_keys_and_bound_located(self, tmp_path, text, args, col, message):
+        """Lists take one comma between items and none after the last, a key
+        appears once per block, and --bound is one cardinal: anything else
+        exits 2 with a located message and prints no report."""
+        if not args:
+            with pytest.raises(ParseError) as exc:
+                parse_definitions(text)
+            assert (exc.value.line, exc.value.column) == (1, col)
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum", *args)
+        assert (code, out) == (2, "")
+        assert f"line 1, col {col}: {message}" in err
+        assert "--bound" in err or not args
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["aleph(w)", "1", "aleph(0"])
+    def test_bound_must_be_finite_aleph(self, tmp_path, bound):
+        code, out, err = invoke_on(tmp_path, "let W0 = well(aleph(0))\n",
+                                   "--cmd", "spectrum", "--bound", bound)
+        assert (code, out) == (2, "")
+        assert "--bound" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("head,tail,depth", [
         ("rev(", ")", 1000),
         ("rev(", ")", 3000),

@@ -309,6 +309,15 @@ def test_law_failures_catch_planted_faults(monkeypatch, chain, owner, attr, faul
     assert law_failures(chain, 300, random.Random(8))
 
 
+@pytest.mark.parametrize("chain", [IntChain(), IntChain(0, 3),
+                                   LexChain((IntChain(0, 3), INT_CHAIN))],
+                         ids=["Z-not-INT_CHAIN", "fin3", "lex-fin3-int"])
+def test_law_failures_draw_points_by_chain_type(chain):
+    """The law suite picks its point draws by the chain's type and interval,
+    not by identity with the module's Z and Q."""
+    assert law_failures(chain, 100, random.Random(8)) == []
+
+
 def _rand_series(rng, group):
     items = []
     for _ in range(rng.randint(0, 3)):

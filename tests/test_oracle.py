@@ -384,3 +384,16 @@ def test_verify_cmp_count_linear_in_parts(monkeypatch):
         assert spectrum_soundness(_rat_free_sum(random.Random(k), k)).ok
         counts[3 * k] = calls[0]
     assert counts[192] <= 5 * counts[48], counts
+
+
+def test_verify_long_sum_does_not_recurse():
+    # the witness walk over the binary sum tree uses a stack, so a sum
+    # of more parts than the recursion limit verifies like a short one
+    report = spectrum_soundness(sum_of(*[OMEGA] * 1200), depth=5)
+    assert report.ok
+    names = [row.witness for row in report.rows]
+    assert len(names) == 2 * 1200 - 1
+    assert names[:3] == ["left:well-step", "right:left:well-step",
+                         "right:right:left:well-step"]
+    assert names[-1] == "sum-boundary"
+

@@ -35,6 +35,7 @@ BENCH_TRACER = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import tracing
+from ordercuts import cli
 from ordercuts import hahn_concrete as hc
 
 make = hc.HahnElement.make
@@ -44,6 +45,13 @@ assert hc.HahnElement.make is not make
 hc.HahnElement.make(hc.INT_CHAIN, [(1, 1), (2, 1)])
 # each index-chain check is wrapped once, so two points count twice
 assert tracer.counts["hahn.point_checks"] == 2, tracer.counts
+defs = cli.parse_definitions("let W0 = well(aleph(0))\\nlet Z = sum(rev(W0), W0)\\n")
+report = cli.run(defs, "spectrum", bound=cli.Parser("aleph(2)").parse_cardinal())
+assert [item.status for item in report.items] == ["ok", "ok"], report
+report.render_text()
+report.render_machine()
+spans = {tracer.names[i] for i in tracer.span_name}
+assert {"cli.parse", "cli.run", "cli.render"} <= spans, spans
 tracer.uninstall()
 assert hc.HahnElement.make is make
 """
