@@ -4,8 +4,14 @@ The concrete chains of `chains` re-derive, by explicit ladders, what the
 symbolic layer claims about the countable fragment: a cut witness is a
 strictly increasing lower ladder and strictly decreasing upper ladder (or
 extremal elements for the `1` components), checked for monotonicity,
-separation, and frontier convergence up to a depth.  Sampled cut
-generation hunts for pairs the symbolic claim would have missed.
+separation, and frontier convergence up to a depth.  The irrational gap of
+the rationals is witnessed by the alternate Pell convergents of sqrt 2.
+Sampled cut generation hunts for pairs the symbolic claim would have missed.
+
+Inside one part of a sum chain, comparison and betweenness are the part's
+own, so a report walks each distinct part witness, each distinct pair of
+adjacent parts and each distinct in-part descent once: its cost grows with
+the distinct structure of a sum, not with its length.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ def NatChain() -> IntChain:
 # ---------------------------------------------------------------------------
 
 LadderFactory = Callable[[], Iterator]
+
+
+def _check_count(value, least: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"{what} must be an integer at least {least}, got {value!r}")
+
+
+def _check_depth(depth) -> None:
+    """Every ladder walk takes at least one step."""
+    _check_count(depth, 1, "witness depth")
 
 
 @dataclass(frozen=True)
@@ -108,6 +124,7 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
     """Monotonicity, separation, the 1-vs-aleph0 tags, and frontier
     convergence: every probe strictly inside the frontier must be swallowed
     by a bounded number of further ladder steps."""
+    _check_depth(depth)
     for comp, side, what in ((w.claim.left, w.lower, "lower"),
                              (w.claim.right, w.upper, "upper")):
         if comp not in (ONE, ALEPH0):
@@ -214,27 +231,22 @@ def _cofinal_side(chain: ConcreteChain) -> WitnessSide:
     return WitnessSide.via(payload)
 
 
-def _sqrt2_lower():
-    lo, hi = Fraction(1), Fraction(2)
+def _pell(p: int, q: int):
+    """The alternate convergents of sqrt 2 from p/q.  The step
+    (p, q) -> (3p + 4q, 2p + 3q) keeps p^2 - 2q^2 fixed, so the ladder stays
+    on one side of sqrt 2, in lowest terms, and closes in on it by a factor
+    of about 5.8 per step."""
     while True:
-        mid = (lo + hi) / 2
-        if mid * mid < 2:
-            lo = mid
-            yield lo
-        else:
-            hi = mid
+        yield Fraction(p, q)
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+
+
+def _sqrt2_lower():
+    return _pell(1, 1)
 
 
 def _sqrt2_upper():
-    lo, hi = Fraction(1), Fraction(2)
-    yield hi
-    while True:
-        mid = (lo + hi) / 2
-        if mid * mid < 2:
-            lo = mid
-        else:
-            hi = mid
-            yield hi
+    return _pell(3, 2)
 
 
 def _rat_witnesses():
@@ -259,39 +271,45 @@ def _rat_witnesses():
 def term_witnesses(t: OrderTerm):
     """(pair, witness) list covering every claimed pair of the countable
     fragment: extremal neighbours inside discrete pieces, cofinal and
-    coinitial ladders at sum boundaries, bisection ladders at dense gaps.
-    Witnesses of a sum address the flat parts of `concretize(t)` and are
-    named by their path in the binary `Sum` tree."""
+    coinitial ladders at sum boundaries, Pell ladders of sqrt 2 at the
+    irrational gap of the rationals.  Witnesses of a sum address the flat
+    parts of `concretize(t)` and are named by their path in the binary
+    `Sum` tree."""
+    return [(pair, w) for pair, w, _ in _keyed_witnesses(t)]
+
+
+def _keyed_witnesses(t: OrderTerm) -> list:
+    """`term_witnesses(t)` as (pair, witness, key) triples.  Witnesses with
+    one key have one verdict on `concretize(t)` at a given depth."""
     if isinstance(t, Sum):
         return _sum_witnesses(t, concretize(t).parts)
-    if isinstance(t, FiniteChain):
-        if t.size < 2:
-            return []
-        return [(CofPair(ONE, ONE),
-                 CutWitness("finite-step", WitnessSide.at(0), WitnessSide.at(1),
-                            CofPair(ONE, ONE)))]
-    if isinstance(t, WellOrder):
-        return [(CofPair(ONE, ONE),
-                 CutWitness("well-step", WitnessSide.at(0), WitnessSide.at(1),
-                            CofPair(ONE, ONE)))]
     if isinstance(t, Rev):
-        out = []
-        for pair, w in term_witnesses(t.inner):
-            out.append((pair.mirrored(),
-                        CutWitness(f"rev({w.name})", w.upper, w.lower,
-                                   pair.mirrored())))
-        return out
-    if isinstance(t, Atom) and t.name.lower() in RAT_ATOM_NAMES:
-        return _rat_witnesses()
-    raise DomainError(f"no witness recipe for {t}")
+        return [(pair.mirrored(),
+                 CutWitness(f"rev({w.name})", w.upper, w.lower, pair.mirrored()), key)
+                for pair, w, key in _keyed_witnesses(t.inner)]
+    if isinstance(t, FiniteChain):
+        leaf = [] if t.size < 2 else \
+            [(CofPair(ONE, ONE), CutWitness("finite-step", WitnessSide.at(0),
+                                            WitnessSide.at(1), CofPair(ONE, ONE)))]
+    elif isinstance(t, WellOrder):
+        leaf = [(CofPair(ONE, ONE), CutWitness("well-step", WitnessSide.at(0),
+                                               WitnessSide.at(1), CofPair(ONE, ONE)))]
+    elif isinstance(t, Atom) and t.name.lower() in RAT_ATOM_NAMES:
+        leaf = _rat_witnesses()
+    else:
+        raise DomainError(f"no witness recipe for {t}")
+    return [(pair, w, w.name) for pair, w in leaf]
 
 
 def _sum_witnesses(t: Sum, parts) -> list:
-    """The witnesses of the sum t over its flat parts `parts`, in the order
-    of the recursive definition: a node's left side, its right side, then
-    its boundary.  The tree is walked with an explicit stack, so a long sum
-    does not recurse once per part.  `n` is the flat index of the next part
-    and `joints` holds the index where each open node's right side starts."""
+    """(pair, witness, key) for the sum t over its flat parts `parts`, in
+    the order of the recursive definition: a node's left side, its right
+    side, then its boundary.  Witnesses with one key have one verdict at a
+    given depth: a part witness is keyed by its leaf term and untagged name,
+    a boundary by the two adjacent parts and its claim.  The tree is walked
+    with an explicit stack, so a long sum does not recurse once per part.
+    `n` is the flat index of the next part and `joints` holds the index
+    where each open node's right side starts."""
     out, joints, n = [], [], 0
     stack = [("side", t, "")]
     while stack:
@@ -305,14 +323,16 @@ def _sum_witnesses(t: Sum, parts) -> list:
                         CutWitness(prefix + "sum-boundary",
                                    _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
                                    _tag_side(_cofinal_side(RevChain(parts[joint])), joint),
-                                   boundary)))
+                                   boundary),
+                        (parts[joint - 1], parts[joint], boundary)))
         elif isinstance(s, Sum):
             stack += [("boundary", s, prefix), ("side", s.right, prefix + "right:"),
                       ("joint", s, prefix), ("side", s.left, prefix + "left:")]
         else:
             for pair, w in term_witnesses(s):
                 out.append((pair, CutWitness(prefix + w.name, _tag_side(w.lower, n),
-                                             _tag_side(w.upper, n), pair)))
+                                             _tag_side(w.upper, n), pair),
+                            (s, w.name)))
             n += 1
     return out
 
@@ -336,6 +356,7 @@ def _descend_to(chain: ConcreteChain, floor, start, depth: int) -> Card:
 
 def derive_cf(chain: ConcreteChain, depth: int = 100) -> Card:
     """Cofinality re-derived by ladder search: 1 or aleph(0)-to-depth."""
+    _check_depth(depth)
     kind, payload = chain.cofinal()
     if kind == "end":
         return ONE
@@ -358,20 +379,36 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
     """Cofinality pairs of sampled cuts: principal cuts at enumerated
     elements plus the nonprincipal boundary cuts at sum joints.  A flat sum
     draws at least one sample per part, so every part is reached."""
+    _check_depth(depth)
+    _check_count(samples, 0, "sample count")
     flat = chain
     while isinstance(flat, RevChain):
         flat = flat.inner
-    if isinstance(flat, SumChain):
-        samples = max(samples, len(flat.parts))
+    parts = flat.parts if isinstance(flat, SumChain) else None
+    if parts is not None:
+        samples = max(samples, len(parts))
     mirror = RevChain(chain)
+    descents = {}
+
+    def descend(walk: ConcreteChain, x, start) -> Card:
+        # a descent from a start in x's own part only meets that part, and
+        # the sum's parts repeat: walk each (part, x, start, direction) once
+        if parts is None or start[0] != x[0]:
+            return _descend_to(walk, x, start, depth)
+        key = (parts[x[0]], x[1], start[1], walk is mirror)
+        tag = descents.get(key)
+        if tag is None:
+            tag = descents[key] = _descend_to(walk, x, start, depth)
+        return tag
+
     pairs = set()
     for x in itertools.islice(chain.elements(), samples):
         e0 = chain.above(x)
         if e0 is not None:
-            pairs.add(CofPair(ONE, _descend_to(chain, x, e0, depth)))
+            pairs.add(CofPair(ONE, descend(chain, x, e0)))
         d0 = chain.below(x)
         if d0 is not None:
-            pairs.add(CofPair(_descend_to(mirror, x, d0, depth), ONE))
+            pairs.add(CofPair(descend(mirror, x, d0), ONE))
     pairs.update(_joint_pairs(chain, depth))
     return frozenset(pairs)
 
@@ -434,15 +471,21 @@ class OracleReport:
 
 def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     """Verify every claimed countable pair by an explicit witness and hunt
-    for sampled pairs missing from the claim."""
-    if depth < 1:
-        raise DomainError(f"witness depth must be at least 1, got {depth}")
+    for sampled pairs missing from the claim.  Witnesses that share a key
+    share a passing verdict; a failure is walked again at each occurrence,
+    because its reason names a probe of its own part."""
+    _check_depth(depth)
     chain = concretize(t)
     claimed = cut_spectrum(t).pairs_below(ALEPH1)
     rows = []
     passed = set()
-    for pair, witness in term_witnesses(t):
-        result = verify_witness(chain, witness, depth)
+    verdicts = {}
+    for pair, witness, key in _keyed_witnesses(t):
+        result = verdicts.get(key)
+        if result is None:
+            result = verify_witness(chain, witness, depth)
+            if result.ok:
+                verdicts[key] = result
         rows.append(WitnessRow(pair, witness.name, depth, result.ok, result.reason))
         if result.ok:
             passed.add(pair)

@@ -20,12 +20,14 @@ from ordercuts.chains import (
 )
 from ordercuts.oracle import (
     CutWitness,
+    WitnessRow,
     WitnessSide,
     concretize,
     derive_cf,
     derive_ci,
     sample_cuts,
     spectrum_soundness,
+    term_witnesses,
     verify_witness,
 )
 from ordercuts.order_terms import (
@@ -397,3 +399,214 @@ def test_verify_long_sum_does_not_recurse():
                          "right:right:left:well-step"]
     assert names[-1] == "sum-boundary"
 
+
+# ---------------------------------------------------------------------------
+# Depth and sample-count guards
+# ---------------------------------------------------------------------------
+
+def _sqrt2_witness():
+    return next(w for _, w in term_witnesses(RAT_ATOM) if w.name == "rat-sqrt2-gap")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_witness(RatChain(), _sqrt2_witness(), 0),
+    lambda: sample_cuts(SumChain(RatChain(), IntChain(0)), 0),
+    lambda: derive_cf(IntChain(0), 0),
+    lambda: derive_ci(RevChain(IntChain(0)), 0),
+    lambda: spectrum_soundness(sum_of(OMEGA, OMEGA_STAR), 2.5),
+    lambda: spectrum_soundness(OMEGA, True),
+    lambda: verify_witness(RatChain(), _sqrt2_witness(), -1),
+    lambda: sample_cuts(IntChain(0), 100, -1),
+    lambda: sample_cuts(IntChain(0), 100, 2.0),
+], ids=["verify_witness-0", "sample_cuts-0", "derive_cf-0", "derive_ci-0",
+        "spectrum_soundness-float", "spectrum_soundness-bool",
+        "verify_witness-negative", "sample_cuts-negative-samples",
+        "sample_cuts-float-samples"])
+def test_bad_depth_or_samples_rejected(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_depth_one_walks_a_step():
+    # one step is enough to see the immediate successors of omega's points
+    assert sample_cuts(SumChain(RatChain(), IntChain(0)), 1) == \
+        frozenset({CofPair(ONE, ONE), CofPair(ONE, A0), CofPair(A0, ONE)})
+    assert derive_cf(IntChain(0), 1) == A0
+    assert derive_ci(IntChain(0), 1) == ONE
+    assert verify_witness(RatChain(), _sqrt2_witness(), 1).ok
+
+
+# ---------------------------------------------------------------------------
+# Pell ladders of sqrt 2
+# ---------------------------------------------------------------------------
+
+def test_pell_ladders_close_in_on_sqrt2():
+    lower = list(itertools.islice(oracle._sqrt2_lower(), 200))
+    upper = list(itertools.islice(oracle._sqrt2_upper(), 200))
+    for lo, hi in zip(lower, upper):
+        assert lo.numerator ** 2 < 2 * lo.denominator ** 2
+        assert hi.numerator ** 2 > 2 * hi.denominator ** 2
+        # in lowest terms, the convergents themselves: p^2 - 2q^2 = -1 or 1
+        assert lo.numerator ** 2 - 2 * lo.denominator ** 2 == -1
+        assert hi.numerator ** 2 - 2 * hi.denominator ** 2 == 1
+    assert lower[0] == 1 and upper[0] == Fraction(3, 2)
+    assert all(a < b for a, b in zip(lower, lower[1:]))
+    assert all(a > b for a, b in zip(upper, upper[1:]))
+    gaps = [hi - lo for lo, hi in zip(lower, upper)]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < Fraction(1, 10 ** 300)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts shared between repeated parts equal the plain per-witness walk
+# ---------------------------------------------------------------------------
+
+DIFF_LEAVES = [OMEGA, OMEGA_STAR, chain(1), chain(3), RAT_ATOM, rev(RAT_ATOM),
+               rev(sum_of(chain(2), OMEGA)), rev(sum_of(RAT_ATOM, OMEGA_STAR, RAT_ATOM))]
+
+
+def _random_tree(rng, leaves):
+    """A sum of the leaves, in order, over a random binary tree."""
+    if len(leaves) == 1:
+        return leaves[0]
+    cut = rng.randint(1, len(leaves) - 1)
+    return sum_of(_random_tree(rng, leaves[:cut]), _random_tree(rng, leaves[cut:]))
+
+
+def _random_sums(count):
+    for seed in range(count):
+        rng = random.Random(seed)
+        # a short pool, so leaves and adjacent pairs repeat
+        pool = rng.sample(DIFF_LEAVES, 3)
+        yield _random_tree(rng, [rng.choice(pool) for _ in range(rng.randint(2, 9))])
+
+
+def _plain_rows(t, depth):
+    c = concretize(t)
+    return tuple(WitnessRow(pair, w.name, depth, r.ok, r.reason)
+                 for pair, w in term_witnesses(t)
+                 for r in (verify_witness(c, w, depth),))
+
+
+def _plain_sample_cuts(c, depth, samples=60):
+    flat = c
+    while isinstance(flat, RevChain):
+        flat = flat.inner
+    if isinstance(flat, SumChain):
+        samples = max(samples, len(flat.parts))
+
+    def descend(walk, floor, cur):
+        for _ in range(depth):
+            cur = walk.between(floor, cur)
+            if cur is None:
+                return ONE
+        return A0
+
+    def joints(c):
+        if isinstance(c, RevChain):
+            return {p.mirrored() for p in joints(c.inner)}
+        if not isinstance(c, SumChain):
+            return set()
+        out = {CofPair(derive_cf(a, depth), derive_ci(b, depth))
+               for a, b in zip(c.parts, c.parts[1:])}
+        for part in c.parts:
+            out |= joints(part)
+        return out
+
+    pairs = joints(c)
+    for x in itertools.islice(c.elements(), samples):
+        up, down = c.above(x), c.below(x)
+        if up is not None:
+            pairs.add(CofPair(ONE, descend(c, x, up)))
+        if down is not None:
+            pairs.add(CofPair(descend(RevChain(c), x, down), ONE))
+    return frozenset(pairs)
+
+
+@pytest.mark.parametrize("probe_pulls", [oracle.PROBE_PULLS, 0])
+def test_shared_verdicts_match_plain_rows(monkeypatch, probe_pulls):
+    # with no probe pulls, ladder witnesses fail with a reason naming the
+    # probe of their own part: a repeated part must not borrow another's
+    monkeypatch.setattr(oracle, "PROBE_PULLS", probe_pulls)
+    failures = 0
+    for t in _random_sums(14):
+        for term in (t, rev(t)):
+            rows = spectrum_soundness(term, depth=30).rows
+            assert rows == _plain_rows(term, 30), str(term)
+            failures += sum(not r.ok for r in rows)
+    assert (failures > 0) == (probe_pulls == 0)
+
+
+def test_boundary_verdict_needs_both_parts():
+    # an atom that claims a least element the rationals lack: its boundary
+    # claims (aleph(0),1) like omega's, and must fail after omega's passed
+    # at the same left part
+    liar = Atom("rat", A0, ONE, CardSet.of(A0), CardSet.of(A0), A0,
+                (CofPair(ONE, A0), CofPair(A0, ONE), CofPair(A0, A0)))
+    t = sum_of(sum_of(OMEGA, OMEGA), liar, OMEGA, liar)
+    rows = spectrum_soundness(t, depth=30).rows
+    assert rows == _plain_rows(t, 30)
+    boundary_verdicts = [r.ok for r in rows if r.witness.endswith("sum-boundary")]
+    assert True in boundary_verdicts and False in boundary_verdicts
+
+
+def test_shared_descents_match_plain_sampling():
+    for t in _random_sums(14):
+        for c in (concretize(t), concretize(rev(t))):
+            assert sample_cuts(c, 30) == _plain_sample_cuts(c, 30), str(t)
+
+
+# ---------------------------------------------------------------------------
+# Cost follows the distinct structure of a sum, not its length
+# ---------------------------------------------------------------------------
+
+def _rat_sum(rng, k):
+    parts = []
+    for _ in range(k):
+        triple = [OMEGA, OMEGA_STAR, RAT_ATOM]
+        rng.shuffle(triple)
+        parts.extend(triple)
+    return sum_of(*parts)
+
+
+def test_sqrt2_ladders_walked_once_per_distinct_leaf(monkeypatch):
+    starts = {"lower": 0, "upper": 0}
+
+    def counting(side, ladder):
+        def start():
+            starts[side] += 1
+            return ladder()
+        return start
+
+    monkeypatch.setattr(oracle, "_sqrt2_lower", counting("lower", oracle._sqrt2_lower))
+    monkeypatch.setattr(oracle, "_sqrt2_upper", counting("upper", oracle._sqrt2_upper))
+    for term, leaves in ((_rat_sum(random.Random(8), 8), 1),
+                         (rev(_rat_sum(random.Random(5), 5)), 1),
+                         (sum_of(_rat_sum(random.Random(3), 3), rev(RAT_ATOM),
+                                 OMEGA, rev(RAT_ATOM)), 2)):
+        starts.update(lower=0, upper=0)
+        assert spectrum_soundness(term).ok
+        assert starts == {"lower": leaves, "upper": leaves}
+
+
+def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
+    # a deterministic count, not a timing: 8 rat triples may cost at most
+    # 2x the chain comparisons of one
+    calls = [0]
+
+    def counting(cmp):
+        def wrapper(self, x, y):
+            calls[0] += 1
+            return cmp(self, x, y)
+        return wrapper
+
+    for cls in vars(oracle).values():
+        if isinstance(cls, type) and issubclass(cls, ConcreteChain) \
+                and "cmp" in vars(cls):
+            monkeypatch.setattr(cls, "cmp", counting(cls.cmp))
+    counts = {}
+    for k in (1, 8):
+        calls[0] = 0
+        assert spectrum_soundness(_rat_sum(random.Random(k), k)).ok
+        counts[k] = calls[0]
+    assert counts[8] <= 2 * counts[1], counts
