@@ -2,7 +2,8 @@
 
 One class per shape serves both concrete layers.  The ladder oracle walks
 a chain by comparison, neighbours, betweenness, an element enumeration and
-its cofinal and coinitial ends.  An index chain of `hahn_concrete` is a
+its two ends, each stated once as a `WitnessSide`: the extremal element
+(cofinality 1) or a strict ladder.  An index chain of `hahn_concrete` is a
 chain with `check` and `__str__` whose order on points is Python's own
 (`IntChain`, `RatChain`, and `LexChain` over index chains), so Hahn
 elements compare their points with `<`.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .errors import DomainError
 
@@ -25,18 +26,51 @@ def render_point(p) -> str:
     return str(p)
 
 
+def is_exact(v, kinds=(int, Fraction)) -> bool:
+    """v is one of `kinds`, exact ints and Fractions by default, not a bool."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+LadderFactory = Callable[[], Iterator]
+
+
+@dataclass(frozen=True)
+class WitnessSide:
+    """One end of a chain or one side of a cut: either an extremal element
+    (component 1) or a factory of a strict ladder (component aleph(0))."""
+
+    extremal: object = None
+    ladder: Optional[LadderFactory] = None
+
+    @staticmethod
+    def at(element) -> "WitnessSide":
+        return WitnessSide(extremal=element)
+
+    @staticmethod
+    def via(factory: LadderFactory) -> "WitnessSide":
+        return WitnessSide(ladder=factory)
+
+    def in_part(self, i: int) -> "WitnessSide":
+        """The same side moved into part i of a sum chain."""
+        if self.extremal is not None:
+            return WitnessSide.at((i, self.extremal))
+        factory = self.ladder
+        return WitnessSide.via(lambda: zip(itertools.repeat(i), factory()))
+
+
 class ConcreteChain:
     """A countable linear order with decidable comparison, an element
-    enumeration, and computable betweenness."""
+    enumeration, computable betweenness, and its two ends stated once by
+    `cofinal` and `coinitial`; `least` and `greatest` derive from them."""
 
     def cmp(self, x, y) -> int:
         raise NotImplementedError
 
     def least(self):
-        return None
+        return self.coinitial().extremal
 
     def greatest(self):
-        return None
+        return self.cofinal().extremal
 
     def above(self, x):
         """Some element strictly above x, or None."""
@@ -52,28 +86,23 @@ class ConcreteChain:
     def elements(self) -> Iterator:
         raise NotImplementedError
 
-    def cofinal(self):
-        """('end', greatest element) or ('ladder', factory of a strictly
-        increasing cofinal iterator)."""
+    def cofinal(self) -> WitnessSide:
+        """The greatest element, or a strictly increasing cofinal ladder."""
         raise NotImplementedError
 
-    def coinitial(self):
-        """('end', least element) or ('ladder', factory of a strictly
-        decreasing coinitial iterator)."""
+    def coinitial(self) -> WitnessSide:
+        """The least element, or a strictly decreasing coinitial ladder."""
         raise NotImplementedError
 
 
 def _interleave(*iterators):
     live = list(iterators)
     while live:
-        nxt = []
-        for it in live:
+        for it in list(live):
             try:
                 yield next(it)
             except StopIteration:
-                continue
-            nxt.append(it)
-        live = nxt
+                live.remove(it)
 
 
 @dataclass(frozen=True)
@@ -85,11 +114,14 @@ class IntChain(ConcreteChain):
     hi: Optional[int] = None
 
     def __post_init__(self):
+        for end in (self.lo, self.hi):
+            if end is not None and not is_exact(end, int):
+                raise DomainError(f"integer chain bound {end!r} is not an integer")
         if self.lo is not None and self.hi is not None and self.hi <= self.lo:
             raise DomainError(f"{self} has no points")
 
     def check(self, p) -> None:
-        if not isinstance(p, int) or (self.lo is not None and p < self.lo) \
+        if not is_exact(p, int) or (self.lo is not None and p < self.lo) \
                 or (self.hi is not None and p >= self.hi):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
 
@@ -102,12 +134,6 @@ class IntChain(ConcreteChain):
 
     def cmp(self, x, y):
         return (x > y) - (x < y)
-
-    def least(self):
-        return self.lo
-
-    def greatest(self):
-        return None if self.hi is None else self.hi - 1
 
     def above(self, x):
         return x + 1 if self.hi is None or x + 1 < self.hi else None
@@ -128,15 +154,15 @@ class IntChain(ConcreteChain):
 
     def cofinal(self):
         if self.hi is not None:
-            return ("end", self.hi - 1)
+            return WitnessSide.at(self.hi - 1)
         start = 0 if self.lo is None else self.lo
-        return ("ladder", lambda: itertools.count(start))
+        return WitnessSide.via(lambda: itertools.count(start))
 
     def coinitial(self):
         if self.lo is not None:
-            return ("end", self.lo)
+            return WitnessSide.at(self.lo)
         start = 0 if self.hi is None else self.hi - 1
-        return ("ladder", lambda: itertools.count(start, -1))
+        return WitnessSide.via(lambda: itertools.count(start, -1))
 
 
 def _calkin_wilf():
@@ -153,7 +179,7 @@ class RatChain(ConcreteChain):
     """The rationals; as an index chain its points are ints and Fractions."""
 
     def check(self, p) -> None:
-        if not isinstance(p, (int, Fraction)):
+        if not is_exact(p):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
 
     def __str__(self) -> str:
@@ -175,10 +201,10 @@ class RatChain(ConcreteChain):
         return _calkin_wilf()
 
     def cofinal(self):
-        return ("ladder", lambda: (Fraction(n) for n in itertools.count(1)))
+        return WitnessSide.via(lambda: (Fraction(n) for n in itertools.count(1)))
 
     def coinitial(self):
-        return ("ladder", lambda: (Fraction(-n) for n in itertools.count(1)))
+        return WitnessSide.via(lambda: (Fraction(-n) for n in itertools.count(1)))
 
 
 @dataclass(frozen=True)
@@ -189,12 +215,6 @@ class RevChain(ConcreteChain):
 
     def cmp(self, x, y):
         return -self.inner.cmp(x, y)
-
-    def least(self):
-        return self.inner.greatest()
-
-    def greatest(self):
-        return self.inner.least()
 
     def above(self, x):
         return self.inner.below(x)
@@ -213,14 +233,6 @@ class RevChain(ConcreteChain):
 
     def coinitial(self):
         return self.inner.cofinal()
-
-
-def _in_part(i: int, end):
-    """A cofinal or coinitial end of part i, as an end of the sum."""
-    kind, payload = end
-    if kind == "end":
-        return ("end", (i, payload))
-    return ("ladder", lambda: zip(itertools.repeat(i), payload()))
 
 
 @dataclass(frozen=True, init=False)
@@ -249,14 +261,6 @@ class SumChain(ConcreteChain):
         if i != j:
             return -1 if i < j else 1
         return self.parts[i].cmp(x[1], y[1])
-
-    def least(self):
-        l = self.parts[0].least()
-        return None if l is None else (0, l)
-
-    def greatest(self):
-        g = self.parts[-1].greatest()
-        return None if g is None else (len(self.parts) - 1, g)
 
     def _bottom(self, i):
         """The least element of part i, or any element when it has none."""
@@ -304,10 +308,10 @@ class SumChain(ConcreteChain):
                              for i, part in enumerate(self.parts)))
 
     def cofinal(self):
-        return _in_part(len(self.parts) - 1, self.parts[-1].cofinal())
+        return self.parts[-1].cofinal().in_part(len(self.parts) - 1)
 
     def coinitial(self):
-        return _in_part(0, self.parts[0].coinitial())
+        return self.parts[0].coinitial().in_part(0)
 
 
 @dataclass(frozen=True)
@@ -341,13 +345,6 @@ class LexChain(ConcreteChain):
             if c:
                 return c
         return 0
-
-    def least(self):
-        ends = tuple(fac.least() for fac in self.factors)
-        return None if None in ends else ends
-
-    def greatest(self):
-        return self._mirror().least()
 
     def _first(self, i):
         return next(iter(self.factors[i].elements()))
@@ -390,27 +387,25 @@ class LexChain(ConcreteChain):
                         caches[i].append(next(g))
                     except StopIteration:
                         done[i] = True
-            if all(done) and all(len(c) <= d for c in caches):
-                if d > max(len(c) for c in caches):
-                    return
+            if all(done) and d >= max(len(c) for c in caches):
+                return
             ranges = [range(min(d + 1, len(c))) for c in caches]
             for combo in itertools.product(*ranges):
                 if max(combo) == d:
                     yield tuple(caches[i][j] for i, j in enumerate(combo))
 
     def cofinal(self):
-        head = self.factors[0]
-        kind, payload = head.cofinal()
-        rest = self.factors[1:]
-        if kind == "end":
-            if not rest:
-                return ("end", (payload,))
-            tailkind, tailload = LexChain(rest).cofinal()
-            if tailkind == "end":
-                return ("end", (payload,) + tailload)
-            return ("ladder", lambda: ((payload,) + t for t in tailload()))
-        tail = tuple(self._first(i) for i in range(1, len(self.factors)))
-        return ("ladder", lambda: ((x,) + tail for x in payload()))
+        """The greatest elements of the leading factors that have one, then
+        the first factor's ladder that has not, padded by first elements."""
+        top = ()
+        for k, fac in enumerate(self.factors):
+            end = fac.cofinal()
+            if end.extremal is None:
+                pad = tuple(self._first(i) for i in range(k + 1, len(self.factors)))
+                factory = end.ladder
+                return WitnessSide.via(lambda: (top + (x,) + pad for x in factory()))
+            top += (end.extremal,)
+        return WitnessSide.at(top)
 
     def coinitial(self):
         return self._mirror().cofinal()

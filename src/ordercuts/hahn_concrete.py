@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .chains import IntChain, LexChain, RatChain, render_point
+from .chains import IntChain, LexChain, RatChain, is_exact, render_point
 from .errors import DomainError
 
 
@@ -36,7 +36,7 @@ class ExponentGroup:
         if not isinstance(g, tuple) or len(g) != self.dims:
             raise DomainError(f"{render_point(g)} is not an exponent of lex{self.dims}")
         for q in g:
-            if not isinstance(q, (int, Fraction)):
+            if not is_exact(q):
                 raise DomainError(f"{render_point(q)} is not rational")
 
     def coerce(self, g) -> tuple:
@@ -102,13 +102,17 @@ def point_le(a, b) -> bool:
 
 def _normalize_terms(check, items, coerce=None) -> Tuple:
     """The one validating path: check each point (coerced by `coerce` when
-    given), coerce each coefficient to Fraction, add up repeated points,
-    drop zeros and sort.  Arithmetic on made elements skips all of this."""
+    given), accept each coefficient only as an int (not a bool) or a
+    Fraction and coerce it to Fraction, add up repeated points, drop zeros
+    and sort.
+    Arithmetic on made elements skips all of this."""
     acc: Dict = {}
     for p, c in items:
         check(p)
         if coerce is not None:
             p = coerce(p)
+        if not is_exact(c):
+            raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
         c = Fraction(c)
         if p in acc:
             c += acc[p]

@@ -1,10 +1,12 @@
 """Witness-based verification of spectrum claims on countable orders.
 
 The concrete chains of `chains` re-derive, by explicit ladders, what the
-symbolic layer claims about the countable fragment: a cut witness is a
-strictly increasing lower ladder and strictly decreasing upper ladder (or
-extremal elements for the `1` components), checked for monotonicity,
-separation, and frontier convergence up to a depth.  The irrational gap of
+symbolic layer claims about the countable fragment: a cut witness is two
+`WitnessSide`s, a strictly increasing lower ladder and strictly decreasing
+upper ladder (or extremal elements for the `1` components), checked for
+monotonicity, separation, and frontier convergence up to a depth.  A sum
+boundary takes its sides from the parts' own ends, and `derive_cf` walks a
+chain's cofinal end through the same ladder walker.  The irrational gap of
 the rationals is witnessed by the alternate Pell convergents of sqrt 2.
 Sampled cut generation hunts for pairs the symbolic claim would have missed.
 
@@ -19,10 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 from .cardinals import ALEPH0, ALEPH1, Card, CofPair, ONE
-from .chains import ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain
+from .chains import (ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain,
+                     WitnessSide, is_exact)
 from .errors import DomainError
 from .order_terms import (
     Atom,
@@ -56,33 +59,14 @@ def NatChain() -> IntChain:
 # Witnesses
 # ---------------------------------------------------------------------------
 
-LadderFactory = Callable[[], Iterator]
-
-
 def _check_count(value, least: int, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not is_exact(value, int) or value < least:
         raise DomainError(f"{what} must be an integer at least {least}, got {value!r}")
 
 
 def _check_depth(depth) -> None:
     """Every ladder walk takes at least one step."""
     _check_count(depth, 1, "witness depth")
-
-
-@dataclass(frozen=True)
-class WitnessSide:
-    """Either an extremal element (component 1) or a strict ladder."""
-
-    extremal: object = None
-    ladder: Optional[LadderFactory] = None
-
-    @staticmethod
-    def at(element) -> "WitnessSide":
-        return WitnessSide(extremal=element)
-
-    @staticmethod
-    def via(factory: LadderFactory) -> "WitnessSide":
-        return WitnessSide(ladder=factory)
 
 
 @dataclass(frozen=True)
@@ -216,21 +200,6 @@ def concretize(t: OrderTerm) -> ConcreteChain:
 # Witness construction following the proofs' ladder recipes
 # ---------------------------------------------------------------------------
 
-def _tag_side(side: WitnessSide, i: int) -> WitnessSide:
-    """The side moved into part i of a sum chain."""
-    if side.extremal is not None:
-        return WitnessSide.at((i, side.extremal))
-    factory = side.ladder
-    return WitnessSide.via(lambda: zip(itertools.repeat(i), factory()))
-
-
-def _cofinal_side(chain: ConcreteChain) -> WitnessSide:
-    kind, payload = chain.cofinal()
-    if kind == "end":
-        return WitnessSide.at(payload)
-    return WitnessSide.via(payload)
-
-
 def _pell(p: int, q: int):
     """The alternate convergents of sqrt 2 from p/q.  The step
     (p, q) -> (3p + 4q, 2p + 3q) keeps p^2 - 2q^2 fixed, so the ladder stays
@@ -321,8 +290,8 @@ def _sum_witnesses(t: Sum, parts) -> list:
             boundary = CofPair(cf(s.left), ci(s.right))
             out.append((boundary,
                         CutWitness(prefix + "sum-boundary",
-                                   _tag_side(_cofinal_side(parts[joint - 1]), joint - 1),
-                                   _tag_side(_cofinal_side(RevChain(parts[joint])), joint),
+                                   parts[joint - 1].cofinal().in_part(joint - 1),
+                                   parts[joint].coinitial().in_part(joint),
                                    boundary),
                         (parts[joint - 1], parts[joint], boundary)))
         elif isinstance(s, Sum):
@@ -330,8 +299,8 @@ def _sum_witnesses(t: Sum, parts) -> list:
                       ("joint", s, prefix), ("side", s.left, prefix + "left:")]
         else:
             for pair, w in term_witnesses(s):
-                out.append((pair, CutWitness(prefix + w.name, _tag_side(w.lower, n),
-                                             _tag_side(w.upper, n), pair),
+                out.append((pair, CutWitness(prefix + w.name, w.lower.in_part(n),
+                                             w.upper.in_part(n), pair),
                             (s, w.name)))
             n += 1
     return out
@@ -357,17 +326,11 @@ def _descend_to(chain: ConcreteChain, floor, start, depth: int) -> Card:
 def derive_cf(chain: ConcreteChain, depth: int = 100) -> Card:
     """Cofinality re-derived by ladder search: 1 or aleph(0)-to-depth."""
     _check_depth(depth)
-    kind, payload = chain.cofinal()
-    if kind == "end":
-        return ONE
-    walker = payload()
-    prev = next(walker)
-    for _ in range(depth):
-        cur = next(walker)
-        if chain.cmp(cur, prev) != 1:
-            raise DomainError("structural ladder is not strictly monotone")
-        prev = cur
-    return ALEPH0
+    side = chain.cofinal()
+    _, err, _ = _materialize(side, depth + 1, +1, chain, "structural")
+    if err:
+        raise DomainError(err)
+    return ONE if side.ladder is None else ALEPH0
 
 
 def derive_ci(chain: ConcreteChain, depth: int = 100) -> Card:

@@ -649,16 +649,6 @@ def _chain_eq_exists(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int,
     return n >= n0
 
 
-def _chain_always_geq(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int) -> bool:
-    """Does a + s*n >= b + t*n hold for every n >= 0?"""
-    la, lb = a.limit_part(), b.limit_part()
-    if la != lb:
-        return la > lb
-    if s < t:
-        return False
-    return a.finite_part() >= b.finite_part()
-
-
 def _chain_lt_exists(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int) -> bool:
     """Does a + s*n < b + t*n hold for some n >= 0?"""
     la, lb = a.limit_part(), b.limit_part()
@@ -1186,16 +1176,17 @@ def _schedule_conditions(t: LexSchedule):
                       f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
                       f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"))
 
+    # "a + s*n >= b + t*n for every n" is "a + s*n < b + t*n for no n"
     b_parts = [s.k1 >= t.l0 and s.l1 >= t.k0,
-               _chain_always_geq(s.k1.index.plus_nat(s.ksucc), s.ksucc,
-                                 s.l1.index, s.lsucc),
-               _chain_always_geq(s.l1.index.plus_nat(s.lsucc), s.lsucc,
-                                 s.k1.index, s.ksucc)]
+               not _chain_lt_exists(s.k1.index.plus_nat(s.ksucc), s.ksucc,
+                                    s.l1.index, s.lsucc),
+               not _chain_lt_exists(s.l1.index.plus_nat(s.lsucc), s.lsucc,
+                                    s.k1.index, s.ksucc)]
     if t.mu.is_uncountable:
-        b_parts.append(_chain_always_geq(s.klim.index.plus_nat(s.ksucc), s.ksucc,
-                                         s.llim.index, s.lsucc))
-        b_parts.append(_chain_always_geq(s.llim.index.plus_nat(s.lsucc), s.lsucc,
-                                         s.klim.index, s.ksucc))
+        b_parts.append(not _chain_lt_exists(s.klim.index.plus_nat(s.ksucc), s.ksucc,
+                                            s.llim.index, s.lsucc))
+        b_parts.append(not _chain_lt_exists(s.llim.index.plus_nat(s.lsucc), s.lsucc,
+                                            s.klim.index, s.ksucc))
     out.append(_check("cond-b", all(b_parts),
                       "some kappa_{nu+1} < lambda_nu or lambda_{nu+1} < kappa_nu"))
 

@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
-from ordercuts.chains import IntChain, LexChain, RatChain
+from ordercuts import chains
+from ordercuts.chains import ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain
 from ordercuts.errors import DomainError
 
 INT, RAT = IntChain(), RatChain()
+OMEGA = IntChain(0)
 
 
 @pytest.mark.parametrize("chain", [
@@ -29,4 +31,72 @@ def test_index_chains_order_like_python(chain):
 @pytest.mark.parametrize("lo,hi", [(0, 0), (3, 1), (-2, -2)])
 def test_empty_integer_interval_rejected(lo, hi):
     with pytest.raises(DomainError, match="has no points"):
+        IntChain(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# The end contract: each chain states its two ends once
+# ---------------------------------------------------------------------------
+
+_SHAPES = [
+    IntChain(0, 1), IntChain(0, 7), OMEGA, INT, IntChain(None, 3), RAT,
+    SumChain(IntChain(0, 3), RAT, OMEGA),
+    SumChain(RevChain(OMEGA), IntChain(0, 1), INT, IntChain(0, 2)),
+    LexChain((IntChain(0, 3), IntChain(0, 2))),
+    LexChain((OMEGA, IntChain(0, 2))),
+    LexChain((IntChain(0, 2), RAT)),
+    LexChain((IntChain(None, 3), IntChain(0, 4), OMEGA)),
+]
+END_SHAPES = _SHAPES + [RevChain(c) for c in _SHAPES]
+
+
+def _check_end(chain, side, extreme, beyond, sign):
+    """One end of `chain`: the top end when sign is +1, the bottom end when
+    it is -1, with `extreme` the greatest or least element and `beyond` the
+    neighbour map that steps past that end.  An index chain also checks
+    that the end's elements are its points."""
+    check = getattr(chain, "check", lambda p: None)
+    if side.extremal is not None:
+        check(side.extremal)
+        assert side.extremal == extreme
+        assert beyond(extreme) is None
+        for x in itertools.islice(chain.elements(), 200):
+            assert sign * chain.cmp(extreme, x) >= 0, x
+    else:
+        assert extreme is None
+        rungs = list(itertools.islice(side.ladder(), 60))
+        assert len(rungs) == 60
+        for r in rungs:
+            check(r)
+        assert all(chain.cmp(b, a) == sign for a, b in zip(rungs, rungs[1:]))
+        for x in itertools.islice(chain.elements(), 30):
+            assert any(chain.cmp(r, x) == sign for r in rungs), x
+
+
+@pytest.mark.parametrize("chain", END_SHAPES, ids=repr)
+def test_each_end_is_stated_once(chain):
+    """An extremal `cofinal()` is the greatest element, with nothing above
+    it; a cofinal ladder rises strictly past each enumerated element, and
+    the chain then has no greatest element.  `coinitial()` mirrors this."""
+    _check_end(chain, chain.cofinal(), chain.greatest(), chain.above, +1)
+    _check_end(chain, chain.coinitial(), chain.least(), chain.below, -1)
+
+
+def test_least_and_greatest_derive_from_the_ends():
+    shapes = [c for c in vars(chains).values()
+              if isinstance(c, type) and issubclass(c, ConcreteChain)]
+    assert {SumChain, RevChain, LexChain} <= set(shapes)
+    for cls in shapes:
+        if cls is not ConcreteChain:
+            assert "least" not in vars(cls) and "greatest" not in vars(cls), cls
+
+
+# ---------------------------------------------------------------------------
+# Exact points and bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lo,hi,bad", [(0.5, 3, "0.5"), (0, "a", "'a'"),
+                                       (True, None, "True")])
+def test_integer_chain_bounds_must_be_integers(lo, hi, bad):
+    with pytest.raises(DomainError, match=bad):
         IntChain(lo, hi)

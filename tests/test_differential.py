@@ -35,7 +35,6 @@ from ordercuts.order_terms import (
     PhiMap,
     PhiPiece,
     RowSeg,
-    _chain_always_geq,
     _chain_eq_exists,
     _chain_lt_exists,
     cut_spectrum,
@@ -83,8 +82,9 @@ def test_chain_lt_exists_matches_brute_force(a, s, b, t):
 @settings(max_examples=300)
 @given(indexes, steps, indexes, steps)
 def test_chain_always_geq_matches_brute_force(a, s, b, t):
+    """cond-b's "always >=" is the negation of `_chain_lt_exists`."""
     brute = all(affine(a, s, n) >= affine(b, t, n) for n in range(BRUTE_N))
-    assert _chain_always_geq(a, s, b, t) == brute
+    assert (not _chain_lt_exists(a, s, b, t)) == brute
 
 
 # ---------------------------------------------------------------------------

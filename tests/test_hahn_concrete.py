@@ -510,3 +510,21 @@ def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
     # make still validates every point: one lex check plus one per factor
     HahnElement.make(LEX2, [((1, 2), 1)])
     assert calls[0] == 3
+
+
+@pytest.mark.parametrize("chain,items,named", [
+    (INT_CHAIN, [(True, 1), (1, 1)], "True"),
+    (ExponentGroup(1), [((False,), 1)], "False"),
+    (RAT_CHAIN, [(True, 1)], "True"),
+    (RAT_CHAIN, [(1, 0.1)], "0.1"),
+    (INT_CHAIN, [(1, "x")], "'x'"),
+    (INT_CHAIN, [(1, None)], "None"),
+    (INT_CHAIN, [(1, False)], "False"),
+], ids=["bool-int-point", "bool-exponent", "bool-rat-point", "float-coefficient",
+        "str-coefficient", "none-coefficient", "bool-coefficient"])
+def test_make_accepts_only_exact_values(chain, items, named):
+    """A bool is no point and no coefficient, and a float, string or None is
+    no coefficient: make rejects each with a DomainError naming it, instead
+    of merging True into 1 or storing a float's binary expansion."""
+    with pytest.raises(DomainError, match=named):
+        HahnElement.make(chain, items)

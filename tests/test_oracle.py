@@ -427,6 +427,28 @@ def test_bad_depth_or_samples_rejected(call):
         call()
 
 
+class _StubLadder(ConcreteChain):
+    """Python's order on ints, with a given list as its cofinal ladder."""
+
+    def __init__(self, rungs):
+        self.rungs = rungs
+
+    def cmp(self, x, y):
+        return (x > y) - (x < y)
+
+    def cofinal(self):
+        return WitnessSide.via(lambda: iter(self.rungs))
+
+
+@pytest.mark.parametrize("rungs,reason", [([0, 1, 2], "exhausted at index 3"),
+                                          ([0, 2, 1, 3], "not strictly monotone")])
+def test_derive_cf_rejects_a_broken_ladder(rungs, reason):
+    """A finite or non-monotone cofinal ladder is a DomainError, not a bare
+    StopIteration."""
+    with pytest.raises(DomainError, match=reason):
+        derive_cf(_StubLadder(rungs), 10)
+
+
 def test_depth_one_walks_a_step():
     # one step is enough to see the immediate successors of omega's points
     assert sample_cuts(SumChain(RatChain(), IntChain(0)), 1) == \

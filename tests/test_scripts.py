@@ -50,8 +50,16 @@ report = cli.run(defs, "spectrum", bound=cli.Parser("aleph(2)").parse_cardinal()
 assert [item.status for item in report.items] == ["ok", "ok"], report
 report.render_text()
 report.render_machine()
+report = cli.run(defs, "verify", depth=20)
+assert [item.status for item in report.items] == ["ok", "ok"], report
 spans = {tracer.names[i] for i in tracer.span_name}
 assert {"cli.parse", "cli.run", "cli.render"} <= spans, spans
+assert {"oracle.verify_witness", "oracle.sample_cuts"} <= spans, spans
+assert tracer.counts["oracle.chain_cmp.calls"] > 0, tracer.counts
+assert tracer.sampled
+for chain, samples in tracer.sampled:
+    reached, parts = tracing.part_coverage(chain, samples)
+    assert 1 <= reached <= parts, (chain, reached, parts)
 tracer.uninstall()
 assert hc.HahnElement.make is make
 """
@@ -59,6 +67,7 @@ assert hc.HahnElement.make is make
 
 def test_benchmark_tracer_resolves_library_names():
     """perfbench/tracing.py patches library names from outside: every name
-    it resolves must exist, and uninstall must put the originals back."""
+    it resolves must exist, the oracle's spans and chain compares must show
+    under `verify`, and uninstall must put the originals back."""
     proc = run_python("-c", BENCH_TRACER, str(ROOT / "perfbench"))
     assert proc.returncode == 0, proc.stderr
