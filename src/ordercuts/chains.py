@@ -66,6 +66,10 @@ class ConcreteChain:
     def cmp(self, x, y) -> int:
         raise NotImplementedError
 
+    def check(self, p) -> None:
+        """Accept a point of an index chain; other chains refuse them all."""
+        raise DomainError(f"{type(self).__name__} is not an index chain")
+
     def least(self):
         return self.coinitial().extremal
 

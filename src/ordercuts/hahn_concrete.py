@@ -32,6 +32,11 @@ class ExponentGroup:
 
     dims: int
 
+    def __post_init__(self):
+        if not is_exact(self.dims, int) or self.dims < 0:
+            raise DomainError(f"exponent group dimension {self.dims!r} "
+                              "is not an int >= 0")
+
     def check(self, g) -> None:
         if not isinstance(g, tuple) or len(g) != self.dims:
             raise DomainError(f"{render_point(g)} is not an exponent of lex{self.dims}")
@@ -241,7 +246,8 @@ class HahnElement:
         return HahnElement(self.chain, _sorted_terms(acc))
 
     def scale(self, k) -> "HahnElement":
-        k = Fraction(k)
+        if not is_exact(k):
+            raise DomainError(f"scalar {k!r} is not an int or a Fraction")
         if k == 0:
             return HahnElement.zero(self.chain)
         return HahnElement(self.chain, tuple((p, k * c) for p, c in self.terms))

@@ -175,7 +175,6 @@ class Atom:
 
 RULE_ID, RULE_SUCC, RULE_DSUCC = 0, 1, 2
 _RULE_NAMES = {RULE_ID: "id", RULE_SUCC: "plus", RULE_DSUCC: "plusplus"}
-_RULE_BY_NAME = {v: k for k, v in _RULE_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -299,61 +298,44 @@ class PhiMap:
                 return piece.value
         raise DomainError(f"phi map undefined at {c}")
 
-    def _walk_reg(self, seg: CardSet):
-        """Yield (piece, applicable) where applicable means the piece is hit
-        by some member of seg not claimed by an earlier piece."""
+    def _live_pieces(self, seg: CardSet):
+        """The pieces hit by some member of seg not claimed by an earlier
+        piece; nothing for an empty seg."""
         covered = CardSet.empty()
-        covered_all = False
         for piece in self.pieces:
             dom = piece.reg_domain()
-            if covered_all:
-                yield piece, False, None
-                continue
             if dom is None:
-                live = not seg.is_subset(covered)
-                yield piece, live, None
-                covered_all = True
-            else:
-                hit = dom.intersect(seg)
-                live = not hit.is_subset(covered)
-                yield piece, live, hit
-                covered = covered.union(dom)
-        if not covered_all and not seg.is_subset(covered):
+                if not seg.is_subset(covered):
+                    yield piece
+                return
+            if not dom.intersect(seg).is_subset(covered):
+                yield piece
+            covered = covered.union(dom)
+        if not seg.is_subset(covered):
             raise DomainError("phi map is partial on the requested segment")
 
-    def image_over(self, seg: CardSet, include_one: bool = False) -> CardSet:
+    def image_over(self, seg: CardSet) -> CardSet:
         out = CardSet.empty()
-        if include_one:
-            out = out.union(CardSet.singleton(self.evaluate(ONE)))
-        if seg.is_empty:
-            return out
-        for piece, live, _hit in self._walk_reg(seg):
-            if not live:
-                continue
+        for piece in self._live_pieces(seg):
             if piece.value == PHI_SUCC:
                 out = out.union(CardSet.singleton(succ(piece.dom_card)))
             else:
                 out = out.union(CardSet.singleton(piece.value))
         return out
 
-    def range_violation(self, seg: CardSet, target: CardSet,
-                        include_one: bool = False) -> Optional[str]:
+    def range_violation(self, seg: CardSet, target: CardSet) -> Optional[str]:
         """A witness that phi({1} u seg) is not inside target, or None."""
         try:
-            if include_one:
-                v = self.evaluate(ONE)
-                if not target.contains(v):
-                    return f"phi(1)={v} outside {target}"
-            if not seg.is_empty:
-                for piece, live, _hit in self._walk_reg(seg):
-                    if not live:
-                        continue
-                    if piece.value == PHI_SUCC:
-                        v = succ(piece.dom_card)
-                        if not target.contains(v):
-                            return f"phi({piece.dom_card})={v} outside {target}"
-                    elif not target.contains(piece.value):
-                        return f"piece {piece} maps into {piece.value} outside {target}"
+            v = self.evaluate(ONE)
+            if not target.contains(v):
+                return f"phi(1)={v} outside {target}"
+            for piece in self._live_pieces(seg):
+                if piece.value == PHI_SUCC:
+                    v = succ(piece.dom_card)
+                    if not target.contains(v):
+                        return f"phi({piece.dom_card})={v} outside {target}"
+                elif not target.contains(piece.value):
+                    return f"piece {piece} maps into {piece.value} outside {target}"
         except DomainError as exc:
             return str(exc)
         return None
@@ -502,48 +484,41 @@ def _require_lex_regular(t: OrderTerm) -> None:
 # Cofinality / coinitiality
 # ---------------------------------------------------------------------------
 
+def _end(t: OrderTerm, top: bool) -> Card:
+    """The cofinality of t when `top`, else its coinitiality.  A sum steps
+    to the part at that end and a reversal flips the end, in a loop; the
+    exact `type` dispatch keeps this cheap, as it runs twice per sum node."""
+    while True:
+        kind = type(t)
+        if kind is Sum:
+            t = t.right if top else t.left
+        elif kind is Rev:
+            t, top = t.inner, not top
+        elif kind is Completion:
+            t = t.inner
+        elif kind is WellOrder:
+            return t.kappa if top else ONE
+        elif kind is FiniteChain:
+            return ONE
+        elif kind is Atom:
+            return t.cf if top else t.ci
+        elif kind is Empty:
+            return ZERO
+        elif kind is LexSchedule or kind is LexRefined:
+            _require_lex_regular(t)
+            return t.k0 if top else t.l0
+        else:
+            raise DomainError(f"unknown term {t!r}")
+
+
 def cf(t: OrderTerm) -> Card:
     """Cofinality of the order; `0` sentinel for the empty order."""
-    while isinstance(t, Sum):
-        t = t.right
-    if isinstance(t, Empty):
-        return ZERO
-    if isinstance(t, FiniteChain):
-        return ONE
-    if isinstance(t, WellOrder):
-        return t.kappa
-    if isinstance(t, Rev):
-        return ci(t.inner)
-    if isinstance(t, Completion):
-        return cf(t.inner)
-    if isinstance(t, Atom):
-        return t.cf
-    if isinstance(t, (LexSchedule, LexRefined)):
-        _require_lex_regular(t)
-        return t.k0
-    raise DomainError(f"unknown term {t!r}")
+    return _end(t, True)
 
 
 def ci(t: OrderTerm) -> Card:
     """Coinitiality: cofinality under the reversed order."""
-    while isinstance(t, Sum):
-        t = t.left
-    if isinstance(t, Empty):
-        return ZERO
-    if isinstance(t, FiniteChain):
-        return ONE
-    if isinstance(t, WellOrder):
-        return ONE
-    if isinstance(t, Rev):
-        return cf(t.inner)
-    if isinstance(t, Completion):
-        return ci(t.inner)
-    if isinstance(t, Atom):
-        return t.ci
-    if isinstance(t, (LexSchedule, LexRefined)):
-        _require_lex_regular(t)
-        return t.l0
-    raise DomainError(f"unknown term {t!r}")
+    return _end(t, False)
 
 
 def _succ_chain_closure(base: OrdinalIndex, step: int) -> CardSet:
@@ -1069,7 +1044,7 @@ def _refined_rows(t: LexRefined):
     rl, rr = refined_rl_rr(t)
     for phi, seg, target, name in ((t.phil, rr, rl, "phi-left-range"),
                                    (t.phir, rl, rr, "phi-right-range")):
-        witness = phi.range_violation(seg, target, include_one=True)
+        witness = phi.range_violation(seg, target)
         if witness is not None:
             raise SideConditionError(name, witness)
     return [
@@ -1124,14 +1099,7 @@ def cut_spectrum(t: OrderTerm) -> CutSpectrum:
         if t.cuts is None:
             raise NotDerivableError(
                 f"atom {t.name} does not declare its cut spectrum")
-        principal = tuple(p for p in t.cuts if p.is_principal)
-        other = tuple(p for p in t.cuts if not p.is_principal)
-        parts = []
-        if principal:
-            parts.append(ExplicitPairs(principal, True))
-        if other:
-            parts.append(ExplicitPairs(other, False))
-        return CutSpectrum.of(parts)
+        return CutSpectrum.of(ExplicitPairs((p,), p.is_principal) for p in t.cuts)
     if isinstance(t, LexSchedule):
         _require_lex_regular(t)
         return CutSpectrum.of(_schedule_rows(t))
@@ -1162,19 +1130,10 @@ def _check(name: str, passed: bool, detail: str = "") -> ConditionCheck:
 
 def _schedule_conditions(t: LexSchedule):
     s = t.schedule
-    out = []
-    bad = _lex_regularity_failures(t)
-    out.append(ConditionCheck("regular-params", not bad,
-                              "; ".join(bad) if bad else ""))
-    if bad:
-        return tuple(out)
     coin_i, cofin_i = coin_cofin(t.inner)
     right0 = coin_i.union(CardSet.segment_below(t.l0))
     left0 = cofin_i.union(CardSet.segment_below(t.k0))
     a_ok = not right0.contains(s.k1) and not left0.contains(s.l1)
-    out.append(_check("cond-a", a_ok,
-                      f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
-                      f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"))
 
     # "a + s*n >= b + t*n for every n" is "a + s*n < b + t*n for no n"
     b_parts = [s.k1 >= t.l0 and s.l1 >= t.k0,
@@ -1187,51 +1146,48 @@ def _schedule_conditions(t: LexSchedule):
                                             s.llim.index, s.lsucc))
         b_parts.append(not _chain_lt_exists(s.llim.index.plus_nat(s.lsucc), s.lsucc,
                                             s.klim.index, s.ksucc))
-    out.append(_check("cond-b", all(b_parts),
-                      "some kappa_{nu+1} < lambda_nu or lambda_{nu+1} < kappa_nu"))
 
     c_ok = not _chain_eq_exists(s.k1.index, s.ksucc, s.l1.index, s.lsucc)
     if t.mu.is_uncountable and c_ok:
         c_ok = not _chain_eq_exists(s.klim.index.plus_nat(s.ksucc), s.ksucc,
                                     s.llim.index.plus_nat(s.lsucc), s.lsucc)
-    out.append(_check("cond-c", c_ok, "kappa_nu = lambda_nu at some successor nu"))
 
     d_ok = (not t.mu.is_uncountable) or (s.klim >= t.mu and s.llim >= t.mu)
-    out.append(_check("cond-d", d_ok,
-                      f"klim={s.klim}, llim={s.llim} below mu={t.mu}"))
-    out.append(_check("mu-uncountable", t.mu.is_uncountable,
-                      f"mu={t.mu} is countable"))
-    return tuple(out)
+    return (_check("cond-a", a_ok, f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
+                                   f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"),
+            _check("cond-b", all(b_parts),
+                   "some kappa_{nu+1} < lambda_nu or lambda_{nu+1} < kappa_nu"),
+            _check("cond-c", c_ok, "kappa_nu = lambda_nu at some successor nu"),
+            _check("cond-d", d_ok, f"klim={s.klim}, llim={s.llim} below mu={t.mu}"))
 
 
 def _refined_conditions(t: LexRefined):
-    out = []
-    bad = _lex_regularity_failures(t)
-    out.append(ConditionCheck("regular-params", not bad,
-                              "; ".join(bad) if bad else ""))
-    if bad:
-        return tuple(out)
     rl, rr = refined_rl_rr(t)
-    wl = t.phil.range_violation(rr, rl, include_one=True)
-    out.append(_check("phi-left-range", wl is None, wl or ""))
-    wr = t.phir.range_violation(rl, rr, include_one=True)
-    out.append(_check("phi-right-range", wr is None, wr or ""))
+    wl = t.phil.range_violation(rr, rl)
+    wr = t.phir.range_violation(rl, rr)
     both = rl.union(rr)
     fixed = t.phil.fixed_point_in(both) or t.phir.fixed_point_in(both)
-    out.append(_check("phi-no-fixed-point", fixed is None,
-                      f"phi fixes {fixed}" if fixed else ""))
-    out.append(_check("mu-uncountable", t.mu.is_uncountable,
-                      f"mu={t.mu} is countable"))
-    return tuple(out)
+    return (_check("phi-left-range", wl is None, wl),
+            _check("phi-right-range", wr is None, wr),
+            _check("phi-no-fixed-point", fixed is None, f"phi fixes {fixed}"))
 
 
 def check_side_conditions(t: OrderTerm):
-    """Per-condition verdicts for a lexicographic construction term."""
+    """Per-condition verdicts for a lexicographic construction term: the
+    regularity of its parameters first, and the rest only once they are
+    infinite regular; `mu-uncountable` last."""
     if isinstance(t, LexSchedule):
-        return _schedule_conditions(t)
-    if isinstance(t, LexRefined):
-        return _refined_conditions(t)
-    raise DomainError("side conditions apply to lexsched/lexref terms only")
+        rest = _schedule_conditions
+    elif isinstance(t, LexRefined):
+        rest = _refined_conditions
+    else:
+        raise DomainError("side conditions apply to lexsched/lexref terms only")
+    bad = _lex_regularity_failures(t)
+    regular = _check("regular-params", not bad, "; ".join(bad))
+    if bad:
+        return (regular,)
+    return (regular,) + rest(t) + (_check("mu-uncountable", t.mu.is_uncountable,
+                                          f"mu={t.mu} is countable"),)
 
 
 # ---------------------------------------------------------------------------

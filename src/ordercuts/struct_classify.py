@@ -30,6 +30,7 @@ from .order_terms import (
     completeness_predicates,
     cut_spectrum,
     extend_order,
+    rev,
     sum_of,
 )
 
@@ -255,7 +256,7 @@ def classify_group_cutwise(g: GroupDescriptor) -> bool:
 def _quotient_mod_z(g: GroupDescriptor) -> Optional[GroupDescriptor]:
     """The descriptor of G modulo its convex integer copy: drop the largest
     value-set element, components otherwise unchanged.  None when trivial."""
-    vq = _minus_largest(g.value_set)
+    vq = _minus_end(g.value_set, True)
     if isinstance(vq, Empty):
         return None
     comps = ComponentAssignment(g.components.base)
@@ -267,42 +268,25 @@ def _quotient_mod_z(g: GroupDescriptor) -> Optional[GroupDescriptor]:
                            discrete=discrete, divisible=divisible)
 
 
-def _minus_largest(t: OrderTerm) -> OrderTerm:
-    """t without its largest element.  On a sum only the last part is
-    rewritten; the left children along the right spine are kept as they are."""
-    lefts = []
+def _minus_end(t: OrderTerm, top: bool) -> OrderTerm:
+    """t without its largest element when `top`, else without its least.
+    On a sum only the part at that end is rewritten; the other children
+    along that spine are kept as they are."""
+    others = []
     while isinstance(t, Sum):
-        lefts.append(t.left)
-        t = t.right
+        others.append(t.left if top else t.right)
+        t = t.right if top else t.left
     if isinstance(t, FiniteChain):
         out = chain(t.size - 1)
-    elif isinstance(t, Rev):
-        inner = _minus_least(t.inner)
-        out = Rev(inner) if not isinstance(inner, Empty) else EMPTY
-    else:
-        raise NotDerivableError(f"cannot remove the largest element of {t}")
-    for left in reversed(lefts):
-        out = sum_of(left, out)
-    return out
-
-
-def _minus_least(t: OrderTerm) -> OrderTerm:
-    """t without its least element; on a sum only the first part changes."""
-    rights = []
-    while isinstance(t, Sum):
-        rights.append(t.right)
-        t = t.left
-    if isinstance(t, FiniteChain):
-        out = chain(t.size - 1)
-    elif isinstance(t, WellOrder):
+    elif isinstance(t, WellOrder) and not top:
         out = t
     elif isinstance(t, Rev):
-        inner = _minus_largest(t.inner)
-        out = Rev(inner) if not isinstance(inner, Empty) else EMPTY
+        out = rev(_minus_end(t.inner, not top))
     else:
-        raise NotDerivableError(f"cannot remove the least element of {t}")
-    for right in reversed(rights):
-        out = sum_of(out, right)
+        end = "largest" if top else "least"
+        raise NotDerivableError(f"cannot remove the {end} element of {t}")
+    for other in reversed(others):
+        out = sum_of(other, out) if top else sum_of(out, other)
     return out
 
 

@@ -54,8 +54,10 @@ def _check_end(chain, side, extreme, beyond, sign):
     """One end of `chain`: the top end when sign is +1, the bottom end when
     it is -1, with `extreme` the greatest or least element and `beyond` the
     neighbour map that steps past that end.  An index chain also checks
-    that the end's elements are its points."""
-    check = getattr(chain, "check", lambda p: None)
+    that the end's elements are its points (every lex product here is one);
+    other chains have only the `check` that refuses every point."""
+    index = isinstance(chain, (IntChain, RatChain, LexChain))
+    check = chain.check if index else (lambda p: None)
     if side.extremal is not None:
         check(side.extremal)
         assert side.extremal == extreme

@@ -29,6 +29,7 @@ from ordercuts.order_terms import (
     DOM_SINGLE,
     EMPTY,
     ExplicitPairs,
+    LexRefined,
     LexSchedule,
     PHI_SUCC,
     PhiFam,
@@ -37,7 +38,15 @@ from ordercuts.order_terms import (
     RowSeg,
     _chain_eq_exists,
     _chain_lt_exists,
+    cf,
+    chain,
+    check_side_conditions,
+    ci,
+    coin_cofin,
     cut_spectrum,
+    rev,
+    sum_of,
+    well,
 )
 
 # finite parts stay <= 8 and steps <= 2, so any equality/ordering transition
@@ -293,3 +302,108 @@ def test_part_predicates_match_pair_definitions(shape):
         if mirror != frozenset(p.mirrored() for p in below):
             mismatches.append((part.render(), "mirrored"))
     assert not mismatches, mismatches[:10]
+
+
+# ---------------------------------------------------------------------------
+# Mirror symmetry of the lexicographic constructions
+# ---------------------------------------------------------------------------
+
+# The mirror of a construction swaps the roles of its two ends (k0/l0 and the
+# kappa/lambda schedule, or phil/phir) over the reversed inner order, and
+# denotes the reversed product.  Every analysis must commute with that.
+
+RAT = Atom("rat", A[0], A[0], CardSet.of(A[0]), CardSet.of(A[0]), A[0],
+           (CofPair(ONE, A[0]), CofPair(A[0], ONE), CofPair(A[0], A[0])))
+MIRROR_INNERS = [EMPTY, well(A[0]), well(A[2]), rev(well(A[1])), chain(3),
+                 sum_of(well(A[0]), chain(1), rev(well(A[1]))),
+                 sum_of(RAT, well(A[2])), RAT]
+SWAPPED_CONDITIONS = {"phi-left-range": "phi-right-range",
+                      "phi-right-range": "phi-left-range"}
+MIRROR_DRAWS = 1000
+
+
+def _param(rng):
+    """Mostly aleph(0..5); now and then 1, which fails the regularity gate."""
+    return ONE if rng.random() < 0.03 else rng.choice(A[:6])
+
+
+def _mirror_phi(rng):
+    """A first-match map from 1, singleton, segment and default pieces;
+    without a default piece it may be partial."""
+    pieces = []
+    if rng.random() < 0.8:
+        pieces.append(PhiPiece(DOM_ONE, None, rng.choice(A[:6])))
+    for i in rng.sample(range(6), rng.randint(0, 3)):
+        value = PHI_SUCC if rng.random() < 0.2 else rng.choice(A[:6])
+        pieces.append(PhiPiece(DOM_SINGLE, A[i], value))
+    if rng.random() < 0.5:
+        pieces.append(PhiPiece(DOM_SEG, A[rng.randint(1, 5)], rng.choice(A[:6])))
+    if rng.random() < 0.7:
+        pieces.append(PhiPiece(DOM_DEFAULT, None, rng.choice(A[:6])))
+    return PhiMap(tuple(pieces))
+
+
+def _mirror_pair(rng):
+    """A random construction term and its mirror."""
+    mu, k0, l0 = _param(rng), _param(rng), _param(rng)
+    inner = rng.choice(MIRROR_INNERS)
+    if rng.random() < 0.5:
+        k1, l1 = _param(rng), _param(rng)
+        ks, ls = rng.choice([0, 1, 2]), rng.choice([0, 1, 2])
+        klim, llim = (rng.choice([None] + A[:6]) for _ in range(2))
+        t = LexSchedule(mu, k0, l0, CardinalSchedule(k1, l1, ks, ls, klim, llim),
+                        inner)
+        s = t.schedule
+        mirror = LexSchedule(mu, l0, k0, CardinalSchedule(s.l1, s.k1, s.lsucc, s.ksucc,
+                                                          s.llim, s.klim), rev(inner))
+    else:
+        phil, phir = _mirror_phi(rng), _mirror_phi(rng)
+        t = LexRefined(mu, k0, l0, phil, phir, inner)
+        mirror = LexRefined(mu, l0, k0, phir, phil, rev(inner))
+    return t, mirror
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _verdicts(checks, swap):
+    if isinstance(checks, type):
+        return checks
+    return {swap.get(c.name, c.name): c.passed for c in checks}
+
+
+def test_lex_constructions_are_mirror_symmetric():
+    """The mirror of a lexsched or lexref term has the mirrored spectrum,
+    swapped Coin/Cofin, its coinitiality as the cofinality, and the same
+    side-condition verdicts (the two phi range checks trade names), or both
+    fail with the same error class.  An edit to one end of the rows that
+    misses the other end breaks this."""
+    rng = random.Random(20260)
+    mismatches, spectra = [], 0
+    for _ in range(MIRROR_DRAWS):
+        t, mirror = _mirror_pair(rng)
+        spec = _outcome(cut_spectrum, t)
+        if not isinstance(spec, type):
+            spectra += 1
+            spec = spec.mirrored()
+        cc = _outcome(coin_cofin, t)
+        if not isinstance(cc, type):
+            cc = cc[::-1]
+        swap = SWAPPED_CONDITIONS if isinstance(t, LexRefined) else {}
+        checks = [
+            ("spectrum", spec, _outcome(cut_spectrum, mirror)),
+            ("coin_cofin", cc, _outcome(coin_cofin, mirror)),
+            ("cf", _outcome(cf, t), _outcome(ci, mirror)),
+            ("ci", _outcome(ci, t), _outcome(cf, mirror)),
+            ("conditions", _verdicts(_outcome(check_side_conditions, t), swap),
+             _verdicts(_outcome(check_side_conditions, mirror), {})),
+        ]
+        mismatches += [(what, str(t)) for what, a, b in checks if a != b]
+    assert not mismatches, mismatches[:5]
+    # the draws reach both the derivable and the failing spectra
+    assert MIRROR_DRAWS // 10 < spectra < MIRROR_DRAWS

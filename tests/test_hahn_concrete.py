@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordercuts import hahn_concrete as hc
-from ordercuts.chains import IntChain, LexChain, RatChain
+from ordercuts.chains import IntChain, LexChain, RatChain, RevChain, SumChain
 from ordercuts.errors import DomainError
 from ordercuts.hahn_concrete import (
     BALL_DISJOINT,
@@ -528,3 +528,54 @@ def test_make_accepts_only_exact_values(chain, items, named):
     of merging True into 1 or storing a float's binary expansion."""
     with pytest.raises(DomainError, match=named):
         HahnElement.make(chain, items)
+
+
+@pytest.mark.parametrize("k,named", [
+    (0.1, "0.1"), (True, "True"), ("x", "'x'"), (None, "None"),
+], ids=["float", "bool", "str", "none"])
+def test_scale_accepts_only_exact_scalars(k, named):
+    """scale takes the exact scalars make takes: a float is not turned into
+    its binary expansion, True does not act as 1, and a string or None is a
+    DomainError naming it rather than a bare ValueError or TypeError."""
+    a = HahnElement.make(INT_CHAIN, [(1, 1)])
+    with pytest.raises(DomainError, match=named):
+        a.scale(k)
+
+
+def test_scale_by_exact_scalars():
+    a = HahnElement.make(INT_CHAIN, [(1, 1), (2, -3)])
+    assert a.scale(Fraction(1, 2)) == HahnElement.make(INT_CHAIN, [(1, Fraction(1, 2)),
+                                                                    (2, Fraction(-3, 2))])
+    assert a.scale(2) == a + a
+    assert a.scale(0).is_zero
+
+
+@pytest.mark.parametrize("dims,named", [
+    (-1, "-1"), (True, "True"), (1.5, "1.5"), ("a", "'a'"),
+], ids=["negative", "bool", "float", "str"])
+def test_exponent_group_dimension_checked(dims, named):
+    """An exponent group needs an int dimension >= 0, not a bool: lex-1 and
+    lexTrue are no groups, and a float or string is a DomainError naming it
+    rather than a bare TypeError."""
+    with pytest.raises(DomainError, match=named):
+        ExponentGroup(dims)
+
+
+def test_exponent_group_of_dimension_zero():
+    """lex0 stays: the CLI accepts series(exp=lex0), a copy of Q."""
+    g = ExponentGroup(0)
+    assert str(g) == "lex0" and g.zero() == ()
+    one = HahnElement.one(g)
+    assert one * one == one
+
+
+@pytest.mark.parametrize("chain,cls", [
+    (SumChain(IntChain(0, 2), IntChain(0, 2)), "SumChain"),
+    (RevChain(INT_CHAIN), "RevChain"),
+    (LexChain((INT_CHAIN, RevChain(INT_CHAIN))), "RevChain"),
+], ids=["sum", "rev", "lex-with-rev-factor"])
+def test_make_over_a_chain_without_point_checks(chain, cls):
+    """A chain that is no index chain cannot check points: make over it is
+    a DomainError naming the chain's class, not an AttributeError."""
+    with pytest.raises(DomainError, match=f"{cls} is not an index chain"):
+        HahnElement.make(chain, [((0, 1), 1)])

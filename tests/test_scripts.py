@@ -31,6 +31,20 @@ def test_extend_demo_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_quickstart_runs():
+    """The README's library quickstart runs, and each print that carries a
+    `# ...` comment prints what the comment says."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(") and "#" in line]
+    assert expected == ["aleph(2) aleph(2) aleph(3)", "True", "False True True"]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == expected
+
+
 BENCH_TRACER = """
 import sys
 sys.path.insert(0, sys.argv[1])
