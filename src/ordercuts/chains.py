@@ -190,7 +190,9 @@ class RatChain(ConcreteChain):
         return "rat"
 
     def cmp(self, x, y):
-        return (x > y) - (x < y)
+        # one cross-multiplication; ints have numerator and denominator too
+        d = x.numerator * y.denominator - y.numerator * x.denominator
+        return (d > 0) - (d < 0)
 
     def above(self, x):
         return x + 1

@@ -1,6 +1,8 @@
 """The concrete chains shared by the Hahn layer and the ladder oracle."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +28,25 @@ def test_index_chains_order_like_python(chain):
     for x in points:
         for y in points:
             assert chain.cmp(x, y) == (x > y) - (x < y)
+
+
+def test_rat_cmp_matches_python_order_on_mixed_values():
+    """`RatChain.cmp` compares by one cross-multiplication: on signed ints
+    and Fractions, equal values of either type included, it agrees with
+    Python's order."""
+    rng = random.Random(11)
+
+    def draw():
+        n = rng.randint(-12, 12)
+        if rng.random() < 0.2:
+            n *= 10 ** 40
+        return rng.choice((n, Fraction(n, rng.randint(1, 4)), Fraction(n)))
+
+    pairs = [(draw(), draw()) for _ in range(5000)]
+    pairs += [(x, x) for x, _ in pairs[:50]] + [(3, Fraction(6, 2)), (Fraction(-2), -2)]
+    assert sum(x == y for x, y in pairs) > 100
+    for x, y in pairs:
+        assert RAT.cmp(x, y) == (x > y) - (x < y)
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 0), (3, 1), (-2, -2)])

@@ -370,10 +370,20 @@ def _ref_sign(d):
     return 1 if d[min(d)] > 0 else -1
 
 
+def _canonical(v):
+    """An int exactly when v is integral, a Fraction with denominator > 1
+    otherwise, and never a bool."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def _assert_normal(e):
+    """Sorted support, no zero coefficient, and every coefficient and every
+    exponent component in canonical form."""
     points = [p for p, _ in e.terms]
     assert all(p < q for p, q in zip(points, points[1:]))
-    assert all(type(c) is Fraction and c != 0 for _, c in e.terms)
+    assert all(c != 0 and _canonical(c) for _, c in e.terms)
+    if isinstance(e.chain, ExponentGroup):
+        assert all(_canonical(q) for g in points for q in g)
 
 
 class TestMergeArithmetic:
@@ -476,7 +486,160 @@ class TestSeriesMerge:
         assert a.compare(b) == _ref_sign(_ref_combine(ra, rb, -1))
         for e in (a + b, a - b, a * b):
             _assert_normal(e)
-            assert all(type(q) is Fraction for g, _ in e.terms for q in g)
+
+
+_SCALAR = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+_CANON_FAMILIES = ([(chain, _items(point)) for chain, point in MERGE_FAMILIES]
+                   + [(ExponentGroup(d), _series_items(d)) for d in (1, 2, 3)])
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_operation_stays_canonical(self, data):
+        """Coefficients and exponent components are ints when integral and
+        Fractions otherwise, after make and after every operation."""
+        chain, items = data.draw(st.sampled_from(_CANON_FAMILIES))
+        a = HahnElement.make(chain, data.draw(items))
+        b = HahnElement.make(chain, data.draw(items))
+        out = [a, b, a + b, a - b, -a, a.abs(),
+               a.scale(data.draw(_SCALAR)), a.scale(2), a.scale(Fraction(2, 3))]
+        if isinstance(chain, ExponentGroup):
+            out.append(a * b)
+        for e in out:
+            _assert_normal(e)
+
+    def test_integral_results_are_ints(self):
+        half = Fraction(1, 2)
+        g = ExponentGroup(2)
+        cases = [
+            (HahnElement.make(INT_CHAIN, [(0, half), (0, half)]), ((0, 1),)),
+            (HahnElement.make(INT_CHAIN, [(0, Fraction(4, 2))]), ((0, 2),)),
+            (HahnElement.make(RAT_CHAIN, [(1, half)]) + HahnElement.make(RAT_CHAIN, [(1, half)]),
+             ((1, 1),)),
+            (HahnElement.make(RAT_CHAIN, [(1, 3 * half)]) - HahnElement.make(RAT_CHAIN, [(1, half)]),
+             ((1, 1),)),
+            # half-integer exponents and coefficients whose products are integral
+            (HahnElement.make(g, [((half, Fraction(-1, 2)), half)])
+             * HahnElement.make(g, [((half, Fraction(5, 2)), 2)]), (((1, 2), 1),)),
+            (HahnElement.make(g, [((Fraction(2), half), 1)]), (((2, half), 1),)),
+            (HahnElement.make(INT_CHAIN, [(0, half)]).scale(2), ((0, 1),)),
+            (HahnElement.make(INT_CHAIN, [(0, 3)]).scale(Fraction(1, 3)), ((0, 1),)),
+            (HahnElement.make(INT_CHAIN, [(0, half)]).scale(Fraction(4)), ((0, 2),)),
+        ]
+        for e, terms in cases:
+            assert e.terms == terms
+            _assert_normal(e)
+        assert repr(cases[1][0]) == "HahnElement(chain=IntChain(lo=None, hi=None), terms=((0, 2),))"
+        assert type(cases[0][0].coeff(5)) is int and cases[0][0].coeff(5) == 0
+        assert type(residue(HahnElement.zero(g))) is int and g.zero() == (0, 0)
+
+
+def _wide_point(rng, chain):
+    """A point from a range wide enough for a few hundred distinct terms;
+    integral rat points come as ints or as Fractions."""
+    if isinstance(chain, IntChain):
+        lo = -1000 if chain.lo is None else chain.lo
+        hi = 1000 if chain.hi is None else chain.hi - 1
+        return rng.randint(lo, hi)
+    if isinstance(chain, RatChain):
+        q = Fraction(rng.randint(-1000, 1000), rng.randint(1, 3))
+        return q.numerator if q.denominator == 1 and rng.random() < 0.5 else q
+    if isinstance(chain, ExponentGroup):
+        return tuple(_wide_point(rng, RAT_CHAIN) for _ in range(chain.dims))
+    return tuple(_wide_point(rng, f) for f in chain.factors)
+
+
+def _twin(chain, p):
+    """The same point with its integral rationals written as the other
+    exact type, where the chain takes both: 2 for Fraction(2) and back."""
+    if isinstance(chain, RatChain):
+        return Fraction(p) if type(p) is int else p.numerator if p.denominator == 1 else p
+    if isinstance(chain, ExponentGroup):
+        return tuple(_twin(RAT_CHAIN, q) for q in p)
+    if isinstance(chain, LexChain):
+        return tuple(_twin(f, q) for f, q in zip(chain.factors, p))
+    return p
+
+
+def _wide_coeff(rng):
+    c = rng.choice((rng.randint(1, 5), Fraction(rng.randint(1, 9), rng.randint(2, 4))))
+    return rng.choice((c, -c))
+
+
+@pytest.mark.parametrize("seed,chain", enumerate(
+    [chain for chain, _ in MERGE_FAMILIES] + [ExponentGroup(d) for d in (1, 2, 3)]),
+    ids=str)
+def test_lopsided_merges_match_dict_reference(seed, chain):
+    """A long operand (100-300 terms; fin(5) has room for three) against a
+    short one (0-8 terms), in both orders, for + and -.  The short terms
+    fall below, inside and above the long support, meet its points (also
+    as the equal point of the other exact type), and cancel some of them."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        pool = sorted({_wide_point(rng, chain) for _ in range(400)})
+        k = min(5, len(pool) // 4)
+        below, inner, above = pool[:k], pool[k:len(pool) - k], pool[len(pool) - k:]
+        long_items = [(p, _wide_coeff(rng))
+                      for p in rng.sample(inner, min(len(inner), rng.randint(100, 300)))]
+        x = HahnElement.make(chain, long_items)
+        short = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.randrange(6)
+            if kind < 3:
+                short.append((rng.choice((below, inner, above)[kind]), _wide_coeff(rng)))
+                continue
+            p, c = rng.choice(x.terms)
+            p = _twin(chain, p) if rng.random() < 0.5 else p
+            # kind 3 meets a point, 4 cancels it in a sum, 5 in a difference
+            short.append((p, (_wide_coeff(rng), -c, c)[kind - 3]))
+        y = HahnElement.make(chain, short)
+        rx, ry = _ref(long_items), _ref(short)
+        for a, b, ra, rb in ((x, y, rx, ry), (y, x, ry, rx)):
+            # the point objects each result should keep: the left operand's
+            # where both have a point
+            kept = {p: p for p, _ in b.terms}
+            kept.update((p, p) for p, _ in a.terms)
+            for sign, out in ((1, a + b), (-1, a - b)):
+                assert dict(out.terms) == _ref_combine(ra, rb, sign)
+                _assert_normal(out)
+                assert all(repr(p) == repr(kept[p]) for p, _ in out.terms)
+
+
+# criterion 6's families and seeds
+_LAW_SUITE_FAMILIES = [(INT_CHAIN, 6001), (RAT_CHAIN, 6002), (LEX2, 6003),
+                       (LexChain((RAT_CHAIN, INT_CHAIN)), 6004),
+                       (ExponentGroup(1), 1001), (ExponentGroup(2), 1002),
+                       (ExponentGroup(3), 1003)]
+
+
+def test_law_suite_draws_fixed_cases(monkeypatch):
+    """The law suite's work is pinned: the same number of made elements
+    and the same random stream afterwards, so a faster suite does the same
+    cases, not fewer."""
+    make, calls = HahnElement.make, [0]
+
+    def counting(chain, items):
+        calls[0] += 1
+        return make(chain, items)
+
+    monkeypatch.setattr(HahnElement, "make", staticmethod(counting))
+    reads = []
+    for chain, seed in _LAW_SUITE_FAMILIES:
+        rng = random.Random(seed)
+        assert law_failures(chain, 200, rng) == []
+        reads.append(round(rng.random(), 12))
+    assert calls[0] == 8476
+    assert reads == [0.659595510351, 0.655896731301, 0.094034106162, 0.182569514909,
+                     0.721288417031, 0.883337441484, 0.414329519062]
+
+
+def test_arch_witness_is_exact_beyond_float_range():
+    """The witness is searched from the floor of the coefficient ratio, not
+    from float division, which overflows past about 1e308."""
+    big = HahnElement.make(INT_CHAIN, [(0, 10 ** 400)])
+    assert arch_witness(big, HahnElement.make(INT_CHAIN, [(0, 1)])) == 10 ** 400 + 1
 
 
 def test_arithmetic_on_made_elements_runs_no_checks(monkeypatch):
@@ -573,9 +736,14 @@ def test_exponent_group_of_dimension_zero():
     (SumChain(IntChain(0, 2), IntChain(0, 2)), "SumChain"),
     (RevChain(INT_CHAIN), "RevChain"),
     (LexChain((INT_CHAIN, RevChain(INT_CHAIN))), "RevChain"),
-], ids=["sum", "rev", "lex-with-rev-factor"])
+    (LexChain((RevChain(INT_CHAIN),)), "RevChain"),
+], ids=["sum", "rev", "lex-with-rev-factor", "lex-of-rev"])
 def test_make_over_a_chain_without_point_checks(chain, cls):
     """A chain that is no index chain cannot check points: make over it is
-    a DomainError naming the chain's class, not an AttributeError."""
-    with pytest.raises(DomainError, match=f"{cls} is not an index chain"):
-        HahnElement.make(chain, [((0, 1), 1)])
+    a DomainError naming the chain's class, not an AttributeError, and so
+    are the zero element and an element made from no points."""
+    for build in (lambda: HahnElement.make(chain, [((0, 1), 1)]),
+                  lambda: HahnElement.make(chain, []),
+                  lambda: HahnElement.zero(chain)):
+        with pytest.raises(DomainError, match=f"{cls} is not an index chain"):
+            build()
