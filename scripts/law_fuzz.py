@@ -4,7 +4,8 @@ Usage: python scripts/law_fuzz.py [--cases N] [--seed S]
 
 Runs `ordercuts.hahn_concrete.law_failures`, the law suite of acceptance
 criterion 6, on N cases per law for each index-chain family and exponent
-group, and exits 1 when any law fails.
+group, printing each family's failures and elapsed seconds, and exits 1
+when any law fails.
 """
 
 import argparse
@@ -33,9 +34,11 @@ def main():
     start = time.perf_counter()
     total_failures = 0
     for chain in CHAINS:
+        family_start = time.perf_counter()
         failures = law_failures(chain, args.cases, random.Random(args.seed))
+        family_s = time.perf_counter() - family_start
         total_failures += len(failures)
-        print(f"{chain}: {args.cases} cases, {len(failures)} failures")
+        print(f"{chain}: {args.cases} cases, {len(failures)} failures in {family_s:.2f}s")
         for law, i in failures[:5]:
             print(f"  {law} at case {i}")
     elapsed = time.perf_counter() - start

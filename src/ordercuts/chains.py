@@ -6,7 +6,8 @@ its two ends, each stated once as a `WitnessSide`: the extremal element
 (cofinality 1) or a strict ladder.  An index chain of `hahn_concrete` is a
 chain with `check` and `__str__` whose order on points is Python's own
 (`IntChain`, `RatChain`, and `LexChain` over index chains), so Hahn
-elements compare their points with `<`.
+elements compare their points with `<`; `check` returns a point in its one
+stored form, with every rational made canonical by `canon`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ def render_point(p) -> str:
 def is_exact(v, kinds=(int, Fraction)) -> bool:
     """v is one of `kinds`, exact ints and Fractions by default, not a bool."""
     return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def canon(v):
+    """The stored form of an exact value: an int when it is integral, a
+    Fraction otherwise."""
+    return v.numerator if v.denominator == 1 else v
 
 
 LadderFactory = Callable[[], Iterator]
@@ -66,8 +73,9 @@ class ConcreteChain:
     def cmp(self, x, y) -> int:
         raise NotImplementedError
 
-    def check(self, p) -> None:
-        """Accept a point of an index chain; other chains refuse them all."""
+    def check(self, p):
+        """A point of an index chain in its stored form; other chains refuse
+        every point."""
         raise DomainError(f"{type(self).__name__} is not an index chain")
 
     def least(self):
@@ -124,10 +132,11 @@ class IntChain(ConcreteChain):
         if self.lo is not None and self.hi is not None and self.hi <= self.lo:
             raise DomainError(f"{self} has no points")
 
-    def check(self, p) -> None:
+    def check(self, p) -> int:
         if not is_exact(p, int) or (self.lo is not None and p < self.lo) \
                 or (self.hi is not None and p >= self.hi):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
+        return p
 
     def __str__(self) -> str:
         if self.lo is None and self.hi is None:
@@ -178,13 +187,18 @@ def _calkin_wilf():
         q = 1 / (2 * (q.numerator // q.denominator) + 1 - q)
 
 
+_TWO = Fraction(2)
+
+
 @dataclass(frozen=True)
 class RatChain(ConcreteChain):
-    """The rationals; as an index chain its points are ints and Fractions."""
+    """The rationals; as an index chain its points are ints and Fractions,
+    stored by `canon`."""
 
-    def check(self, p) -> None:
+    def check(self, p):
         if not is_exact(p):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
+        return canon(p)
 
     def __str__(self) -> str:
         return "rat"
@@ -201,7 +215,8 @@ class RatChain(ConcreteChain):
         return x - 1
 
     def between(self, x, y):
-        return (x + y) / 2
+        # divided by a Fraction, so that int points give no float
+        return (x + y) / _TWO
 
     def elements(self):
         return _calkin_wilf()
@@ -268,31 +283,26 @@ class SumChain(ConcreteChain):
             return -1 if i < j else 1
         return self.parts[i].cmp(x[1], y[1])
 
-    def _bottom(self, i):
-        """The least element of part i, or any element when it has none."""
+    def _end(self, i, top):
+        """The greatest (`top`) or least element of part i, or any element of
+        part i when it has none."""
         part = self.parts[i]
-        l = part.least()
-        return (i, next(iter(part.elements())) if l is None else l)
-
-    def _top(self, i):
-        """The greatest element of part i, or any element when it has none."""
-        part = self.parts[i]
-        g = part.greatest()
-        return (i, next(iter(part.elements())) if g is None else g)
+        e = part.greatest() if top else part.least()
+        return (i, next(iter(part.elements())) if e is None else e)
 
     def above(self, x):
         i, a = x
         z = self.parts[i].above(a)
         if z is not None:
             return (i, z)
-        return self._bottom(i + 1) if i + 1 < len(self.parts) else None
+        return self._end(i + 1, False) if i + 1 < len(self.parts) else None
 
     def below(self, x):
         i, a = x
         z = self.parts[i].below(a)
         if z is not None:
             return (i, z)
-        return self._top(i - 1) if i > 0 else None
+        return self._end(i - 1, True) if i > 0 else None
 
     def between(self, x, y):
         i, j = x[0], y[0]
@@ -305,7 +315,7 @@ class SumChain(ConcreteChain):
         w = self.parts[j].below(y[1])
         if w is not None:
             return (j, w)
-        return self._top(j - 1) if j - i > 1 else None
+        return self._end(j - 1, True) if j - i > 1 else None
 
     def elements(self):
         """Round-robin over the parts, so a prefix of n samples reaches the
@@ -331,11 +341,10 @@ class LexChain(ConcreteChain):
         if len(self.factors) < 1:
             raise DomainError("a lex product needs at least one factor")
 
-    def check(self, p) -> None:
+    def check(self, p) -> tuple:
         if not isinstance(p, tuple) or len(p) != len(self.factors):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
-        for fac, q in zip(self.factors, p):
-            fac.check(q)
+        return tuple([fac.check(q) for fac, q in zip(self.factors, p)])
 
     def __str__(self) -> str:
         return "lex(" + ",".join(str(f) for f in self.factors) + ")"
@@ -366,9 +375,11 @@ class LexChain(ConcreteChain):
         return self._mirror().above(x)
 
     def between(self, x, y):
-        k = 0
-        while self.factors[k].cmp(x[k], y[k]) == 0:
-            k += 1
+        for k, fac in enumerate(self.factors):
+            if fac.cmp(x[k], y[k]):
+                break
+        else:
+            return None
         z = self.factors[k].between(x[k], y[k])
         if z is not None:
             return x[:k] + (z,) + x[k + 1:]

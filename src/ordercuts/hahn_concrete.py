@@ -17,19 +17,13 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .chains import IntChain, LexChain, RatChain, is_exact, render_point
+from .chains import IntChain, LexChain, RatChain, canon, is_exact, render_point
 from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
 # Index chains
 # ---------------------------------------------------------------------------
-
-def _canon(v):
-    """The stored form of an exact value: an int when it is integral, a
-    Fraction otherwise."""
-    return v.numerator if v.denominator == 1 else v
-
 
 @dataclass(frozen=True)
 class ExponentGroup:
@@ -44,17 +38,13 @@ class ExponentGroup:
             raise DomainError(f"exponent group dimension {self.dims!r} "
                               "is not an int >= 0")
 
-    def check(self, g) -> None:
+    def check(self, g) -> tuple:
         if not isinstance(g, tuple) or len(g) != self.dims:
             raise DomainError(f"{render_point(g)} is not an exponent of lex{self.dims}")
         for q in g:
             if not is_exact(q):
                 raise DomainError(f"{render_point(q)} is not rational")
-
-    def coerce(self, g) -> tuple:
-        """The stored form of a checked exponent: each component an int when
-        it is integral and a Fraction otherwise."""
-        return tuple(map(_canon, g))
+        return tuple(map(canon, g))
 
     def zero(self):
         return (0,) * self.dims
@@ -123,20 +113,18 @@ def _require_index_chain(chain) -> None:
         raise DomainError(f"{type(chain).__name__} is not an index chain")
 
 
-def _normalize_terms(check, items, coerce=None) -> Tuple:
-    """The one validating path: check each point (coerced by `coerce` when
-    given), accept each coefficient only as an int (not a bool) or a
-    Fraction and store it canonically, add up repeated points, drop zeros
+def _normalize_terms(check, items) -> Tuple:
+    """The one validating path: check each point and keep the stored form
+    `check` returns, accept each coefficient only as an int (not a bool) or
+    a Fraction and store it canonically, add up repeated points, drop zeros
     and sort.
     Arithmetic on made elements skips all of this."""
     acc: Dict = {}
     for p, c in items:
-        check(p)
-        if coerce is not None:
-            p = coerce(p)
+        p = check(p)
         if not is_exact(c):
             raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
-        acc[p] = _canon(acc[p] + c) if p in acc else _canon(c)
+        acc[p] = canon(acc[p] + c) if p in acc else canon(c)
     return _sorted_terms(acc)
 
 
@@ -152,8 +140,7 @@ def _merge_terms(xs: Tuple, ys: Tuple, negate: bool = False) -> Tuple:
     Each term of ys is placed in the rest of xs by bisection and the run of
     xs before it is copied as one slice, so a short ys costs about
     len(ys) * log(len(xs)) point compares (Hwang and Lin's binary merge).
-    A point in both keeps its object from xs, and only the combined
-    coefficients need canonicalizing."""
+    Only the combined coefficients need canonicalizing."""
     out = []
     i, n = 0, len(xs)
     for t in ys:
@@ -162,7 +149,7 @@ def _merge_terms(xs: Tuple, ys: Tuple, negate: bool = False) -> Tuple:
         out += xs[i:j]
         if j < n and xs[j][0] == q:
             p, c = xs[j]
-            s = _canon(c - t[1] if negate else c + t[1])
+            s = canon(c - t[1] if negate else c + t[1])
             if s:
                 out.append((p, s))
             j += 1
@@ -203,8 +190,7 @@ class HahnElement:
     @staticmethod
     def make(chain: IndexChain, items: Iterable) -> "HahnElement":
         _require_index_chain(chain)
-        coerce = chain.coerce if isinstance(chain, ExponentGroup) else None
-        return HahnElement(chain, _normalize_terms(chain.check, items, coerce))
+        return HahnElement(chain, _normalize_terms(chain.check, items))
 
     @staticmethod
     def zero(chain: IndexChain) -> "HahnElement":
@@ -264,14 +250,14 @@ class HahnElement:
                 k = tuple(map(add, g, h))
                 acc[k] = acc.get(k, 0) + c * d
         return HahnElement(self.chain, _sorted_terms(
-            {tuple(map(_canon, k)): _canon(c) for k, c in acc.items()}))
+            {tuple(map(canon, k)): canon(c) for k, c in acc.items()}))
 
     def scale(self, k) -> "HahnElement":
         if not is_exact(k):
             raise DomainError(f"scalar {k!r} is not an int or a Fraction")
         if k == 0:
             return HahnElement.zero(self.chain)
-        return HahnElement(self.chain, tuple((p, _canon(k * c)) for p, c in self.terms))
+        return HahnElement(self.chain, tuple((p, canon(k * c)) for p, c in self.terms))
 
     @property
     def is_positive(self) -> bool:

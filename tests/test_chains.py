@@ -115,6 +115,33 @@ def test_least_and_greatest_derive_from_the_ends():
 
 
 # ---------------------------------------------------------------------------
+# Betweenness
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x,y,mid", [
+    (0, 1, Fraction(1, 2)), (-3, 4, Fraction(1, 2)), (0, 2, Fraction(1)),
+    (Fraction(1, 3), 1, Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)),
+])
+def test_rat_midpoint_is_exact(x, y, mid):
+    """`RatChain.between` is the exact midpoint, a Fraction also on int
+    points, where (x + y) / 2 would be a float."""
+    z = RAT.between(x, y)
+    assert type(z) is Fraction and z == mid
+
+
+@pytest.mark.parametrize("chain,x", [
+    (LexChain((INT,)), (1,)),
+    (LexChain((RAT, INT)), (Fraction(1, 2), 3)),
+    (LexChain((IntChain(0, 3), IntChain(0, 2))), (2, 1)),
+], ids=str)
+def test_lex_between_a_point_and_itself_is_none(chain, x):
+    """Nothing lies strictly between a point and itself: a lex product says
+    None, as `IntChain` and `SumChain` do, instead of running past its last
+    factor into an IndexError."""
+    assert chain.between(x, x) is None
+
+
+# ---------------------------------------------------------------------------
 # Exact points and bounds
 # ---------------------------------------------------------------------------
 

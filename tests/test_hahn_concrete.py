@@ -376,14 +376,23 @@ def _canonical(v):
     return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
+def _canonical_point(chain, p):
+    """Every rat point, rat factor of a lex point and exponent component is
+    canonical; an int chain's points are ints."""
+    if isinstance(chain, LexChain):
+        return all(_canonical_point(f, q) for f, q in zip(chain.factors, p))
+    if isinstance(chain, ExponentGroup):
+        return all(_canonical(q) for q in p)
+    return _canonical(p)
+
+
 def _assert_normal(e):
     """Sorted support, no zero coefficient, and every coefficient and every
-    exponent component in canonical form."""
+    point in canonical form."""
     points = [p for p, _ in e.terms]
     assert all(p < q for p, q in zip(points, points[1:]))
     assert all(c != 0 and _canonical(c) for _, c in e.terms)
-    if isinstance(e.chain, ExponentGroup):
-        assert all(_canonical(q) for g in points for q in g)
+    assert all(_canonical_point(e.chain, p) for p in points)
 
 
 class TestMergeArithmetic:
@@ -419,10 +428,11 @@ class TestMergeArithmetic:
     def test_equal_int_and_fraction_rat_points(self):
         a = HahnElement.make(RAT_CHAIN, [(2, 1)])
         b = HahnElement.make(RAT_CHAIN, [(Fraction(2), 3)])
-        # one term, keeping the left operand's point object
-        assert (a + b).terms == ((2, Fraction(4)),)
+        # one term, at the one stored form of the point, in either order
+        assert b.terms == ((2, 3),) and type(b.terms[0][0]) is int
+        assert (a + b).terms == ((2, 4),)
         assert type((a + b).terms[0][0]) is int
-        assert type((b + a).terms[0][0]) is Fraction
+        assert type((b + a).terms[0][0]) is int
         assert (a - HahnElement.make(RAT_CHAIN, [(Fraction(2), 1)])).is_zero
         assert a.compare(b) == -1 and b.compare(a) == 1
 
@@ -457,7 +467,7 @@ _EXP = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
 
 
 def _series_items(dims):
-    # exponents as ints or Fractions, so make's coercion is exercised too
+    # exponents as ints or Fractions, so check's canonical form is exercised too
     coord = st.one_of(st.integers(-1, 1), _EXP)
     return st.lists(st.tuples(st.tuples(*[coord] * dims), _COEFF), max_size=5)
 
@@ -597,14 +607,9 @@ def test_lopsided_merges_match_dict_reference(seed, chain):
         y = HahnElement.make(chain, short)
         rx, ry = _ref(long_items), _ref(short)
         for a, b, ra, rb in ((x, y, rx, ry), (y, x, ry, rx)):
-            # the point objects each result should keep: the left operand's
-            # where both have a point
-            kept = {p: p for p, _ in b.terms}
-            kept.update((p, p) for p, _ in a.terms)
             for sign, out in ((1, a + b), (-1, a - b)):
                 assert dict(out.terms) == _ref_combine(ra, rb, sign)
                 _assert_normal(out)
-                assert all(repr(p) == repr(kept[p]) for p, _ in out.terms)
 
 
 # criterion 6's families and seeds
@@ -691,6 +696,33 @@ def test_make_accepts_only_exact_values(chain, items, named):
     of merging True into 1 or storing a float's binary expansion."""
     with pytest.raises(DomainError, match=named):
         HahnElement.make(chain, items)
+
+
+@pytest.mark.parametrize("chain,stored,refused", [
+    (INT_CHAIN, [(-3, -3)],
+     [(Fraction(1, 2), "1/2 is not a point of int"), (True, "True is not a point of int")]),
+    (RAT_CHAIN, [(5, 5), (Fraction(4, 2), 2), (Fraction(-1, 2), Fraction(-1, 2))],
+     [(0.5, "0.5 is not a point of rat"), (True, "True is not a point of rat")]),
+    (LexChain((RAT_CHAIN, INT_CHAIN)),
+     [((Fraction(6, 3), 1), (2, 1)), ((Fraction(1, 3), 0), (Fraction(1, 3), 0))],
+     [((1,), r"\(1\) is not a point of lex\(rat,int\)"),
+      ((Fraction(1, 2), Fraction(1, 2)), "1/2 is not a point of int")]),
+    (ExponentGroup(2),
+     [((Fraction(2), Fraction(1, 2)), (2, Fraction(1, 2))), ((0, Fraction(-3, 1)), (0, -3))],
+     [((1,), r"\(1\) is not an exponent of lex2"), ((1, 0.5), "0.5 is not rational")]),
+], ids=["int", "rat", "lex(rat,int)", "lex2"])
+def test_check_returns_the_stored_point(chain, stored, refused):
+    """`check` returns a point in its one stored form, each rational an int
+    when integral and a Fraction otherwise, on rat points, rat factors of
+    lex points and exponent components alike, and `make` keeps that form.
+    Bad points are refused with the same messages as ever."""
+    for point, form in stored:
+        out = chain.check(point)
+        assert out == form and repr(out) == repr(form)
+        assert HahnElement.make(chain, [(point, 1)]).terms == ((form, 1),)
+    for point, message in refused:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            chain.check(point)
 
 
 @pytest.mark.parametrize("k,named", [

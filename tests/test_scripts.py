@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,11 @@ def test_law_fuzz_small_budget():
     proc = run_script("law_fuzz.py", "--cases", "200", "--seed", "3")
     assert proc.returncode == 0, proc.stderr
     assert "total failures: 0" in proc.stdout
+    # one line per family, each with its own elapsed seconds
+    families = [line for line in proc.stdout.splitlines() if ": 200 cases" in line]
+    assert len(families) == 7, proc.stdout
+    assert all(re.fullmatch(r"\S+: 200 cases, 0 failures in \d+\.\d\ds", line)
+               for line in families), proc.stdout
 
 
 def test_extend_demo_runs():
