@@ -216,7 +216,7 @@ class RatChain(ConcreteChain):
 
     def between(self, x, y):
         # divided by a Fraction, so that int points give no float
-        return (x + y) / _TWO
+        return None if x == y else (x + y) / _TWO
 
     def elements(self):
         return _calkin_wilf()
@@ -340,11 +340,20 @@ class LexChain(ConcreteChain):
     def __post_init__(self):
         if len(self.factors) < 1:
             raise DomainError("a lex product needs at least one factor")
+        # a rat factor stores its points by `canon`; without one, a point
+        # that passes every factor's check is already in its stored form
+        object.__setattr__(self, "_rewrites", any(
+            isinstance(f, RatChain) or getattr(f, "_rewrites", False)
+            for f in self.factors))
 
     def check(self, p) -> tuple:
         if not isinstance(p, tuple) or len(p) != len(self.factors):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
-        return tuple([fac.check(q) for fac, q in zip(self.factors, p)])
+        if self._rewrites:
+            return tuple([fac.check(q) for fac, q in zip(self.factors, p)])
+        for fac, q in zip(self.factors, p):
+            fac.check(q)
+        return p
 
     def __str__(self) -> str:
         return "lex(" + ",".join(str(f) for f in self.factors) + ")"

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, get_args
+from typing import Dict, List, Optional, Tuple
 
 from . import hahn_concrete as hc
 from . import oracle as orc
@@ -48,7 +48,6 @@ from .order_terms import (
     cut_spectrum,
     extend_order,
     rev,
-    spectrum_completeness,
     sum_of,
     well,
 )
@@ -64,7 +63,6 @@ from .struct_classify import (
     extend_group,
 )
 
-TERM_TYPES = get_args(OrderTerm)
 STRUCTURE_TYPES = (GroupDescriptor, FieldDescriptor)
 
 _TOKEN_RE = re.compile(r"""
@@ -325,7 +323,7 @@ class Parser:
             return self.parse_term()
         if tok.kind == "name":
             value = self.lookup(self.next())
-            if not isinstance(value, TERM_TYPES):
+            if not isinstance(value, OrderTerm):
                 raise ParseError(f"{tok.text} is not an order term", tok.line, tok.col)
             return value
         self.fail("expected an order term")
@@ -406,17 +404,11 @@ class Parser:
         mu = kv["mu"]
         ksucc = kv.get("ksucc", kv.get("succ", RULE_DSUCC))
         lsucc = kv.get("lsucc", kv.get("succ", RULE_DSUCC))
-        lim = kv.get("lim")
-        if lim == "v1":
-            klim, llim = kv["k1"], kv["l1"]
-        elif lim == "mu":
-            klim = llim = mu
-        elif isinstance(lim, Card):
-            klim = llim = lim
-        else:
-            klim, llim = kv["k1"], kv["l1"]
-        klim = kv.get("klim", klim)
-        llim = kv.get("llim", llim)
+        lim = kv.get("lim", "v1")
+        if lim == "mu":
+            lim = mu
+        klim = kv.get("klim", kv["k1"] if lim == "v1" else lim)
+        llim = kv.get("llim", kv["l1"] if lim == "v1" else lim)
         sched = CardinalSchedule(kv["k1"], kv["l1"], ksucc, lsucc, klim, llim)
         return LexSchedule(mu, kv["k0"], kv["l0"], sched, kv.get("i", EMPTY))
 
@@ -704,7 +696,7 @@ def _spectrum_records(term: OrderTerm, records, depth: int, bound: Optional[Card
     records.append({"cf": str(cf_t), "ci": str(ci_t),
                     "coin": str(coin), "cofin": str(cofin)})
     records.extend({"part": line} for line in spec.render_lines())
-    comp = spectrum_completeness(spec, cf_t, ci_t)
+    comp = completeness_predicates(term)
     records.append({"symmetric": _fmt_bool(comp.symmetric),
                     "strong": _fmt_bool(comp.strong),
                     "extreme": _fmt_bool(comp.extreme),
@@ -736,7 +728,7 @@ def _classify_records(value, records, depth: int, bound: Optional[Card]) -> str:
 
 
 def _extend_records(value, records, depth: int, bound: Optional[Card]) -> str:
-    if isinstance(value, TERM_TYPES):
+    if isinstance(value, OrderTerm):
         ext = extend_order(value)
         comp = completeness_predicates(ext.term)
         records.extend([{"mu": str(ext.mu), "k1": str(ext.k1), "l1": str(ext.l1),
@@ -773,10 +765,10 @@ def _verify_records(term: OrderTerm, records, depth: int, bound: Optional[Card])
 # command -> (the definition types it reports on, the function that appends
 # one definition's records and returns its status)
 COMMANDS = {
-    "spectrum": (TERM_TYPES, _spectrum_records),
+    "spectrum": (OrderTerm, _spectrum_records),
     "classify": (STRUCTURE_TYPES, _classify_records),
-    "extend": (TERM_TYPES + STRUCTURE_TYPES, _extend_records),
-    "verify": (TERM_TYPES, _verify_records),
+    "extend": ((OrderTerm,) + STRUCTURE_TYPES, _extend_records),
+    "verify": (OrderTerm, _verify_records),
     "check-conditions": ((LexSchedule, LexRefined), _conditions_records),
 }
 

@@ -6,7 +6,11 @@ schedule-driven one and a refined one steered by a pair of maps on the
 regular cardinals).  Every analysis here is a fold over the term: cofinality
 and coinitiality, the Coin/Cofin sets, the full symbolic cut spectrum, the
 completeness predicates, and the extension recipe that produces an extremely
-symmetrically complete superorder.
+symmetrically complete superorder.  Coin/Cofin, the spectrum and the
+cardinality bound are facts kept on each node: one walker with an explicit
+stack computes each fact once per node, children first, and the children of
+a sum are its distinct parts.  So term depth is limited by memory, not by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,21 +32,53 @@ from .cardinals import (
     require_infinite_regular,
     succ,
 )
-from .errors import DomainError, NotDerivableError, SideConditionError
+from .errors import DomainError, NotDerivableError, OrderCutsError, SideConditionError
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Empty:
+class OrderTerm:
+    """The base of the term classes, frozen dataclasses whose fields may hold
+    terms.  A node keeps slots filled on first use (see `_fold`): its hash,
+    computed children first, a sum's distinct parts, and each of its facts.
+    `==` and `str` walk a term with a stack, so nothing here recurses once
+    per level of a deep term."""
+
+    def __str__(self) -> str:
+        return _render(self)
+
+    def __hash__(self) -> int:
+        return _fold(self, "_hash", _subterms, _hash_rule)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, OrderTerm):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Empty(OrderTerm):
     def __str__(self) -> str:
         return "empty"
 
 
-@dataclass(frozen=True)
-class FiniteChain:
+@dataclass(frozen=True, eq=False)
+class FiniteChain(OrderTerm):
     size: int
 
     def __post_init__(self):
@@ -53,8 +89,8 @@ class FiniteChain:
         return f"chain({self.size})"
 
 
-@dataclass(frozen=True)
-class WellOrder:
+@dataclass(frozen=True, eq=False)
+class WellOrder(OrderTerm):
     kappa: Card
 
     def __post_init__(self):
@@ -64,71 +100,28 @@ class WellOrder:
         return f"well({self.kappa})"
 
 
-@dataclass(frozen=True)
-class Rev:
-    inner: "OrderTerm"
-
-    def __str__(self) -> str:
-        return _render(self)
+@dataclass(frozen=True, eq=False)
+class Rev(OrderTerm):
+    inner: OrderTerm
 
 
-@dataclass(frozen=True)
-class Sum:
-    """A binary sum node.  Hashing and equality walk the tree with a stack,
-    so neither recurses once per part of a long sum.  The hash is computed
-    on first use, children first, and cached, so building a sum hashes
-    nothing."""
-
-    left: "OrderTerm"
-    right: "OrderTerm"
+@dataclass(frozen=True, eq=False)
+class Sum(OrderTerm):
+    left: OrderTerm
+    right: OrderTerm
 
     def __post_init__(self):
         if isinstance(self.left, Empty) or isinstance(self.right, Empty):
             raise DomainError("sum parts must be nonempty; use the sum_of factory")
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            pending, stack = [], [self]
-            while stack:
-                s = stack.pop()
-                if isinstance(s, Sum) and s._hash is None:
-                    pending.append(s)
-                    stack.append(s.left)
-                    stack.append(s.right)
-            for s in reversed(pending):
-                object.__setattr__(s, "_hash", hash((s.left, s.right)))
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, Sum):
-                if not isinstance(b, Sum) or hash(a) != hash(b):
-                    return False
-                stack.append((a.right, b.right))
-                stack.append((a.left, b.left))
-            elif a != b:
-                return False
-        return True
-
-    def __str__(self) -> str:
-        return _render(self)
 
 
-@dataclass(frozen=True)
-class Completion:
-    inner: "OrderTerm"
-
-    def __str__(self) -> str:
-        return _render(self)
+@dataclass(frozen=True, eq=False)
+class Completion(OrderTerm):
+    inner: OrderTerm
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(OrderTerm):
     """An opaque order with declared attributes; the analyzer never looks
     inside.  `cuts` may pin the full (finite) cut spectrum when it is known."""
 
@@ -210,8 +203,8 @@ class CardinalSchedule:
                 f"lsucc={_RULE_NAMES[self.lsucc]}; klim={self.klim}; llim={self.llim}")
 
 
-@dataclass(frozen=True)
-class LexSchedule:
+@dataclass(frozen=True, eq=False)
+class LexSchedule(OrderTerm):
     """Lexicographic product of I_0 = l0* + I^c + k0 and I_nu = l_nu* + k_nu
     over index set mu."""
 
@@ -219,7 +212,7 @@ class LexSchedule:
     k0: Card
     l0: Card
     schedule: CardinalSchedule
-    inner: "OrderTerm"
+    inner: OrderTerm
 
     def __str__(self) -> str:
         return (f"lexsched(mu={self.mu}; k0={self.k0}; l0={self.l0}; "
@@ -355,8 +348,8 @@ class PhiMap:
         return "[" + ", ".join(str(p) for p in self.pieces) + "]"
 
 
-@dataclass(frozen=True)
-class LexRefined:
+@dataclass(frozen=True, eq=False)
+class LexRefined(OrderTerm):
     """The refined lexicographic construction: coefficient sets steered by
     phil/phir applied to the local cofinality data."""
 
@@ -365,15 +358,11 @@ class LexRefined:
     l0: Card
     phil: PhiMap
     phir: PhiMap
-    inner: "OrderTerm"
+    inner: OrderTerm
 
     def __str__(self) -> str:
         return (f"lexref(mu={self.mu}; k0={self.k0}; l0={self.l0}; "
                 f"phil={self.phil}; phir={self.phir}; i={self.inner})")
-
-
-OrderTerm = Union[Empty, FiniteChain, WellOrder, Rev, Sum, Completion, Atom,
-                  LexSchedule, LexRefined]
 
 
 # -- smart constructors ------------------------------------------------------
@@ -413,11 +402,6 @@ def completion(t: OrderTerm) -> OrderTerm:
     return Completion(t)
 
 
-def _distinct_parts(t: OrderTerm):
-    """The distinct leaves of a sum tree, in order of first appearance."""
-    return dict.fromkeys(sum_parts(t))
-
-
 def sum_parts(t: OrderTerm):
     """The leaves of a sum tree, left to right; [t] for a non-sum."""
     out, stack = [], [t]
@@ -432,9 +416,8 @@ def sum_parts(t: OrderTerm):
 
 
 def _render(t: OrderTerm) -> str:
-    """The text of a term.  Nested sums, reversals and completions are
-    walked with a stack, so rendering a deep term does not recurse once per
-    level; other terms render themselves."""
+    """The text of a term: nested sums, reversals and completions are walked
+    with a stack, and other terms render themselves."""
     out, stack = [], [t]
     while stack:
         s = stack.pop()
@@ -454,23 +437,82 @@ def _render(t: OrderTerm) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Facts of terms: one post-order walker
+# ---------------------------------------------------------------------------
+
+def _fold(t: OrderTerm, key: str, children, rule):
+    """The slot `key` of t, filled first if empty.  A walk with an explicit
+    stack fills the empty slot of every node reached through `children`,
+    children first, so a rule reads its children's slots without recursing.
+    A rule that fails leaves its error in the slot, without the frames that
+    raised it."""
+    if not hasattr(t, key):
+        stack = [(t, False)]
+        while stack:
+            s, ready = stack.pop()
+            if hasattr(s, key):
+                continue
+            if not isinstance(s, OrderTerm):
+                raise DomainError(f"unknown term {s!r}")
+            if not ready:
+                stack.append((s, True))
+                stack.extend((c, False) for c in children(s) if not hasattr(c, key))
+                continue
+            try:
+                value = rule(s)
+            except OrderCutsError as exc:
+                value = exc.with_traceback(None)
+            object.__setattr__(s, key, value)
+    return getattr(t, key)
+
+
+def _ok(value):
+    """A fact, or its stored error raised without the old traceback, which
+    would otherwise grow on every read."""
+    if isinstance(value, OrderCutsError):
+        raise value.with_traceback(None)
+    return value
+
+
+def _subterms(t: OrderTerm):
+    return [v for v in map(t.__getattribute__, t.__match_args__)
+            if isinstance(v, OrderTerm)]
+
+
+def _hash_rule(t: OrderTerm) -> int:
+    # a frozen dataclass's hash: that of the tuple of its fields
+    return hash(tuple(map(t.__getattribute__, t.__match_args__)))
+
+
+def _summands(t: OrderTerm):
+    """The nodes whose facts a rule reads through the sum and reversal laws:
+    a sum's distinct parts, in order of first appearance and kept on the sum,
+    or a reversal's inner order.  So a flat sum is one step of a walk."""
+    if isinstance(t, Rev):
+        return (t.inner,)
+    if isinstance(t, Sum) and not hasattr(t, "_parts"):
+        object.__setattr__(t, "_parts", tuple(dict.fromkeys(sum_parts(t))))
+    return getattr(t, "_parts", ())
+
+
+def _summands_or_inner(t: OrderTerm):
+    """For Coin/Cofin, which also reads a completion's or a lexicographic
+    product's inner order."""
+    inner = getattr(t, "inner", None)
+    return _summands(t) if inner is None else (inner,)
+
+
+# ---------------------------------------------------------------------------
 # Regularity gate for the lexicographic constructions
 # ---------------------------------------------------------------------------
 
 def _lex_regularity_failures(t: OrderTerm):
-    bad = []
+    named = [("mu", t.mu), ("k0", t.k0), ("l0", t.l0)]
     if isinstance(t, LexSchedule):
-        named = [("mu", t.mu), ("k0", t.k0), ("l0", t.l0),
-                 ("k1", t.schedule.k1), ("l1", t.schedule.l1),
-                 ("klim", t.schedule.klim), ("llim", t.schedule.llim)]
-    elif isinstance(t, LexRefined):
-        named = [("mu", t.mu), ("k0", t.k0), ("l0", t.l0)]
-    else:
-        return bad
-    for name, value in named:
-        if not (value.is_infinite and is_regular(value)):
-            bad.append(f"{name}={value}")
-    return bad
+        s = t.schedule
+        named += [("k1", s.k1), ("l1", s.l1), ("klim", s.klim), ("llim", s.llim)]
+    return [f"{name}={value}" for name, value in named
+            if not (value.is_infinite and is_regular(value))]
 
 
 def _require_lex_regular(t: OrderTerm) -> None:
@@ -531,17 +573,20 @@ def _succ_chain_closure(base: OrdinalIndex, step: int) -> CardSet:
 def coin_cofin(t: OrderTerm) -> Tuple[CardSet, CardSet]:
     """(Coin, Cofin): the infinite coinitialities and cofinalities realized
     by subsets of the order."""
+    return _ok(_fold(t, "_coin_cofin", _summands_or_inner, _coin_cofin_rule))
+
+
+def _coin_cofin_rule(t: OrderTerm) -> Tuple[CardSet, CardSet]:
     if isinstance(t, (Empty, FiniteChain)):
         return CardSet.empty(), CardSet.empty()
     if isinstance(t, WellOrder):
-        cofin = CardSet.segment_below(t.kappa).union(CardSet.singleton(t.kappa))
-        return CardSet.empty(), cofin
+        return CardSet.empty(), CardSet.segment_below(succ(t.kappa))
     if isinstance(t, Rev):
         coin, cofin = coin_cofin(t.inner)
         return cofin, coin
     if isinstance(t, Sum):
         coin, cofin = CardSet.empty(), CardSet.empty()
-        for part in _distinct_parts(t):
+        for part in _summands(t):
             c, f = coin_cofin(part)
             coin, cofin = coin.union(c), cofin.union(f)
         return coin, cofin
@@ -549,31 +594,26 @@ def coin_cofin(t: OrderTerm) -> Tuple[CardSet, CardSet]:
         return coin_cofin(t.inner)
     if isinstance(t, Atom):
         return t.coin, t.cofin
-    if isinstance(t, LexSchedule):
-        _require_lex_regular(t)
-        coin_i, cofin_i = coin_cofin(t.inner)
-        s = t.schedule
-        mu_seg = CardSet.segment_below(t.mu).union(CardSet.singleton(t.mu))
-        coin = coin_i.union(CardSet.segment_below(t.l0)) \
-            .union(CardSet.singleton(t.l0)).union(mu_seg) \
-            .union(_succ_chain_closure(s.l1.index, s.lsucc))
-        cofin = cofin_i.union(CardSet.segment_below(t.k0)) \
-            .union(CardSet.singleton(t.k0)).union(mu_seg) \
-            .union(_succ_chain_closure(s.k1.index, s.ksucc))
-        if t.mu.is_uncountable:
-            coin = coin.union(_succ_chain_closure(s.llim.index, s.lsucc))
-            cofin = cofin.union(_succ_chain_closure(s.klim.index, s.ksucc))
-        return coin, cofin
+    # a lexicographic product
+    _require_lex_regular(t)
+    mu_seg = CardSet.segment_below(succ(t.mu))
     if isinstance(t, LexRefined):
-        _require_lex_regular(t)
         rl, rr = refined_rl_rr(t)
-        mu_seg = CardSet.segment_below(t.mu).union(CardSet.singleton(t.mu))
         coin = rr.union(t.phir.image_over(rl)).union(mu_seg) \
             .union(CardSet.singleton(t.l0))
         cofin = rl.union(t.phil.image_over(rr)).union(mu_seg) \
             .union(CardSet.singleton(t.k0))
         return coin, cofin
-    raise DomainError(f"unknown term {t!r}")
+    coin_i, cofin_i = coin_cofin(t.inner)
+    s = t.schedule
+    coin = coin_i.union(CardSet.segment_below(succ(t.l0))).union(mu_seg) \
+        .union(_succ_chain_closure(s.l1.index, s.lsucc))
+    cofin = cofin_i.union(CardSet.segment_below(succ(t.k0))).union(mu_seg) \
+        .union(_succ_chain_closure(s.k1.index, s.ksucc))
+    if t.mu.is_uncountable:
+        coin = coin.union(_succ_chain_closure(s.llim.index, s.lsucc))
+        cofin = cofin.union(_succ_chain_closure(s.klim.index, s.ksucc))
+    return coin, cofin
 
 
 def refined_rl_rr(t: LexRefined) -> Tuple[CardSet, CardSet]:
@@ -588,40 +628,55 @@ def refined_rl_rr(t: LexRefined) -> Tuple[CardSet, CardSet]:
 
 def card_bound(t: OrderTerm) -> Card:
     """A declared cardinality bound, where one is derivable."""
-    if isinstance(t, (Empty, FiniteChain)):
-        return ONE
-    if isinstance(t, WellOrder):
-        return t.kappa
+    return _ok(_cardinality(t)[0])
+
+
+def _cardinality(t: OrderTerm):
+    return _fold(t, "_cardinality", _summands, _cardinality_rule)
+
+
+def _cardinality_rule(t: OrderTerm):
+    """(card_bound, extension base) of t, each a Card or the error that
+    stops it.  They differ on a lexicographic product alone: it has no
+    bound, and the corollary conditions see all of it through Coin/Cofin,
+    so the sup of those and of its parameters is its base."""
     if isinstance(t, Rev):
-        return card_bound(t.inner)
+        return _cardinality(t.inner)
     if isinstance(t, Sum):
-        return card_max(*(card_bound(p) for p in _distinct_parts(t)))
+        return tuple(next((c for c in column if isinstance(c, OrderCutsError)), None)
+                     or card_max(*column)
+                     for column in zip(*map(_cardinality, _summands(t))))
+    if isinstance(t, (LexSchedule, LexRefined)):
+        try:
+            coin, cofin = coin_cofin(t)
+            base = card_max(coin.sup_card(), cofin.sup_card(), t.mu, t.k0, t.l0)
+        except OrderCutsError as exc:
+            base = exc
+        return NotDerivableError("no cardinality bound is derivable for "
+                                 "lexicographic products"), base
     if isinstance(t, Completion):
-        raise NotDerivableError("the cardinality of a completion is not determined by the inner order")
-    if isinstance(t, Atom):
-        if t.card_bound is None:
-            raise NotDerivableError(f"atom {t.name} has no declared cardinality bound")
-        return t.card_bound
-    raise NotDerivableError("no cardinality bound is derivable for lexicographic products")
+        bound = NotDerivableError("the cardinality of a completion is not determined by the inner order")
+    elif isinstance(t, Atom):
+        bound = t.card_bound if t.card_bound is not None else \
+            NotDerivableError(f"atom {t.name} has no declared cardinality bound")
+    else:
+        bound = t.kappa if isinstance(t, WellOrder) else ONE
+    return bound, bound
 
 
 # ---------------------------------------------------------------------------
 # Affine index chains: decision helpers for families indexed by n >= 0
 # ---------------------------------------------------------------------------
 
-def _chain_eq_exists(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int,
-                     n0: int = 0) -> bool:
-    """Does a + s*n = b + t*n hold for some n >= n0?"""
+def _chain_eq_exists(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int) -> bool:
+    """Does a + s*n = b + t*n hold for some n >= 0?"""
     if a.limit_part() != b.limit_part():
         return False
     fa, fb = a.finite_part(), b.finite_part()
     if s == t:
         return fa == fb
     num, den = fa - fb, t - s
-    if num % den:
-        return False
-    n = num // den
-    return n >= n0
+    return num % den == 0 and num // den >= 0
 
 
 def _chain_lt_exists(a: OrdinalIndex, s: int, b: OrdinalIndex, t: int) -> bool:
@@ -1041,12 +1096,10 @@ def _schedule_rows(t: LexSchedule):
 
 
 def _refined_rows(t: LexRefined):
+    for check in _refined_conditions(t)[:2]:    # the two range conditions
+        if not check.passed:
+            raise SideConditionError(check.name, check.detail)
     rl, rr = refined_rl_rr(t)
-    for phi, seg, target, name in ((t.phil, rr, rl, "phi-left-range"),
-                                   (t.phir, rl, rr, "phi-right-range")):
-        witness = phi.range_violation(seg, target)
-        if witness is not None:
-            raise SideConditionError(name, witness)
     return [
         ExplicitPairs((CofPair(ONE, t.mu), CofPair(t.mu, ONE)), principal=True),
         PhiFam(rl, t.phir),
@@ -1054,29 +1107,12 @@ def _refined_rows(t: LexRefined):
     ]
 
 
-def _sum_spectrum(t: Sum) -> CutSpectrum:
-    """The parts' spectra plus the boundary pair (cf(left), ci(right)) of
-    every sum node, normalized once.  The tree is walked in preorder (a
-    node's boundary, then its left, then its right), so the first error
-    raised is the one the recursive definition meets first; each distinct
-    leaf is analysed once."""
-    parts, seen, boundaries = [], set(), {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Sum):
-            boundaries[CofPair(cf(s.left), ci(s.right))] = None
-            stack.append(s.right)
-            stack.append(s.left)
-        elif s not in seen:
-            seen.add(s)
-            parts.extend(cut_spectrum(s).parts)
-    parts.extend(ExplicitPairs((b,), b.is_principal) for b in boundaries)
-    return CutSpectrum.of(parts)
-
-
 def cut_spectrum(t: OrderTerm) -> CutSpectrum:
     """The exact symbolic set of cut cofinality pairs of the order."""
+    return _ok(_fold(t, "_spectrum", _summands, _spectrum_rule))
+
+
+def _spectrum_rule(t: OrderTerm) -> CutSpectrum:
     if isinstance(t, Empty):
         return CutSpectrum.of(())
     if isinstance(t, FiniteChain):
@@ -1090,7 +1126,23 @@ def cut_spectrum(t: OrderTerm) -> CutSpectrum:
     if isinstance(t, Rev):
         return cut_spectrum(t.inner).mirrored()
     if isinstance(t, Sum):
-        return _sum_spectrum(t)
+        # the parts' spectra plus the boundary pair (cf(left), ci(right)) of
+        # every sum node, normalized once; the tree is walked in preorder (a
+        # node's boundary, then its left, then its right), so the first
+        # error raised is the one the recursive definition meets first
+        parts, seen, boundaries = [], set(), {}
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, Sum):
+                boundaries[CofPair(cf(s.left), ci(s.right))] = None
+                stack.append(s.right)
+                stack.append(s.left)
+            elif s not in seen:
+                seen.add(s)
+                parts.extend(cut_spectrum(s).parts)
+        parts.extend(ExplicitPairs((b,), b.is_principal) for b in boundaries)
+        return CutSpectrum.of(parts)
     if isinstance(t, Completion):
         raise NotDerivableError(
             "the cut spectrum of a free-standing completion is not derivable; "
@@ -1100,13 +1152,10 @@ def cut_spectrum(t: OrderTerm) -> CutSpectrum:
             raise NotDerivableError(
                 f"atom {t.name} does not declare its cut spectrum")
         return CutSpectrum.of(ExplicitPairs((p,), p.is_principal) for p in t.cuts)
+    _require_lex_regular(t)
     if isinstance(t, LexSchedule):
-        _require_lex_regular(t)
         return CutSpectrum.of(_schedule_rows(t))
-    if isinstance(t, LexRefined):
-        _require_lex_regular(t)
-        return CutSpectrum.of(_refined_rows(t))
-    raise DomainError(f"unknown term {t!r}")
+    return CutSpectrum.of(_refined_rows(t))
 
 
 # ---------------------------------------------------------------------------
@@ -1135,27 +1184,16 @@ def _schedule_conditions(t: LexSchedule):
     left0 = cofin_i.union(CardSet.segment_below(t.k0))
     a_ok = not right0.contains(s.k1) and not left0.contains(s.l1)
 
-    # "a + s*n >= b + t*n for every n" is "a + s*n < b + t*n for no n"
-    b_parts = [s.k1 >= t.l0 and s.l1 >= t.k0,
-               not _chain_lt_exists(s.k1.index.plus_nat(s.ksucc), s.ksucc,
-                                    s.l1.index, s.lsucc),
-               not _chain_lt_exists(s.l1.index.plus_nat(s.lsucc), s.lsucc,
-                                    s.k1.index, s.ksucc)]
-    if t.mu.is_uncountable:
-        b_parts.append(not _chain_lt_exists(s.klim.index.plus_nat(s.ksucc), s.ksucc,
-                                            s.llim.index, s.lsucc))
-        b_parts.append(not _chain_lt_exists(s.llim.index.plus_nat(s.lsucc), s.lsucc,
-                                            s.klim.index, s.ksucc))
-
-    c_ok = not _chain_eq_exists(s.k1.index, s.ksucc, s.l1.index, s.lsucc)
-    if t.mu.is_uncountable and c_ok:
-        c_ok = not _chain_eq_exists(s.klim.index.plus_nat(s.ksucc), s.ksucc,
-                                    s.llim.index.plus_nat(s.lsucc), s.lsucc)
-
+    # b and c: no chain segment, and no chain of pairs, of the spectrum's
+    # rows holds a symmetric pair
+    rows = _schedule_rows(t)
+    b_ok = s.k1 >= t.l0 and s.l1 >= t.k0 and not any(
+        r.has_symmetric() for r in rows if isinstance(r, ChainSeg))
+    c_ok = not any(r.has_symmetric() for r in rows if isinstance(r, ChainPairs))
     d_ok = (not t.mu.is_uncountable) or (s.klim >= t.mu and s.llim >= t.mu)
     return (_check("cond-a", a_ok, f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
                                    f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"),
-            _check("cond-b", all(b_parts),
+            _check("cond-b", b_ok,
                    "some kappa_{nu+1} < lambda_nu or lambda_{nu+1} < kappa_nu"),
             _check("cond-c", c_ok, "kappa_nu = lambda_nu at some successor nu"),
             _check("cond-d", d_ok, f"klim={s.klim}, llim={s.llim} below mu={t.mu}"))
@@ -1209,19 +1247,14 @@ def nonprincipal_cuts_all_asymmetric(spec: CutSpectrum) -> bool:
     return not any(p.has_infinite_symmetric() for p in spec.parts)
 
 
-def spectrum_completeness(spec: CutSpectrum, cf_t: Card, ci_t: Card) -> Completeness:
-    """The four completeness notions of an order with cut spectrum `spec`,
-    cofinality `cf_t` and coinitiality `ci_t`."""
+def completeness_predicates(t: OrderTerm) -> Completeness:
+    """The four completeness notions, decided from the cut spectrum."""
+    spec, cf_t, ci_t = cut_spectrum(t), cf(t), ci(t)
     symmetric = not spec.has_symmetric_pair()
     strong = not spec.has_not_strongly_asymmetric()
     extreme = strong and cf_t.is_uncountable and ci_t.is_uncountable
     spherical = not spec.has_nonprincipal_symmetric()
     return Completeness(symmetric, strong, extreme, spherical)
-
-
-def completeness_predicates(t: OrderTerm) -> Completeness:
-    """The four completeness notions, decided from the cut spectrum."""
-    return spectrum_completeness(cut_spectrum(t), cf(t), ci(t))
 
 
 # ---------------------------------------------------------------------------
@@ -1238,26 +1271,6 @@ class OrderExtension:
     note: str
 
 
-def _next_regular_above(c: Card) -> Card:
-    if not c.is_infinite:
-        return ALEPH0
-    return succ(c)
-
-
-def _extension_base(t: OrderTerm) -> Card:
-    """The cardinal the recipe's mu must exceed.  A declared cardinality
-    bound when derivable; lexicographic products expose everything the
-    corollary conditions inspect through Coin/Cofin, so their sup stands in."""
-    if isinstance(t, (LexSchedule, LexRefined)):
-        coin, cofin = coin_cofin(t)
-        return card_max(coin.sup_card(), cofin.sup_card(), t.mu, t.k0, t.l0)
-    if isinstance(t, Rev):
-        return _extension_base(t.inner)
-    if isinstance(t, Sum):
-        return card_max(*(_extension_base(p) for p in _distinct_parts(t)))
-    return card_bound(t)
-
-
 def extend_order(t: OrderTerm, k0: Card = aleph(1), l0: Card = aleph(1),
                  bound: Optional[Card] = None) -> OrderExtension:
     """Instantiate the recipe: mu above max(k0, l0, card bound), kappa_1 = mu,
@@ -1266,8 +1279,8 @@ def extend_order(t: OrderTerm, k0: Card = aleph(1), l0: Card = aleph(1),
     symmetrically complete."""
     require_infinite_regular(k0, "k0")
     require_infinite_regular(l0, "l0")
-    base = bound if bound is not None else _extension_base(t)
-    mu = _next_regular_above(card_max(k0, l0, base))
+    base = bound if bound is not None else _ok(_cardinality(t)[1])
+    mu = succ(card_max(k0, l0, base))
     sched = CardinalSchedule(k1=mu, l1=succ(mu), ksucc=RULE_DSUCC,
                              lsucc=RULE_DSUCC, klim=mu, llim=succ(mu))
     term = LexSchedule(mu=mu, k0=k0, l0=l0, schedule=sched, inner=t)

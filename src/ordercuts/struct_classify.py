@@ -388,38 +388,22 @@ def extend_group(g: GroupDescriptor, k0: Card = aleph(1), l0: Card = aleph(1),
     real components: the result is extremely symmetrically complete."""
     _require_nontrivial(g)
     ext = extend_order(g.value_set, k0, l0, bound)
-    out = GroupDescriptor(ext.term, UNIFORM_REALS, spherical=True,
-                          discrete=False, divisible=True)
-    return GroupExtension(out, ext)
+    return GroupExtension(_extended_group(ext), ext)
 
 
-def _divisible_hull(g: GroupDescriptor) -> GroupDescriptor:
-    """Descriptor-level divisible hull: same value set, integer components
-    fill up to dense divisible ones."""
-    base = g.components.base
-    top = g.components.top
-    if base == ComponentKind.INTEGERS:
-        base = ComponentKind.DENSE
-    if top == ComponentKind.INTEGERS:
-        top = ComponentKind.DENSE
-    return GroupDescriptor(g.value_set, ComponentAssignment(base, top),
-                           spherical=g.spherical, discrete=False, divisible=True)
+def _extended_group(ext: OrderExtension) -> GroupDescriptor:
+    return GroupDescriptor(ext.term, UNIFORM_REALS, spherical=True,
+                           discrete=False, divisible=True)
 
 
 def extend_field(k: FieldDescriptor, k0: Card = aleph(1), l0: Card = aleph(1),
                  bound: Optional[Card] = None) -> FieldExtension:
     """Pass to the real closure, embed it into a power series field over the
     extended value group, with real coefficients: extremely symmetrically
-    complete."""
-    vg = k.value_group
-    if vg.nontrivial:
-        hull = _divisible_hull(vg)
-        gext = extend_group(hull, k0, l0, bound)
-    else:
-        ext = extend_order(EMPTY, k0, l0, bound)
-        gext = GroupExtension(GroupDescriptor(ext.term, UNIFORM_REALS,
-                                              spherical=True, discrete=False,
-                                              divisible=True), ext)
-    out = FieldDescriptor(value_group=gext.descriptor, residue=Residue.REALS,
+    complete.  The real closure's value group is the divisible hull of the
+    value group, over the same value set, and only the value set is
+    extended."""
+    ext = extend_order(k.value_group.value_set, k0, l0, bound)
+    out = FieldDescriptor(value_group=_extended_group(ext), residue=Residue.REALS,
                           real_closed=True, spherical=True)
-    return FieldExtension(out, gext.recipe)
+    return FieldExtension(out, ext)

@@ -1,8 +1,22 @@
-"""Suite-wide Hypothesis profile: every property test draws the same
-examples on every run and replays no local example database, so a verdict
-never depends on an earlier run."""
+"""Suite-wide test settings: a Hypothesis profile under which every
+property test draws the same examples on every run and replays no local
+example database, so a verdict never depends on an earlier run; and a
+fixture that runs a test at Python's default recursion limit."""
 
+import sys
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -133,12 +133,31 @@ def test_rat_midpoint_is_exact(x, y, mid):
     (LexChain((INT,)), (1,)),
     (LexChain((RAT, INT)), (Fraction(1, 2), 3)),
     (LexChain((IntChain(0, 3), IntChain(0, 2))), (2, 1)),
+    pytest.param(RAT, 2, id="rat-2"),
+    pytest.param(RAT, Fraction(1, 3), id="rat-1/3"),
+    pytest.param(RevChain(RAT), 2, id="rev(rat)-2"),
+    pytest.param(SumChain(RAT, INT), (0, 1), id="sum(rat,int)-(0, 1)"),
 ], ids=str)
 def test_lex_between_a_point_and_itself_is_none(chain, x):
-    """Nothing lies strictly between a point and itself: a lex product says
-    None, as `IntChain` and `SumChain` do, instead of running past its last
-    factor into an IndexError."""
+    """Nothing lies strictly between a point and itself: every chain says
+    None, a lex product instead of running past its last factor into an
+    IndexError, and the rationals instead of returning the point."""
     assert chain.between(x, x) is None
+
+
+def test_lex_check_rewrites_only_through_a_rat_factor():
+    """A lex point is rebuilt only when some factor stores its points in
+    another form: over int factors `check` returns the point itself, and a
+    rat factor, also inside a nested product, makes its coordinates
+    canonical."""
+    p = (3, -4)
+    assert LexChain((INT, INT)).check(p) is p
+    stored = LexChain((RAT, INT)).check((Fraction(2), 1))
+    assert stored == (2, 1) and type(stored[0]) is int
+    nested = LexChain((INT, LexChain((RAT,)))).check((1, (Fraction(2),)))
+    assert nested == (1, (2,)) and type(nested[1][0]) is int
+    with pytest.raises(DomainError, match="not a point"):
+        LexChain((INT, INT)).check((1, Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Order-term attributes: cf/ci, Coin/Cofin, cut spectra, side conditions,
 completeness predicates, and the extension recipe."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordercuts import order_terms
 from ordercuts.cardinals import (
     CardSet,
     CofPair,
@@ -38,6 +37,7 @@ from ordercuts.order_terms import (
     RULE_DSUCC,
     RULE_ID,
     Sum,
+    card_bound,
     cf,
     chain,
     check_side_conditions,
@@ -51,6 +51,12 @@ from ordercuts.order_terms import (
     sum_of,
     sum_parts,
     well,
+)
+from ordercuts.struct_classify import (
+    ComponentAssignment,
+    ComponentKind,
+    GroupDescriptor,
+    classify_group,
 )
 
 
@@ -558,16 +564,6 @@ def cycled(n):
     return [CYCLE[i % len(CYCLE)] for i in range(n)]
 
 
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestDeepSums:
     """Long sums fold without recursing once per part.  Every adjacent pair
@@ -686,3 +682,72 @@ class TestSumFoldCounts:
         t = sum_of(*(parts[i % len(parts)] for i in range(400)))
         alone = sum(self.count(of_calls, p) for p in parts)
         assert self.count(of_calls, t) <= alone + 1
+
+
+def rev_nest(depth):
+    """sum(well(aleph(0)), rev(...)) nested `depth` times around
+    well(aleph(0)), each level built afresh."""
+    t = well(A0)
+    for _ in range(depth):
+        t = sum_of(well(A0), rev(t))
+    return t
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+def test_term_depth_is_limited_by_memory():
+    """Hashing, equality, rendering and every fact return on a 10,000-level
+    nest at Python's default recursion limit.  The spectrum is stable from
+    depth 3, so each fact equals that of the depth-8 nest."""
+    deep, again, small = rev_nest(10_000), rev_nest(10_000), rev_nest(8)
+    assert hash(deep) == hash(again) and deep == again and deep != small
+    assert str(deep) == "sum(well(aleph(0)), rev(" * 10_000 + "well(aleph(0))" \
+        + "))" * 10_000
+    for fact in (cf, ci, coin_cofin, cut_spectrum, card_bound, completeness_predicates,
+                 lambda t: extend_order(t).base):
+        assert fact(deep) == fact(small)
+
+
+class TestFactCounts:
+    """Each fact's rule runs once per distinct node it is asked of, however
+    many public calls read it."""
+
+    RULES = ("_coin_cofin_rule", "_spectrum_rule", "_cardinality_rule")
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = {}
+        for name in self.RULES:
+            def counting(t, rule=getattr(order_terms, name), seen=runs.setdefault(name, [])):
+                seen.append(t)
+                return rule(t)
+            monkeypatch.setattr(order_terms, name, counting)
+        return runs
+
+    def test_once_per_distinct_node(self, runs):
+        omega, two, back = well(A0), chain(2), rev(well(A0))
+        inner = sum_of(omega, two, well(A0), back)
+        mirror, lex = rev(inner), recipe(A2, A1, A1, inner)
+        t = sum_of(inner, mirror, lex, chain(2))
+        for _ in range(3):
+            coin_cofin(t)
+            completeness_predicates(t)
+            extend_order(t)
+            with pytest.raises(NotDerivableError, match="lexicographic"):
+                card_bound(t)
+        # equal parts of one sum are one part, and the sum nodes inside a
+        # flat sum have no facts of their own; terms are not interned, so
+        # the well order inside `back` is a node of its own
+        nodes = sorted(map(id, [t, inner, mirror, lex, omega, two, back, back.inner]))
+        for name in self.RULES:
+            assert sorted(map(id, runs[name])) == nodes, name
+
+    def test_classify_group_folds_its_value_set_once(self, runs):
+        vset = sum_of(rev(well(A0)), well(A1), chain(1))
+        g = GroupDescriptor(vset, ComponentAssignment(ComponentKind.REALS,
+                                                      ComponentKind.INTEGERS),
+                            spherical=True, discrete=True)
+        first = classify_group(g)
+        assert classify_group(g) == first
+        spectra = runs["_spectrum_rule"]
+        assert sum(node is vset for node in spectra) == 1
+        assert len(set(map(id, spectra))) == len(spectra)

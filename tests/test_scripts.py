@@ -80,6 +80,16 @@ assert tracer.sampled
 for chain, samples in tracer.sampled:
     reached, parts = tracing.part_coverage(chain, samples)
     assert 1 <= reached <= parts, (chain, reached, parts)
+first = len(tracer.span_name)
+groups = cli.parse_definitions(
+    "let W0 = well(aleph(0))\\nlet G = group(vset=sum(rev(W0), W0); spherical=true)\\n")
+report = cli.run(groups, "extend")
+assert [item.status for item in report.items] == ["ok", "ok"], report
+report = cli.run(groups, "classify")
+assert [item.status for item in report.items] == ["ok"], report
+spans = {tracer.names[i] for i in tracer.span_name[first:]}
+assert {"order_terms.coin_cofin", "order_terms.cut_spectrum",
+        "struct_classify.classify_group"} <= spans, spans
 tracer.uninstall()
 assert hc.HahnElement.make is make
 """
@@ -88,6 +98,7 @@ assert hc.HahnElement.make is make
 def test_benchmark_tracer_resolves_library_names():
     """perfbench/tracing.py patches library names from outside: every name
     it resolves must exist, the oracle's spans and chain compares must show
-    under `verify`, and uninstall must put the originals back."""
+    under `verify`, the symbolic layer's fact and classifier spans under
+    `extend` and `classify`, and uninstall must put the originals back."""
     proc = run_python("-c", BENCH_TRACER, str(ROOT / "perfbench"))
     assert proc.returncode == 0, proc.stderr
