@@ -240,7 +240,7 @@ class Parser:
         if tok.kind == "int":
             self.fail("a bare number is not an expression")
         if tok.text in self.TERM_HEADS:
-            return self.parse_term()
+            return self.parse_term_ref()
         if tok.text == "group":
             return self.parse_group()
         if tok.text == "field":
@@ -318,51 +318,54 @@ class Parser:
     # -- order terms -------------------------------------------------------------
 
     def parse_term_ref(self) -> OrderTerm:
-        tok = self.peek()
-        if tok.text in self.TERM_HEADS:
-            return self.parse_term()
-        if tok.kind == "name":
-            value = self.lookup(self.next())
-            if not isinstance(value, OrderTerm):
-                raise ParseError(f"{tok.text} is not an order term", tok.line, tok.col)
-            return value
-        self.fail("expected an order term")
-
-    def parse_term(self) -> OrderTerm:
-        tok = self.next()
-        head = tok.text
-        if head == "empty":
-            return EMPTY
-        if head == "chain":
-            self.expect("(")
-            size = self.expect_int("chain needs a size")
-            self.expect(")")
-            return chain(size)
-        if head == "well":
-            self.expect("(")
-            k = self.parse_cardinal()
-            self.expect(")")
-            return well(k)
-        if head in ("rev", "comp"):
-            self.expect("(")
-            inner = self.parse_term_ref()
-            self.expect(")")
-            return rev(inner) if head == "rev" else completion(inner)
-        if head == "sum":
-            # an inline loop: a list helper would cost a frame per nesting level
-            self.expect("(")
-            parts = [self.parse_term_ref()]
-            while self.accept(","):
-                parts.append(self.parse_term_ref())
-            self.expect(")")
-            return sum_of(*parts)
-        if head == "atom":
-            return self.parse_atom()
-        if head == "lexsched":
-            return self.parse_lexsched()
-        if head == "lexref":
-            return self.parse_lexref()
-        raise ParseError(f"unknown term head {head!r}", tok.line, tok.col)
+        """An order term or the name of one.  Open `rev(`, `comp(` and `sum(`
+        frames wait on a stack, each with the parts read so far, so their
+        nesting costs no Python frames."""
+        frames: List[Tuple[str, List[OrderTerm]]] = []
+        while True:
+            tok = self.peek()
+            head = tok.text
+            if head not in self.TERM_HEADS and tok.kind != "name":
+                self.fail("expected an order term")
+            self.pos += 1
+            if head in ("rev", "comp", "sum"):
+                self.expect("(")
+                frames.append((head, []))
+                continue
+            if head == "empty":
+                value = EMPTY
+            elif head == "chain":
+                self.expect("(")
+                size = self.expect_int("chain needs a size")
+                self.expect(")")
+                value = chain(size)
+            elif head == "well":
+                self.expect("(")
+                k = self.parse_cardinal()
+                self.expect(")")
+                value = well(k)
+            elif head == "atom":
+                value = self.parse_atom()
+            elif head == "lexsched":
+                value = self.parse_lexsched()
+            elif head == "lexref":
+                value = self.parse_lexref()
+            else:
+                value = self.lookup(tok)
+                if not isinstance(value, OrderTerm):
+                    raise ParseError(f"{head} is not an order term", tok.line, tok.col)
+            # close every frame that this value completes
+            while frames:
+                head, parts = frames[-1]
+                parts.append(value)
+                if head == "sum" and self.accept(","):
+                    break
+                self.expect(")")
+                frames.pop()
+                value = rev(value) if head == "rev" else \
+                    completion(value) if head == "comp" else sum_of(*parts)
+            else:
+                return value
 
     def parse_atom(self) -> Atom:
         self.expect("(")

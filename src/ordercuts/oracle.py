@@ -10,6 +10,10 @@ chain's cofinal end through the same ladder walker.  The irrational gap of
 the rationals is witnessed by the alternate Pell convergents of sqrt 2.
 Sampled cut generation hunts for pairs the symbolic claim would have missed.
 
+One stack walk over a term builds its chain with the reversals pushed down
+to the leaves, so a term with several leaves is one flat `SumChain` of leaf
+chains, and names and keys its witnesses: term depth is limited by memory.
+
 Inside one part of a sum chain, comparison and betweenness are the part's
 own, so a report walks each distinct part witness, each distinct pair of
 adjacent parts and each distinct in-part descent once: its cost grows with
@@ -37,7 +41,6 @@ from .order_terms import (
     cf,
     ci,
     cut_spectrum,
-    sum_parts,
 )
 
 PROBE_PULLS = 8
@@ -172,32 +175,7 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
 
 
 # ---------------------------------------------------------------------------
-# Concretization of the countable term fragment
-# ---------------------------------------------------------------------------
-
-RAT_ATOM_NAMES = ("rat", "q", "rationals")
-
-
-def concretize(t: OrderTerm) -> ConcreteChain:
-    if isinstance(t, FiniteChain):
-        return IntChain(0, t.size)
-    if isinstance(t, WellOrder):
-        if t.kappa != ALEPH0:
-            raise DomainError(f"{t} is uncountable; only well(aleph(0)) concretizes")
-        return IntChain(0)
-    if isinstance(t, Rev):
-        return RevChain(concretize(t.inner))
-    if isinstance(t, Sum):
-        return SumChain(*(concretize(p) for p in sum_parts(t)))
-    if isinstance(t, Atom):
-        if t.name.lower() in RAT_ATOM_NAMES:
-            return RatChain()
-        raise DomainError(f"atom {t.name} has no concrete model")
-    raise DomainError(f"{t} is not in the concretizable countable fragment")
-
-
-# ---------------------------------------------------------------------------
-# Witness construction following the proofs' ladder recipes
+# Witness recipes of the leaves, following the proofs' ladders
 # ---------------------------------------------------------------------------
 
 def _pell(p: int, q: int):
@@ -221,89 +199,125 @@ def _sqrt2_upper():
 def _rat_witnesses():
     zero = Fraction(0)
     return [
-        (CofPair(ONE, ALEPH0),
-         CutWitness("rat-principal-above-0", WitnessSide.at(zero),
-                    WitnessSide.via(lambda: (Fraction(1, 2 ** n)
-                                             for n in itertools.count(0))),
-                    CofPair(ONE, ALEPH0))),
-        (CofPair(ALEPH0, ONE),
-         CutWitness("rat-principal-below-0",
-                    WitnessSide.via(lambda: (Fraction(-1, 2 ** n)
-                                             for n in itertools.count(0))),
-                    WitnessSide.at(zero), CofPair(ALEPH0, ONE))),
-        (CofPair(ALEPH0, ALEPH0),
-         CutWitness("rat-sqrt2-gap", WitnessSide.via(_sqrt2_lower),
-                    WitnessSide.via(_sqrt2_upper), CofPair(ALEPH0, ALEPH0))),
+        CutWitness("rat-principal-above-0", WitnessSide.at(zero),
+                   WitnessSide.via(lambda: (Fraction(1, 2 ** n) for n in itertools.count(0))),
+                   CofPair(ONE, ALEPH0)),
+        CutWitness("rat-principal-below-0",
+                   WitnessSide.via(lambda: (Fraction(-1, 2 ** n) for n in itertools.count(0))),
+                   WitnessSide.at(zero), CofPair(ALEPH0, ONE)),
+        CutWitness("rat-sqrt2-gap", WitnessSide.via(_sqrt2_lower),
+                   WitnessSide.via(_sqrt2_upper), CofPair(ALEPH0, ALEPH0)),
     ]
+
+
+def _step(name: str) -> CutWitness:
+    return CutWitness(name, WitnessSide.at(0), WitnessSide.at(1), CofPair(ONE, ONE))
+
+
+RAT_ATOM_NAMES = ("rat", "q", "rationals")
+
+
+def _leaf(t: OrderTerm):
+    """The chain of a term that is neither a sum nor a reversal, and its
+    witnesses: extremal neighbours inside discrete pieces, Pell ladders of
+    sqrt 2 at the irrational gap of the rationals."""
+    if isinstance(t, FiniteChain):
+        return IntChain(0, t.size), [_step("finite-step")] if t.size > 1 else []
+    if isinstance(t, WellOrder):
+        if t.kappa != ALEPH0:
+            raise DomainError(f"{t} is uncountable; only well(aleph(0)) concretizes")
+        return IntChain(0), [_step("well-step")]
+    if isinstance(t, Atom):
+        if t.name.lower() in RAT_ATOM_NAMES:
+            return RatChain(), _rat_witnesses()
+        raise DomainError(f"atom {t.name} has no concrete model")
+    raise DomainError(f"{t} is not in the concretizable countable fragment")
+
+
+# ---------------------------------------------------------------------------
+# Concretization of the countable term fragment: one flat chain of leaves
+# ---------------------------------------------------------------------------
+
+def _leaf_counts(t: OrderTerm) -> dict:
+    """The number of leaves under each sum and reversal node of t, by id."""
+    nodes, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        kids = (s.left, s.right) if isinstance(s, Sum) else \
+            (s.inner,) if isinstance(s, Rev) else ()
+        if kids:
+            nodes.append((s, kids))
+            stack += kids
+    counts = {}
+    for s, kids in reversed(nodes):     # children before their parents
+        counts[id(s)] = sum(counts.get(id(k), 1) for k in kids)
+    return counts
+
+
+def _flatten(t: OrderTerm):
+    """The chain of t and its (pair, witness, key) rows, from one walk.
+
+    rev(a + b) is rev(b) + rev(a), so a node covers a block of flat parts
+    that runs backwards under an odd number of reversals, and a sum splits
+    its block by the leaf count of its left side.  Rows follow the term: a
+    sum's left side, its right side, then its boundary, each named by its
+    path, as `right:rev(left:finite-step)`.  Witnesses with one key have one
+    verdict at a given depth: a part witness is keyed by its part and
+    untagged name, a boundary by its two adjacent parts and its claim.  Each
+    distinct leaf is concretized once, in term order, so the first leaf
+    outside the fragment raises."""
+    counts = _leaf_counts(t)
+    n = counts.get(id(t), 1)
+    parts, rows, leaves = [None] * n, [], {}
+    stack = [(False, t, 0, n, False, "", "")]
+    while stack:
+        boundary, s, lo, hi, back, prefix, suffix = stack.pop()
+        if boundary:
+            # the cut between parts lo - 1 and lo
+            claim = CofPair(cf(s.left), ci(s.right))
+            claim = claim.mirrored() if back else claim
+            below, above = parts[lo - 1], parts[lo]
+            rows.append((claim, CutWitness(prefix + "sum-boundary" + suffix,
+                                           below.cofinal().in_part(lo - 1),
+                                           above.coinitial().in_part(lo), claim),
+                         (below, above, claim)))
+        elif isinstance(s, Sum):
+            size = counts.get(id(s.left), 1)
+            cut = hi - size if back else lo + size
+            left, right = ((cut, hi), (lo, cut)) if back else ((lo, cut), (cut, hi))
+            stack += [(True, s, cut, cut, back, prefix, suffix),
+                      (False, s.right, *right, back, prefix + "right:", suffix),
+                      (False, s.left, *left, back, prefix + "left:", suffix)]
+        elif isinstance(s, Rev):
+            stack.append((False, s.inner, lo, hi, not back, prefix + "rev(", ")" + suffix))
+        else:
+            if s not in leaves:
+                # the part and its witnesses upright, then reversed
+                chain, wits = _leaf(s)
+                leaves[s] = ((chain, wits), (RevChain(chain), [
+                    CutWitness(w.name, w.upper, w.lower, w.claim.mirrored()) for w in wits]))
+            part, wits = leaves[s][back]
+            parts[lo] = part
+            for w in wits:
+                lower, upper = (w.lower.in_part(lo), w.upper.in_part(lo)) if n > 1 \
+                    else (w.lower, w.upper)
+                rows.append((w.claim, CutWitness(prefix + w.name + suffix, lower, upper,
+                                                 w.claim), (part, w.name)))
+    return (parts[0] if n == 1 else SumChain(*parts)), rows
+
+
+def concretize(t: OrderTerm) -> ConcreteChain:
+    """The chain of t: the one leaf's chain, reversed when the leaf is under
+    an odd number of reversals, or one flat `SumChain` of such parts."""
+    return _flatten(t)[0]
 
 
 def term_witnesses(t: OrderTerm):
     """(pair, witness) list covering every claimed pair of the countable
-    fragment: extremal neighbours inside discrete pieces, cofinal and
-    coinitial ladders at sum boundaries, Pell ladders of sqrt 2 at the
-    irrational gap of the rationals.  Witnesses of a sum address the flat
-    parts of `concretize(t)` and are named by their path in the binary
-    `Sum` tree."""
-    return [(pair, w) for pair, w, _ in _keyed_witnesses(t)]
-
-
-def _keyed_witnesses(t: OrderTerm) -> list:
-    """`term_witnesses(t)` as (pair, witness, key) triples.  Witnesses with
-    one key have one verdict on `concretize(t)` at a given depth."""
-    if isinstance(t, Sum):
-        return _sum_witnesses(t, concretize(t).parts)
-    if isinstance(t, Rev):
-        return [(pair.mirrored(),
-                 CutWitness(f"rev({w.name})", w.upper, w.lower, pair.mirrored()), key)
-                for pair, w, key in _keyed_witnesses(t.inner)]
-    if isinstance(t, FiniteChain):
-        leaf = [] if t.size < 2 else \
-            [(CofPair(ONE, ONE), CutWitness("finite-step", WitnessSide.at(0),
-                                            WitnessSide.at(1), CofPair(ONE, ONE)))]
-    elif isinstance(t, WellOrder):
-        leaf = [(CofPair(ONE, ONE), CutWitness("well-step", WitnessSide.at(0),
-                                               WitnessSide.at(1), CofPair(ONE, ONE)))]
-    elif isinstance(t, Atom) and t.name.lower() in RAT_ATOM_NAMES:
-        leaf = _rat_witnesses()
-    else:
-        raise DomainError(f"no witness recipe for {t}")
-    return [(pair, w, w.name) for pair, w in leaf]
-
-
-def _sum_witnesses(t: Sum, parts) -> list:
-    """(pair, witness, key) for the sum t over its flat parts `parts`, in
-    the order of the recursive definition: a node's left side, its right
-    side, then its boundary.  Witnesses with one key have one verdict at a
-    given depth: a part witness is keyed by its leaf term and untagged name,
-    a boundary by the two adjacent parts and its claim.  The tree is walked
-    with an explicit stack, so a long sum does not recurse once per part.
-    `n` is the flat index of the next part and `joints` holds the index
-    where each open node's right side starts."""
-    out, joints, n = [], [], 0
-    stack = [("side", t, "")]
-    while stack:
-        step, s, prefix = stack.pop()
-        if step == "joint":
-            joints.append(n)
-        elif step == "boundary":
-            joint = joints.pop()
-            boundary = CofPair(cf(s.left), ci(s.right))
-            out.append((boundary,
-                        CutWitness(prefix + "sum-boundary",
-                                   parts[joint - 1].cofinal().in_part(joint - 1),
-                                   parts[joint].coinitial().in_part(joint),
-                                   boundary),
-                        (parts[joint - 1], parts[joint], boundary)))
-        elif isinstance(s, Sum):
-            stack += [("boundary", s, prefix), ("side", s.right, prefix + "right:"),
-                      ("joint", s, prefix), ("side", s.left, prefix + "left:")]
-        else:
-            for pair, w in term_witnesses(s):
-                out.append((pair, CutWitness(prefix + w.name, w.lower.in_part(n),
-                                             w.upper.in_part(n), pair),
-                            (s, w.name)))
-            n += 1
-    return out
+    fragment: the leaves' own witnesses, and cofinal and coinitial ladders at
+    sum boundaries.  Witnesses address the parts of `concretize(t)` and are
+    named by their path in the term."""
+    return [(pair, w) for pair, w, _ in _flatten(t)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +352,22 @@ def derive_ci(chain: ConcreteChain, depth: int = 100) -> Card:
 
 
 def sample_cuts(chain: ConcreteChain, depth: int = 100,
-                samples: int = 60) -> frozenset:
-    """Cofinality pairs of sampled cuts: principal cuts at enumerated
-    elements plus the nonprincipal boundary cuts at sum joints.  A flat sum
-    draws at least one sample per part, so every part is reached."""
+                 samples: int = 60) -> frozenset:
+    """Cofinality pairs of sampled cuts on a chain that `concretize` builds:
+    principal cuts at enumerated elements plus the nonprincipal boundary
+    cuts between adjacent parts of a flat sum.  A flat sum draws at least
+    one sample per part, so every part is reached."""
     _check_depth(depth)
     _check_count(samples, 0, "sample count")
-    flat = chain
-    while isinstance(flat, RevChain):
-        flat = flat.inner
-    parts = flat.parts if isinstance(flat, SumChain) else None
-    if parts is not None:
-        samples = max(samples, len(parts))
+    parts = chain.parts if isinstance(chain, SumChain) else ()
+    samples = max(samples, len(parts))
     mirror = RevChain(chain)
     descents = {}
 
     def descend(walk: ConcreteChain, x, start) -> Card:
         # a descent from a start in x's own part only meets that part, and
         # the sum's parts repeat: walk each (part, x, start, direction) once
-        if parts is None or start[0] != x[0]:
+        if not parts or start[0] != x[0]:
             return _descend_to(walk, x, start, depth)
         key = (parts[x[0]], x[1], start[1], walk is mirror)
         tag = descents.get(key)
@@ -372,23 +383,10 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
         d0 = chain.below(x)
         if d0 is not None:
             pairs.add(CofPair(descend(mirror, x, d0), ONE))
-    pairs.update(_joint_pairs(chain, depth))
-    return frozenset(pairs)
-
-
-def _joint_pairs(chain: ConcreteChain, depth: int) -> frozenset:
-    pairs = set()
-    if isinstance(chain, SumChain):
-        # a sum repeats a few part kinds: walk each distinct part's ladders once
-        distinct = set(chain.parts)
-        cf_tag = {p: derive_cf(p, depth) for p in distinct}
-        ci_tag = {p: derive_ci(p, depth) for p in distinct}
-        for left, right in zip(chain.parts, chain.parts[1:]):
-            pairs.add(CofPair(cf_tag[left], ci_tag[right]))
-        for part in distinct:
-            pairs.update(_joint_pairs(part, depth))
-    elif isinstance(chain, RevChain):
-        pairs.update(p.mirrored() for p in _joint_pairs(chain.inner, depth))
+    # a sum repeats a few part kinds: walk each distinct part's ladders once
+    cf_tag = {p: derive_cf(p, depth) for p in set(parts)}
+    ci_tag = {p: derive_ci(p, depth) for p in cf_tag}
+    pairs.update(CofPair(cf_tag[a], ci_tag[b]) for a, b in zip(parts, parts[1:]))
     return frozenset(pairs)
 
 
@@ -438,12 +436,12 @@ def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     share a passing verdict; a failure is walked again at each occurrence,
     because its reason names a probe of its own part."""
     _check_depth(depth)
-    chain = concretize(t)
+    chain, witnesses = _flatten(t)
     claimed = cut_spectrum(t).pairs_below(ALEPH1)
     rows = []
     passed = set()
     verdicts = {}
-    for pair, witness, key in _keyed_witnesses(t):
+    for pair, witness, key in witnesses:
         result = verdicts.get(key)
         if result is None:
             result = verify_witness(chain, witness, depth)

@@ -43,10 +43,13 @@ class OrderTerm:
     """The base of the term classes, frozen dataclasses whose fields may hold
     terms.  A node keeps slots filled on first use (see `_fold`): its hash,
     computed children first, a sum's distinct parts, and each of its facts.
-    `==` and `str` walk a term with a stack, so nothing here recurses once
-    per level of a deep term."""
+    `==`, `str` and `repr` walk a term with a stack, so nothing here
+    recurses once per level of a deep term; `repr` is the term's text."""
 
     def __str__(self) -> str:
+        return _render(self)
+
+    def __repr__(self) -> str:
         return _render(self)
 
     def __hash__(self) -> int:
@@ -71,13 +74,13 @@ class OrderTerm:
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Empty(OrderTerm):
     def __str__(self) -> str:
         return "empty"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteChain(OrderTerm):
     size: int
 
@@ -89,7 +92,7 @@ class FiniteChain(OrderTerm):
         return f"chain({self.size})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class WellOrder(OrderTerm):
     kappa: Card
 
@@ -100,12 +103,12 @@ class WellOrder(OrderTerm):
         return f"well({self.kappa})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Rev(OrderTerm):
     inner: OrderTerm
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(OrderTerm):
     left: OrderTerm
     right: OrderTerm
@@ -115,12 +118,12 @@ class Sum(OrderTerm):
             raise DomainError("sum parts must be nonempty; use the sum_of factory")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Completion(OrderTerm):
     inner: OrderTerm
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(OrderTerm):
     """An opaque order with declared attributes; the analyzer never looks
     inside.  `cuts` may pin the full (finite) cut spectrum when it is known."""
@@ -203,7 +206,7 @@ class CardinalSchedule:
                 f"lsucc={_RULE_NAMES[self.lsucc]}; klim={self.klim}; llim={self.llim}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class LexSchedule(OrderTerm):
     """Lexicographic product of I_0 = l0* + I^c + k0 and I_nu = l_nu* + k_nu
     over index set mu."""
@@ -348,7 +351,7 @@ class PhiMap:
         return "[" + ", ".join(str(p) for p in self.pieces) + "]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class LexRefined(OrderTerm):
     """The refined lexicographic construction: coefficient sets steered by
     phil/phir applied to the local cofinality data."""
@@ -431,6 +434,8 @@ def _render(t: OrderTerm) -> str:
             stack += reversed(seq)
         elif isinstance(s, (Rev, Completion)):
             stack += [")", s.inner, "rev(" if isinstance(s, Rev) else "comp("]
+        elif type(s).__str__ is OrderTerm.__str__:
+            out.append(f"<{type(s).__name__}>")     # a class with no text of its own
         else:
             out.append(str(s))
     return "".join(out)

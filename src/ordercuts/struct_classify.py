@@ -270,23 +270,30 @@ def _quotient_mod_z(g: GroupDescriptor) -> Optional[GroupDescriptor]:
 
 def _minus_end(t: OrderTerm, top: bool) -> OrderTerm:
     """t without its largest element when `top`, else without its least.
-    On a sum only the part at that end is rewritten; the other children
-    along that spine are kept as they are."""
-    others = []
-    while isinstance(t, Sum):
-        others.append(t.left if top else t.right)
-        t = t.right if top else t.left
+    A loop steps through the sums and reversals on the way to that end,
+    keeping what it passed on a stack; only the leaf at the end is
+    rewritten, and the other children along the way are kept as they are."""
+    passed = []
+    while isinstance(t, (Sum, Rev)):
+        if isinstance(t, Rev):
+            passed.append(None)
+            t, top = t.inner, not top
+        else:
+            passed.append((t.left if top else t.right, top))
+            t = t.right if top else t.left
     if isinstance(t, FiniteChain):
         out = chain(t.size - 1)
     elif isinstance(t, WellOrder) and not top:
         out = t
-    elif isinstance(t, Rev):
-        out = rev(_minus_end(t.inner, not top))
     else:
         end = "largest" if top else "least"
         raise NotDerivableError(f"cannot remove the {end} element of {t}")
-    for other in reversed(others):
-        out = sum_of(other, out) if top else sum_of(out, other)
+    for step in reversed(passed):
+        if step is None:
+            out = rev(out)
+        else:
+            other, side_top = step
+            out = sum_of(other, out) if side_top else sum_of(out, other)
     return out
 
 

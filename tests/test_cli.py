@@ -460,13 +460,31 @@ class TestInputErrors:
         assert "--bound" in err
         assert "Traceback" not in err
 
+    LEXSCHED_I = ("lexsched(mu=aleph(1); k0=aleph(1); l0=aleph(1); k1=aleph(1); "
+                  "l1=aleph(1); i=")
+
+    @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize("head,tail,depth", [
         ("rev(", ")", 1000),
         ("rev(", ")", 3000),
         ("sum(chain(1), rev(", "))", 300),
+        (LEXSCHED_I, ")", 1000),
     ])
     def test_deep_nesting_located(self, tmp_path, head, tail, depth):
-        text = "let T = " + head * depth + "well(aleph(0))" + tail * depth + "\n"
+        """`rev`, `comp` and `sum` nest to any depth: the parser keeps their
+        open frames on a stack.  A construct it still reads by recursion, as
+        the inner order of `lexsched`, stops at Python's limit with a located
+        message and no traceback."""
+        body = head * depth + "well(aleph(0))" + tail * depth
+        text = f"let T = {body}\n"
+        if head != self.LEXSCHED_I:
+            ((_, term),) = parse_definitions(text)
+            # an even number of reversals cancels
+            assert str(term) == ("well(aleph(0))" if head == "rev(" else body)
+            code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+            assert (code, err) == (0, "")
+            assert out == invoke_on(tmp_path, f"let T = {term}\n", "--cmd", "spectrum")[1]
+            return
         with pytest.raises(ParseError) as exc:
             parse_definitions(text)
         line, col = exc.value.line, exc.value.column
@@ -476,6 +494,33 @@ class TestInputErrors:
         assert out == ""
         assert re.search(r"line 1, col \d+: definition nested too deeply", err)
         assert "Traceback" not in err
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_every_command_on_deep_nests(self, tmp_path):
+        """A 1,000-level nest, a lexicographic product over it, and a
+        discrete group over a 1,201-level nest whose reversals alternate at
+        its top end, go through every command: each exits 0 or 1 with a
+        report and no traceback."""
+        nest = "sum(well(aleph(0)), rev(" * 1000 + "well(aleph(0))" + "))" * 1000
+        alt = "chain(2)"
+        for level in range(1201):
+            alt = f"sum(well(aleph(0)), rev({alt}))" if level % 2 == 0 else \
+                f"sum(rev({alt}), rev(well(aleph(0))))"
+        order = f"let T = {nest}\n"
+        text = order + (
+            f"let A = {alt}\n"
+            "let D = group(vset=A; comp=reals+ints_at_top; spherical=true; "
+            "discrete=true; divisible=false)\n"
+            "let L = lexsched(mu=aleph(1); k0=aleph(1); l0=aleph(1); k1=aleph(1); "
+            "l1=aleph(1); i=T)\n")
+        # verify reports an error on the lexicographic product, which has no
+        # concrete model, so it runs on the nest alone
+        for cmd, defs, items in (("spectrum", text, "TAL"), ("extend", text, "TADL"),
+                                 ("verify", order, "T"), ("classify", text, "D"),
+                                 ("check-conditions", text, "L")):
+            code, out, err = invoke_on(tmp_path, defs, "--cmd", cmd)
+            assert code in (0, 1) and err == "", (cmd, err[-500:])
+            assert re.findall(r"^== (\w+) ", out, re.M) == list(items)
 
     def test_nesting_400_deep_still_parses(self, tmp_path):
         text = "let T = " + "rev(" * 400 + "well(aleph(0))" + ")" * 400 + "\n"

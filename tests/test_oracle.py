@@ -322,29 +322,40 @@ SAMPLE_POOL = [OMEGA, OMEGA_STAR, chain(1), chain(3), RAT_ATOM,
                rev(sum_of(chain(2), OMEGA))]
 
 
+def _leaf_count(parts):
+    """The flat parts of a sum of SAMPLE_POOL terms: its reversed sum has two."""
+    return sum(2 if p is SAMPLE_POOL[-1] else 1 for p in parts)
+
+
 def test_sampling_reaches_every_part():
+    # a reversed sum part is flattened into its leaves, and a prefix of one
+    # sample per flat part reaches every one of them
     rng = random.Random(60)
     for n in range(2, 61):
-        c = concretize(sum_of(*(rng.choice(SAMPLE_POOL) for _ in range(n))))
-        reached = {i for i, _ in itertools.islice(c.elements(), 60)}
-        assert reached == set(range(n))
+        parts = [rng.choice(SAMPLE_POOL) for _ in range(n)]
+        c = concretize(sum_of(*parts))
+        m = _leaf_count(parts)
+        assert len(c.parts) == m
+        reached = {i for i, _ in itertools.islice(c.elements(), max(60, m))}
+        assert reached == set(range(m))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n", [12, 60, 61, 96, 192])
 def test_sample_cuts_reaches_every_part(monkeypatch, n, reverse):
-    # sample_cuts probes each sampled element with one above() and one
-    # below() on the top chain; under a RevChain those reach the flat sum
-    # as below() and above()
-    term = sum_of(*(random.Random(n).choice(SAMPLE_POOL) for _ in range(n)))
+    # sample_cuts probes each sampled element with one above() on the flat
+    # sum that concretize builds, with or without a reversal around the term
+    rng = random.Random(n)
+    parts = [rng.choice(SAMPLE_POOL) for _ in range(n)]
+    term = sum_of(*parts)
     c = concretize(rev(term) if reverse else term)
-    flat = c.inner if reverse else c
-    assert isinstance(flat, SumChain) and len(flat.parts) == n
+    m = _leaf_count(parts)
+    assert isinstance(c, SumChain) and len(c.parts) == m
     probed = []
 
     def recording(step):
         def wrapper(self, x):
-            if self is flat:
+            if self is c:
                 probed.append(x)
             return step(self, x)
         return wrapper
@@ -352,8 +363,20 @@ def test_sample_cuts_reaches_every_part(monkeypatch, n, reverse):
     monkeypatch.setattr(SumChain, "above", recording(SumChain.above))
     sample_cuts(c, depth=5)
     # sums of at most 60 parts keep the fixed 60 samples
-    assert probed == list(itertools.islice(c.elements(), max(60, n)))
-    assert {i for i, _ in probed} == set(range(n))
+    assert probed == list(itertools.islice(c.elements(), max(60, m)))
+    assert {i for i, _ in probed} == set(range(m))
+
+
+def test_concretize_pushes_reversals_to_the_leaves():
+    a, b = chain(2), chain(3)
+    assert concretize(rev(sum_of(a, OMEGA))) == \
+        SumChain(RevChain(IntChain(0)), RevChain(IntChain(0, 2)))
+    assert concretize(rev(sum_of(rev(a), b))) == \
+        SumChain(RevChain(IntChain(0, 3)), IntChain(0, 2))
+    assert concretize(rev(OMEGA)) == RevChain(IntChain(0))
+    # repeated leaves share one part object, and two reversals cancel
+    c = concretize(sum_of(OMEGA, rev(sum_of(OMEGA, OMEGA_STAR)), OMEGA))
+    assert c.parts[0] is c.parts[1] is c.parts[3] is c.parts[2].inner
 
 
 def _rat_free_sum(rng, k):
@@ -398,6 +421,24 @@ def test_verify_long_sum_does_not_recurse():
     assert names[:3] == ["left:well-step", "right:left:well-step",
                          "right:right:left:well-step"]
     assert names[-1] == "sum-boundary"
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+def test_verify_deep_nest_does_not_recurse():
+    # one walk over the term with a stack flattens a 2,000-level
+    # sum(well(aleph(0)), rev(...)) nest into 2,001 parts: one witness per
+    # leaf and one per boundary
+    t = OMEGA
+    for _ in range(2000):
+        t = sum_of(OMEGA, rev(t))
+    report = spectrum_soundness(t)
+    assert report.ok
+    names = [row.witness for row in report.rows]
+    assert len(names) == 4001
+    assert names[:3] == ["left:well-step", "right:rev(left:well-step)",
+                         "right:rev(right:rev(left:well-step))"]
+    assert names[2000] == "right:rev(" * 2000 + "well-step" + ")" * 2000
+    assert names[-2:] == ["right:rev(sum-boundary)", "sum-boundary"]
 
 
 # ---------------------------------------------------------------------------

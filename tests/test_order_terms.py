@@ -695,16 +695,25 @@ def rev_nest(depth):
 
 @pytest.mark.usefixtures("default_recursion_limit")
 def test_term_depth_is_limited_by_memory():
-    """Hashing, equality, rendering and every fact return on a 10,000-level
-    nest at Python's default recursion limit.  The spectrum is stable from
-    depth 3, so each fact equals that of the depth-8 nest."""
+    """Hashing, equality, rendering, `repr` and every fact return on a
+    10,000-level nest at Python's default recursion limit.  The spectrum is
+    stable from depth 3, so each fact equals that of the depth-8 nest."""
     deep, again, small = rev_nest(10_000), rev_nest(10_000), rev_nest(8)
     assert hash(deep) == hash(again) and deep == again and deep != small
-    assert str(deep) == "sum(well(aleph(0)), rev(" * 10_000 + "well(aleph(0))" \
-        + "))" * 10_000
+    text = "sum(well(aleph(0)), rev(" * 10_000 + "well(aleph(0))" + "))" * 10_000
+    assert str(deep) == text and repr(deep) == text
     for fact in (cf, ci, coin_cofin, cut_spectrum, card_bound, completeness_predicates,
                  lambda t: extend_order(t).base):
         assert fact(deep) == fact(small)
+
+
+def test_term_class_without_text_renders_its_name():
+    # `repr` goes through the renderer, so a term class with no text of its
+    # own must not send the renderer back to itself
+    bare = order_terms.OrderTerm()
+    assert str(bare) == repr(bare) == "<OrderTerm>"
+    with pytest.raises(DomainError, match="unknown term <OrderTerm>"):
+        cf(bare)
 
 
 class TestFactCounts:

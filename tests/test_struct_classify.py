@@ -30,6 +30,7 @@ from ordercuts.struct_classify import (
     classify_group_cutwise,
     extend_field,
     extend_group,
+    _minus_end,
     principal_cuts_ok,
     type1_cuts_ok,
     type2_cuts_ok,
@@ -161,6 +162,26 @@ class TestClassifyDiscrete:
     def test_dense_rejected(self):
         with pytest.raises(DomainError):
             classify_discrete(H_GROUP)
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_alternating_value_set(self):
+        """The quotient by the convex copy of Z drops the top of the value
+        set in a loop: here the top end runs through 1,201 sums, alternately
+        their right part under a reversal and their left part."""
+        def alternating(base, levels):
+            t = base
+            for level in range(levels):
+                t = sum_of(well(A0), rev(t)) if level % 2 == 0 else \
+                    sum_of(rev(t), rev(well(A0)))
+            return t
+
+        def group(levels):
+            return GroupDescriptor(alternating(chain(2), levels), R_WITH_Z_TOP,
+                                   spherical=True, discrete=True)
+
+        assert _minus_end(alternating(chain(2), 1201), True) == \
+            alternating(chain(1), 1201)
+        assert classify_group(group(1201)) == classify_group(group(9))
 
 
 class TestDescriptorValidation:
