@@ -68,7 +68,12 @@ class WitnessSide:
 class ConcreteChain:
     """A countable linear order with decidable comparison, an element
     enumeration, computable betweenness, and its two ends stated once by
-    `cofinal` and `coinitial`; `least` and `greatest` derive from them."""
+    `cofinal` and `coinitial`; `least` and `greatest` derive from them.
+
+    `homogeneous` claims an order automorphism taking any element to any
+    other that commutes with `above`, `below` and `between`."""
+
+    homogeneous = False
 
     def cmp(self, x, y) -> int:
         raise NotImplementedError
@@ -195,6 +200,10 @@ class RatChain(ConcreteChain):
     """The rationals; as an index chain its points are ints and Fractions,
     stored by `canon`."""
 
+    # the translation z -> z + (y - x) takes x to y, and commutes with
+    # above and below (+-1) and between (the midpoint)
+    homogeneous = True
+
     def check(self, p):
         if not is_exact(p):
             raise DomainError(f"{render_point(p)} is not a point of {self}")
@@ -233,6 +242,10 @@ class RevChain(ConcreteChain):
     """The same elements in the reverse order."""
 
     inner: ConcreteChain
+
+    @property
+    def homogeneous(self) -> bool:
+        return self.inner.homogeneous
 
     def cmp(self, x, y):
         return -self.inner.cmp(x, y)

@@ -4,10 +4,12 @@ The concrete chains of `chains` re-derive, by explicit ladders, what the
 symbolic layer claims about the countable fragment: a cut witness is two
 `WitnessSide`s, a strictly increasing lower ladder and strictly decreasing
 upper ladder (or extremal elements for the `1` components), checked for
-monotonicity, separation, and frontier convergence up to a depth.  A sum
-boundary takes its sides from the parts' own ends, and `derive_cf` walks a
-chain's cofinal end through the same ladder walker.  The irrational gap of
-the rationals is witnessed by the alternate Pell convergents of sqrt 2.
+monotonicity, separation, and frontier convergence up to a depth: the two
+ladders are pulled in turn toward each probe between them, at most
+`PROBE_PULLS` steps each, until one swallows it.  A sum boundary takes its
+sides from the parts' own ends, and `derive_cf` walks a chain's cofinal
+end through the same ladder walker.  The irrational gap of the rationals
+is witnessed by the alternate Pell convergents of sqrt 2.
 Sampled cut generation hunts for pairs the symbolic claim would have missed.
 
 One stack walk over a term builds its chain with the reversals pushed down
@@ -17,7 +19,8 @@ chains, and names and keys its witnesses: term depth is limited by memory.
 Inside one part of a sum chain, comparison and betweenness are the part's
 own, so a report walks each distinct part witness, each distinct pair of
 adjacent parts and each distinct in-part descent once: its cost grows with
-the distinct structure of a sum, not with its length.
+the distinct structure of a sum, not with its length.  A homogeneous part
+(`rat`, upright or reversed) is descended once per direction.
 """
 
 from __future__ import annotations
@@ -128,12 +131,17 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
     if err:
         return WitnessResult(False, err)
 
-    d_top, e_bot = lower[-1], upper[-1]
-    if chain.cmp(d_top, e_bot) >= 0:
+    ends = [lower[-1], upper[-1]]
+    if chain.cmp(*ends) >= 0:
         return WitnessResult(False, "ladders are not separated")
 
+    iters = (lo_iter, hi_iter)
+    # the ladders in turn, lower first, at most PROBE_PULLS steps each: once
+    # one side swallows the probe, the other is not pushed further
+    turns = [turn for turn in ((0, "lower", +1), (1, "upper", -1))
+             if iters[turn[0]] is not None] * PROBE_PULLS
     for _round in range(depth):
-        probe = chain.between(d_top, e_bot)
+        probe = chain.between(*ends)
         if probe is None:
             if lo_iter is None and hi_iter is None:
                 break
@@ -141,36 +149,21 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
             # or E a minimum, refuting the aleph(0) side
             return WitnessResult(False,
                                  "frontier became adjacent; an aleph(0) claim is refuted")
-        covered = False
-        if lo_iter is not None:
-            for _ in range(PROBE_PULLS):
-                if chain.cmp(d_top, probe) >= 0:
-                    break
-                try:
-                    nxt = next(lo_iter)
-                except StopIteration:
-                    return WitnessResult(False, "lower ladder exhausted while converging")
-                if chain.cmp(nxt, d_top) != 1:
-                    return WitnessResult(False, "lower ladder not strictly monotone")
-                d_top = nxt
-            covered = chain.cmp(d_top, probe) >= 0
-        if not covered and hi_iter is not None:
-            for _ in range(PROBE_PULLS):
-                if chain.cmp(e_bot, probe) <= 0:
-                    break
-                try:
-                    nxt = next(hi_iter)
-                except StopIteration:
-                    return WitnessResult(False, "upper ladder exhausted while converging")
-                if chain.cmp(nxt, e_bot) != -1:
-                    return WitnessResult(False, "upper ladder not strictly monotone")
-                e_bot = nxt
-            covered = chain.cmp(e_bot, probe) <= 0
-        if chain.cmp(d_top, e_bot) >= 0:
-            return WitnessResult(False, "ladders crossed while converging")
-        if not covered:
+        for s, what, step in turns:
+            try:
+                nxt = next(iters[s])
+            except StopIteration:
+                return WitnessResult(False, f"{what} ladder exhausted while converging")
+            if chain.cmp(nxt, ends[s]) != step:
+                return WitnessResult(False, f"{what} ladder not strictly monotone")
+            ends[s] = nxt
+            if chain.cmp(probe, nxt) != step:
+                break
+        else:
             return WitnessResult(False,
                                  f"element {probe!r} between the ladders is never captured")
+        if chain.cmp(*ends) >= 0:
+            return WitnessResult(False, "ladders crossed while converging")
     return WitnessResult(True)
 
 
@@ -366,10 +359,16 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
 
     def descend(walk: ConcreteChain, x, start) -> Card:
         # a descent from a start in x's own part only meets that part, and
-        # the sum's parts repeat: walk each (part, x, start, direction) once
-        if not parts or start[0] != x[0]:
+        # the sum's parts repeat: walk each (part, x, start, direction) once.
+        # A homogeneous part's automorphism taking x to y commutes with the
+        # walk, so its descents in one direction all end alike.
+        if not parts:
+            part, at = chain, (x, start)
+        elif start[0] == x[0]:
+            part, at = parts[x[0]], (x[1], start[1])
+        else:
             return _descend_to(walk, x, start, depth)
-        key = (parts[x[0]], x[1], start[1], walk is mirror)
+        key = (part, walk is mirror) + (() if part.homogeneous else at)
         tag = descents.get(key)
         if tag is None:
             tag = descents[key] = _descend_to(walk, x, start, depth)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordercuts import chains
+from ordercuts import chains, oracle
 from ordercuts.chains import ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain
 from ordercuts.errors import DomainError
 
@@ -158,6 +158,46 @@ def test_lex_check_rewrites_only_through_a_rat_factor():
     assert nested == (1, (2,)) and type(nested[1][0]) is int
     with pytest.raises(DomainError, match="not a point"):
         LexChain((INT, INT)).check((1, Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Homogeneity: the sampler descends a homogeneous part once per direction
+# ---------------------------------------------------------------------------
+
+HOMOGENEOUS = [c for c in END_SHAPES if c.homogeneous]
+
+
+def test_only_the_rationals_claim_homogeneity():
+    assert HOMOGENEOUS == [RAT, RevChain(RAT)]
+    assert all(c.homogeneous is False for c in END_SHAPES if c not in HOMOGENEOUS)
+
+
+@pytest.mark.parametrize("chain", HOMOGENEOUS, ids=repr)
+def test_translation_is_an_automorphism_of_the_walk(chain):
+    """z -> z + (y - x) takes x to y, keeps `cmp`, and maps `above`,
+    `below` and `between` results to each other."""
+    points = list(itertools.islice(chain.elements(), 40))
+    for x, y in zip(points[:8], points[-8:]):
+        def move(z):
+            return z + (y - x)
+
+        assert move(x) == y
+        for z in points:
+            assert move(chain.above(z)) == chain.above(move(z))
+            assert move(chain.below(z)) == chain.below(move(z))
+            for w in points:
+                assert chain.cmp(move(z), move(w)) == chain.cmp(z, w)
+                if chain.cmp(z, w) < 0:
+                    assert move(chain.between(z, w)) == chain.between(move(z), move(w))
+
+
+@pytest.mark.parametrize("chain", HOMOGENEOUS, ids=repr)
+def test_homogeneous_descents_end_alike(chain):
+    mirror = RevChain(chain)
+    points = list(itertools.islice(chain.elements(), 20))
+    ups = {oracle._descend_to(chain, x, chain.above(x), 30) for x in points}
+    downs = {oracle._descend_to(mirror, x, chain.below(x), 30) for x in points}
+    assert len(ups) == 1 and len(downs) == 1
 
 
 # ---------------------------------------------------------------------------

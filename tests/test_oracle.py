@@ -520,6 +520,53 @@ def test_pell_ladders_close_in_on_sqrt2():
     assert gaps[-1] < Fraction(1, 10 ** 300)
 
 
+@pytest.mark.parametrize("depth", [30, 100, 300])
+def test_sqrt2_walk_draws_at_most_four_convergents_per_step(monkeypatch, depth):
+    # a count, not a timing: once one ladder swallows a probe, the other is
+    # not pulled further, so a round draws about one convergent per side
+    drawn = [0]
+    pell = oracle._pell
+
+    def counting(p, q):
+        for x in pell(p, q):
+            drawn[0] += 1
+            yield x
+
+    monkeypatch.setattr(oracle, "_pell", counting)
+    assert verify_witness(RatChain(), _sqrt2_witness(), depth).ok
+    assert drawn[0] <= 4 * depth, drawn[0]
+
+
+# ---------------------------------------------------------------------------
+# Each ladder gets at most PROBE_PULLS steps per probe
+# ---------------------------------------------------------------------------
+
+def _ladder_to_one(sign, catch=None):
+    """Rungs 1 - sign/(j + 1) closing in on 1 from below (sign +1) or from
+    above (sign -1): 0 or 2 first, so 1 is the first probe.  Rung `catch`
+    is 1 itself, which swallows that probe."""
+    def rungs():
+        for j in itertools.count():
+            if j == catch:
+                yield Fraction(1)
+                return
+            yield 1 - Fraction(sign, j + 1)
+    return WitnessSide.via(rungs)
+
+
+@pytest.mark.parametrize("side,sign", [("lower", +1), ("upper", -1)])
+def test_each_ladder_captures_within_its_own_probe_pulls(side, sign):
+    for catch, ok in ((1, True), (oracle.PROBE_PULLS, True),
+                      (oracle.PROBE_PULLS + 1, False)):
+        ladders = {"lower": _ladder_to_one(+1), "upper": _ladder_to_one(-1)}
+        ladders[side] = _ladder_to_one(sign, catch)
+        w = CutWitness("hand-made", ladders["lower"], ladders["upper"], CofPair(A0, A0))
+        result = verify_witness(RatChain(), w, 1)
+        assert result.ok == ok, (catch, result)
+        assert ok or result.reason == \
+            f"element {Fraction(1)!r} between the ladders is never captured"
+
+
 # ---------------------------------------------------------------------------
 # Verdicts shared between repeated parts equal the plain per-witness walk
 # ---------------------------------------------------------------------------
@@ -650,6 +697,26 @@ def test_sqrt2_ladders_walked_once_per_distinct_leaf(monkeypatch):
         starts.update(lower=0, upper=0)
         assert spectrum_soundness(term).ok
         assert starts == {"lower": leaves, "upper": leaves}
+
+
+def test_one_descent_per_homogeneous_part_and_direction(monkeypatch):
+    rats = (RatChain(), RevChain(RatChain()))
+    walked = []
+    descend = oracle._descend_to
+
+    def counting(walk, floor, start, depth):
+        # c is the chain sampled below
+        if (c.parts[floor[0]] if isinstance(c, SumChain) else c) in rats:
+            walked.append(floor)
+        return descend(walk, floor, start, depth)
+
+    monkeypatch.setattr(oracle, "_descend_to", counting)
+    for term in (RAT_ATOM, rev(RAT_ATOM), _rat_sum(random.Random(8), 8)):
+        c = concretize(term)
+        walked.clear()
+        pairs = sample_cuts(c, 30)
+        assert len(walked) == 2, (str(term), len(walked))
+        assert pairs == _plain_sample_cuts(c, 30), str(term)
 
 
 def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
