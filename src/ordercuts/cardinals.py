@@ -3,7 +3,8 @@
 Ordinal indices are kept in Cantor normal form below w^w, which is enough to
 index every aleph that the successor-chain recipes ever produce.  Cardinals
 are `1` or `aleph(index)`; sets of infinite regular cardinals are finite
-unions of initial segments `reg<kappa` and singletons, kept normalized.
+unions of initial segments `reg<kappa` and singletons, kept in one canonical
+form.
 """
 
 from __future__ import annotations
@@ -29,14 +30,16 @@ class OrdinalIndex:
     def __post_init__(self):
         last = None
         for exp, coeff in self.terms:
-            if exp < 0 or coeff <= 0:
-                raise DomainError(f"malformed CNF term ({exp},{coeff})")
+            if type(exp) is not int or type(coeff) is not int or exp < 0 or coeff <= 0:
+                raise DomainError(f"malformed CNF term ({exp!r},{coeff!r})")
             if last is not None and exp >= last:
                 raise DomainError("CNF exponents must strictly decrease")
             last = exp
 
     @staticmethod
     def of(n: int) -> "OrdinalIndex":
+        if type(n) is not int:
+            raise DomainError(f"ordinal indices are ints, got {n!r}")
         if n < 0:
             raise DomainError("ordinal indices are nonnegative")
         return OrdinalIndex(() if n == 0 else ((0, n),))
@@ -99,7 +102,7 @@ class OrdinalIndex:
             return OrdinalIndex(self.terms[:-1])
         return OrdinalIndex(self.terms[:-1] + ((0, coeff - 1),))
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
@@ -111,9 +114,6 @@ class OrdinalIndex:
             else:
                 chunks.append(f"w^{exp}" if coeff == 1 else f"w^{exp}*{coeff}")
         return "+".join(chunks)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 IDX0 = OrdinalIndex.of(0)
@@ -133,27 +133,13 @@ def index_is_regular(idx: OrdinalIndex) -> bool:
 _RANK_ZERO, _RANK_ONE, _RANK_ALEPH = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Card:
-    """`1`, `aleph(idx)`, or the empty-order sentinel `0`."""
+    """`1`, `aleph(idx)`, or the empty-order sentinel `0`, ordered by rank
+    and then by index."""
 
     rank: int
     index: Optional[OrdinalIndex] = None
-
-    def _key(self):
-        return (self.rank, self.index.terms if self.index is not None else ())
-
-    def __lt__(self, other: "Card") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Card") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Card") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Card") -> bool:
-        return self._key() >= other._key()
 
     @property
     def is_zero(self) -> bool:
@@ -184,8 +170,10 @@ ONE = Card(_RANK_ONE)
 
 
 def aleph(idx) -> Card:
-    if isinstance(idx, int):
+    if type(idx) is int:
         idx = OrdinalIndex.of(idx)
+    elif not isinstance(idx, OrdinalIndex):
+        raise DomainError(f"aleph indices are ints or ordinal indices, got {idx!r}")
     return Card(_RANK_ALEPH, idx)
 
 
@@ -210,10 +198,6 @@ def succ(c: Card) -> Card:
     return aleph(c.index.succ())
 
 
-def card_max(*cs: Card) -> Card:
-    return max(cs)
-
-
 def require_infinite_regular(c: Card, what: str) -> None:
     if not (c.is_infinite and is_regular(c)):
         raise DomainError(f"{what} must be an infinite regular cardinal, got {c}")
@@ -223,7 +207,7 @@ def require_infinite_regular(c: Card, what: str) -> None:
 # Cofinality pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CofPair:
     """Cofinality pair (kappa, lambda) of a cut: cf of the lower set and
     coinitiality of the upper set.  Components are 1 or infinite regular."""
@@ -261,12 +245,6 @@ class CofPair:
     def mirrored(self) -> "CofPair":
         return CofPair(self.right, self.left)
 
-    def _key(self):
-        return (self.left._key(), self.right._key())
-
-    def __lt__(self, other: "CofPair") -> bool:
-        return self._key() < other._key()
-
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
 
@@ -275,33 +253,36 @@ class CofPair:
 # Sets of infinite regular cardinals
 # ---------------------------------------------------------------------------
 
+def _lowered(idx: OrdinalIndex) -> OrdinalIndex:
+    """l for l+1 with l a nonzero limit, idx otherwise: aleph(l) is singular,
+    so the regulars below aleph(l+1) are those below aleph(l)."""
+    if len(idx.terms) > 1 and idx.terms[-1] == (0, 1):
+        return OrdinalIndex(idx.terms[:-1])
+    return idx
+
+
 @dataclass(frozen=True)
 class CardSet:
-    """A finite union of segments reg<kappa and singleton regulars, stored
-    normalized: `bound` covers every regular index < bound, `extras` are the
-    leftover regular indices >= bound, sorted, never adjacent to the bound."""
+    """A finite union of segments reg<kappa and singleton regulars, in the
+    one canonical form, so that equal sets compare equal: `bound` covers
+    every regular index < bound and is never l+1 for a nonzero limit l;
+    `extras` are the other regular indices, sorted, none of them the least
+    regular at or above the bound."""
 
     bound: OrdinalIndex = IDX0
     extras: Tuple[OrdinalIndex, ...] = ()
 
     @staticmethod
-    def _next_regular_at_or_above(idx: OrdinalIndex) -> OrdinalIndex:
-        if index_is_regular(idx):
-            return idx
-        return idx.succ()
-
-    @staticmethod
     def normalized(bound: OrdinalIndex, extras: Iterable[OrdinalIndex]) -> "CardSet":
-        pool = {e for e in extras if index_is_regular(e)}
-        while True:
-            pool = {e for e in pool if not e < bound}
-            probe = CardSet._next_regular_at_or_above(bound)
-            if probe in pool:
-                pool.discard(probe)
-                bound = probe.succ()
-            else:
-                break
-        return CardSet(bound, tuple(sorted(pool)))
+        """Reg_{<aleph(bound)} plus the regular indices `extras`: the bound
+        is lowered, then absorbs the run of extras that continues it."""
+        bound, rest = _lowered(bound), []
+        for e in sorted(set(extras)):
+            if rest or _lowered(e) > bound:
+                rest.append(e)
+            elif e >= bound:
+                bound = e.succ()
+        return CardSet(bound, tuple(rest))
 
     @staticmethod
     def empty() -> "CardSet":
@@ -322,56 +303,50 @@ class CardSet:
 
     @staticmethod
     def of(*cards: Card) -> "CardSet":
-        return CardSet.normalized(IDX0, tuple(c.index for c in cards))
+        return CardSet().union(*map(CardSet.singleton, cards))
 
     def __post_init__(self):
-        for e in self.extras:
-            if not index_is_regular(e):
-                raise DomainError(f"singular index {e} in card set")
+        xs = self.extras
+        if _lowered(self.bound) is not self.bound or xs and (
+                _lowered(xs[0]) <= self.bound or not all(map(index_is_regular, xs))
+                or any(x >= y for x, y in zip(xs, xs[1:]))):
+            raise DomainError(f"card set {self} is not in canonical form")
 
     @property
     def is_empty(self) -> bool:
         return self.bound.is_zero and not self.extras
 
-    def contains(self, c: Card) -> bool:
-        if not (c.is_infinite and is_regular(c)):
-            return False
-        return c.index < self.bound or c.index in self.extras
+    def _has(self, idx: OrdinalIndex) -> bool:
+        """Membership of aleph(idx), for a regular idx."""
+        return idx < self.bound or idx in self.extras
 
-    def union(self, other: "CardSet") -> "CardSet":
-        bound = max(self.bound, other.bound)
-        return CardSet.normalized(bound, self.extras + other.extras)
+    def contains(self, c: Card) -> bool:
+        return c.is_infinite and is_regular(c) and self._has(c.index)
+
+    def union(self, *others: "CardSet") -> "CardSet":
+        sets = (self,) + others
+        return CardSet.normalized(max(s.bound for s in sets),
+                                  [e for s in sets for e in s.extras])
 
     def intersect(self, other: "CardSet") -> "CardSet":
-        bound = min(self.bound, other.bound)
-        extras = set()
-        for e in self.extras:
-            if e < other.bound or e in other.extras:
-                extras.add(e)
-        for e in other.extras:
-            if e < self.bound:
-                extras.add(e)
-        return CardSet.normalized(bound, tuple(extras))
+        return CardSet.normalized(min(self.bound, other.bound),
+                                  [e for e in self.extras + other.extras
+                                   if self._has(e) and other._has(e)])
 
     def is_subset(self, other: "CardSet") -> bool:
-        return self.intersect(other) == self
+        # canonical bounds: reg<aleph(b) lies inside reg<aleph(b') iff b <= b'
+        return self.bound <= other.bound and all(map(other._has, self.extras))
 
     @property
     def is_initial_segment(self) -> bool:
         """True iff the set is downward closed in the regulars."""
         return not self.extras
 
-    def sup_index(self) -> OrdinalIndex:
-        """Least index b with self a subset of Reg_{<aleph(b)}."""
-        if self.extras:
-            return self.extras[-1].succ()
-        return self.bound
-
     def sup_card(self) -> Card:
         """Least cardinal strictly above every member (1 for the empty set)."""
         if self.is_empty:
             return ONE
-        return aleph(self.sup_index())
+        return aleph(self.extras[-1].succ() if self.extras else self.bound)
 
     def is_finite(self) -> bool:
         return self.bound < IDXW

@@ -296,10 +296,7 @@ class Parser:
         return OrdinalIndex(tuple(sorted(acc.items(), reverse=True)))
 
     def parse_cardset(self) -> CardSet:
-        out = CardSet.empty()
-        for part in self.parse_list("{", "}", self._parse_cardset_part):
-            out = out.union(part)
-        return out
+        return CardSet.empty().union(*self.parse_list("{", "}", self._parse_cardset_part))
 
     def _parse_cardset_part(self) -> CardSet:
         if self.accept("reg"):

@@ -27,7 +27,6 @@ from .cardinals import (
     OrdinalIndex,
     ZERO,
     aleph,
-    card_max,
     is_regular,
     require_infinite_regular,
     succ,
@@ -217,9 +216,8 @@ class LexSchedule(OrderTerm):
     schedule: CardinalSchedule
     inner: OrderTerm
 
-    def __str__(self) -> str:
-        return (f"lexsched(mu={self.mu}; k0={self.k0}; l0={self.l0}; "
-                f"{self.schedule}; i={self.inner})")
+    def _head(self) -> str:
+        return f"lexsched(mu={self.mu}; k0={self.k0}; l0={self.l0}; {self.schedule}; i="
 
 
 # -- piecewise maps on {1} u Reg for the refined construction ---------------
@@ -311,13 +309,8 @@ class PhiMap:
             raise DomainError("phi map is partial on the requested segment")
 
     def image_over(self, seg: CardSet) -> CardSet:
-        out = CardSet.empty()
-        for piece in self._live_pieces(seg):
-            if piece.value == PHI_SUCC:
-                out = out.union(CardSet.singleton(succ(piece.dom_card)))
-            else:
-                out = out.union(CardSet.singleton(piece.value))
-        return out
+        return CardSet.of(*(succ(p.dom_card) if p.value == PHI_SUCC else p.value
+                            for p in self._live_pieces(seg)))
 
     def range_violation(self, seg: CardSet, target: CardSet) -> Optional[str]:
         """A witness that phi({1} u seg) is not inside target, or None."""
@@ -363,9 +356,9 @@ class LexRefined(OrderTerm):
     phir: PhiMap
     inner: OrderTerm
 
-    def __str__(self) -> str:
+    def _head(self) -> str:
         return (f"lexref(mu={self.mu}; k0={self.k0}; l0={self.l0}; "
-                f"phil={self.phil}; phir={self.phir}; i={self.inner})")
+                f"phil={self.phil}; phir={self.phir}; i=")
 
 
 # -- smart constructors ------------------------------------------------------
@@ -419,8 +412,9 @@ def sum_parts(t: OrderTerm):
 
 
 def _render(t: OrderTerm) -> str:
-    """The text of a term: nested sums, reversals and completions are walked
-    with a stack, and other terms render themselves."""
+    """The text of a term: nested sums, reversals, completions and
+    lexicographic products are walked with a stack, and other terms render
+    themselves."""
     out, stack = [], [t]
     while stack:
         s = stack.pop()
@@ -434,6 +428,8 @@ def _render(t: OrderTerm) -> str:
             stack += reversed(seq)
         elif isinstance(s, (Rev, Completion)):
             stack += [")", s.inner, "rev(" if isinstance(s, Rev) else "comp("]
+        elif isinstance(s, (LexSchedule, LexRefined)):
+            stack += [")", s.inner, s._head()]
         elif type(s).__str__ is OrderTerm.__str__:
             out.append(f"<{type(s).__name__}>")     # a class with no text of its own
         else:
@@ -590,11 +586,8 @@ def _coin_cofin_rule(t: OrderTerm) -> Tuple[CardSet, CardSet]:
         coin, cofin = coin_cofin(t.inner)
         return cofin, coin
     if isinstance(t, Sum):
-        coin, cofin = CardSet.empty(), CardSet.empty()
-        for part in _summands(t):
-            c, f = coin_cofin(part)
-            coin, cofin = coin.union(c), cofin.union(f)
-        return coin, cofin
+        coins, cofins = zip(*map(coin_cofin, _summands(t)))
+        return CardSet.empty().union(*coins), CardSet.empty().union(*cofins)
     if isinstance(t, Completion):
         return coin_cofin(t.inner)
     if isinstance(t, Atom):
@@ -604,17 +597,14 @@ def _coin_cofin_rule(t: OrderTerm) -> Tuple[CardSet, CardSet]:
     mu_seg = CardSet.segment_below(succ(t.mu))
     if isinstance(t, LexRefined):
         rl, rr = refined_rl_rr(t)
-        coin = rr.union(t.phir.image_over(rl)).union(mu_seg) \
-            .union(CardSet.singleton(t.l0))
-        cofin = rl.union(t.phil.image_over(rr)).union(mu_seg) \
-            .union(CardSet.singleton(t.k0))
-        return coin, cofin
+        return (rr.union(t.phir.image_over(rl), mu_seg, CardSet.singleton(t.l0)),
+                rl.union(t.phil.image_over(rr), mu_seg, CardSet.singleton(t.k0)))
     coin_i, cofin_i = coin_cofin(t.inner)
     s = t.schedule
-    coin = coin_i.union(CardSet.segment_below(succ(t.l0))).union(mu_seg) \
-        .union(_succ_chain_closure(s.l1.index, s.lsucc))
-    cofin = cofin_i.union(CardSet.segment_below(succ(t.k0))).union(mu_seg) \
-        .union(_succ_chain_closure(s.k1.index, s.ksucc))
+    coin = coin_i.union(CardSet.segment_below(succ(t.l0)), mu_seg,
+                        _succ_chain_closure(s.l1.index, s.lsucc))
+    cofin = cofin_i.union(CardSet.segment_below(succ(t.k0)), mu_seg,
+                          _succ_chain_closure(s.k1.index, s.ksucc))
     if t.mu.is_uncountable:
         coin = coin.union(_succ_chain_closure(s.llim.index, s.lsucc))
         cofin = cofin.union(_succ_chain_closure(s.klim.index, s.ksucc))
@@ -626,9 +616,8 @@ def refined_rl_rr(t: LexRefined) -> Tuple[CardSet, CardSet]:
     Rr = Coin(I) u Reg_{<l0} u Reg_{<mu}."""
     coin_i, cofin_i = coin_cofin(t.inner)
     below_mu = CardSet.segment_below(t.mu)
-    rl = cofin_i.union(CardSet.segment_below(t.k0)).union(below_mu)
-    rr = coin_i.union(CardSet.segment_below(t.l0)).union(below_mu)
-    return rl, rr
+    return (cofin_i.union(CardSet.segment_below(t.k0), below_mu),
+            coin_i.union(CardSet.segment_below(t.l0), below_mu))
 
 
 def card_bound(t: OrderTerm) -> Card:
@@ -649,12 +638,12 @@ def _cardinality_rule(t: OrderTerm):
         return _cardinality(t.inner)
     if isinstance(t, Sum):
         return tuple(next((c for c in column if isinstance(c, OrderCutsError)), None)
-                     or card_max(*column)
+                     or max(column)
                      for column in zip(*map(_cardinality, _summands(t))))
     if isinstance(t, (LexSchedule, LexRefined)):
         try:
             coin, cofin = coin_cofin(t)
-            base = card_max(coin.sup_card(), cofin.sup_card(), t.mu, t.k0, t.l0)
+            base = max(coin.sup_card(), cofin.sup_card(), t.mu, t.k0, t.l0)
         except OrderCutsError as exc:
             base = exc
         return NotDerivableError("no cardinality bound is derivable for "
@@ -997,8 +986,7 @@ class CutSpectrum:
             if isinstance(p, ExplicitPairs):
                 (principal_pairs if p.principal else other_pairs).update(p.pairs)
             elif isinstance(p, RowSeg):
-                key = (p.fixed, p.flipped)
-                rows[key] = rows.get(key, CardSet.empty()).union(p.seg)
+                rows.setdefault((p.fixed, p.flipped), []).append(p.seg)
             elif isinstance(p, PhiFam) and p.seg.is_finite():
                 fam = (CofPair(k, p.phi.evaluate(k)) for k in p.seg.members())
                 other_pairs.update(q.mirrored() if p.flipped else q for q in fam)
@@ -1006,7 +994,8 @@ class CutSpectrum:
                 other_pairs.add(CofPair(aleph(p.la), aleph(p.ra)))
             else:
                 rest.append(p)
-        out = [RowSeg(fixed, seg, flipped) for (fixed, flipped), seg in rows.items()]
+        out = [RowSeg(fixed, segs[0].union(*segs[1:]), flipped)
+               for (fixed, flipped), segs in rows.items()]
         if principal_pairs:
             out.append(ExplicitPairs(tuple(principal_pairs), True))
         if other_pairs:
@@ -1285,7 +1274,7 @@ def extend_order(t: OrderTerm, k0: Card = aleph(1), l0: Card = aleph(1),
     require_infinite_regular(k0, "k0")
     require_infinite_regular(l0, "l0")
     base = bound if bound is not None else _ok(_cardinality(t)[1])
-    mu = succ(card_max(k0, l0, base))
+    mu = succ(max(k0, l0, base))
     sched = CardinalSchedule(k1=mu, l1=succ(mu), ksucc=RULE_DSUCC,
                              lsucc=RULE_DSUCC, klim=mu, llim=succ(mu))
     term = LexSchedule(mu=mu, k0=k0, l0=l0, schedule=sched, inner=t)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .cardinals import ALEPH0, Card, ONE, aleph, card_max
+from .cardinals import ALEPH0, Card, ONE, aleph
 from .errors import DescriptorError, DomainError, NotDerivableError
 from .order_terms import (
     EMPTY,
@@ -177,7 +177,7 @@ def _require_nontrivial(g: GroupDescriptor) -> None:
 def cf_group(g: GroupDescriptor) -> Card:
     """Cofinality of the group: max(aleph0, ci of the value set)."""
     _require_nontrivial(g)
-    return card_max(ALEPH0, ci(g.value_set))
+    return max(ALEPH0, ci(g.value_set))
 
 
 def ci_positive_cone(g: GroupDescriptor) -> Card:
@@ -186,7 +186,7 @@ def ci_positive_cone(g: GroupDescriptor) -> Card:
     _require_nontrivial(g)
     if g.discrete:
         return ONE
-    return card_max(ALEPH0, cf(g.value_set))
+    return max(ALEPH0, cf(g.value_set))
 
 
 def cf_m_gamma(upper_coinitiality: Card) -> Card:
@@ -194,7 +194,7 @@ def cf_m_gamma(upper_coinitiality: Card) -> Card:
     above gamma; gamma must not be the largest value."""
     if upper_coinitiality.is_zero:
         raise DomainError("gamma is the largest value: M_gamma is trivial")
-    return card_max(ALEPH0, upper_coinitiality)
+    return max(ALEPH0, upper_coinitiality)
 
 
 def principal_cuts_ok(g: GroupDescriptor) -> Tuple[bool, bool]:

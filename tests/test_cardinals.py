@@ -9,6 +9,7 @@ from ordercuts.cardinals import (
     CofPair,
     ONE,
     OrdinalIndex,
+    ZERO,
     aleph,
     is_regular,
     reg_below,
@@ -48,6 +49,22 @@ class TestOrdinalIndex:
         assert str(idx((2, 3), (1, 2), (0, 5))) == "w^2*3+w*2+5"
         assert str(W) == "w"
         assert str(OrdinalIndex.of(0)) == "0"
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: aleph(1.5), "1.5"),
+        (lambda: aleph("x"), "'x'"),
+        (lambda: aleph(True), "True"),
+        (lambda: OrdinalIndex.of(2.0), "2.0"),
+        (lambda: OrdinalIndex.of(False), "False"),
+        (lambda: idx((0, 1.5)), "1.5"),
+        (lambda: idx((True, 1)), "True"),
+    ], ids=["aleph-float", "aleph-str", "aleph-bool", "of-float", "of-bool",
+            "term-float", "term-bool"])
+    def test_only_exact_ints(self, build, value):
+        """An index is built from exact ints only; anything else, bools
+        included, is refused with the value named."""
+        with pytest.raises(DomainError, match=value):
+            build()
 
 
 class TestRegularity:
@@ -115,6 +132,52 @@ class TestCardSet:
         with pytest.raises(DomainError):
             list(CardSet.segment_below(aleph(W)).members())
 
+    def test_of_is_a_union_of_singletons(self):
+        assert CardSet.of() == CardSet.empty()
+        assert CardSet.of(aleph(1), aleph(0), aleph(1)) == reg_below(aleph(2))
+        for c in (ONE, ZERO, aleph(W)):
+            with pytest.raises(DomainError, match="infinite regular"):
+                CardSet.of(ALEPH0, c)
+
+    def test_union_takes_any_number_of_sets(self):
+        a, b, c = reg_below(aleph(2)), CardSet.singleton(aleph(3)), CardSet.singleton(aleph(2))
+        assert a.union() == a
+        assert a.union(b, c) == a.union(b).union(c) == reg_below(aleph(4))
+
+
+class TestCanonicalForm:
+    """A set has one stored form: aleph(l) is singular for a limit l, so the
+    regulars below aleph(l+1) are those below aleph(l)."""
+
+    def test_limit_successor_bound_is_lowered(self):
+        low, high = CardSet.segment_below(aleph(W)), CardSet.segment_below(aleph(W.succ()))
+        assert high == low and hash(high) == hash(low)
+        assert str(high) == "{reg<aleph(w)}"
+        assert high.is_subset(low) and low.is_subset(high)
+        assert high.sup_card() == aleph(W)
+
+    def test_lowered_bound_absorbs_the_next_regular(self):
+        seg = CardSet.normalized(W.succ(), (W.succ(), W.plus_nat(3)))
+        assert seg == CardSet(W.plus_nat(2), (W.plus_nat(3),))
+
+    @pytest.mark.parametrize("bound, extras", [
+        (W.succ(), ()),                                 # reg<aleph(w+1) is reg<aleph(w)
+        (OrdinalIndex.of(2), (OrdinalIndex.of(2),)),    # the next regular is absorbed
+        (W, (W.succ(),)),
+        (OrdinalIndex.of(3), (OrdinalIndex.of(1),)),    # an extra below the bound
+        (OrdinalIndex.of(0), (OrdinalIndex.of(3), OrdinalIndex.of(2))),
+        (OrdinalIndex.of(0), (OrdinalIndex.of(3), OrdinalIndex.of(3))),
+        (OrdinalIndex.of(0), (W,)),                     # a singular extra
+    ])
+    def test_refuses_other_forms(self, bound, extras):
+        with pytest.raises(DomainError, match="card set"):
+            CardSet(bound, extras)
+
+    def test_accepts_canonical_forms(self):
+        for bound, extras in ((W, (W.plus_nat(2),)), (OrdinalIndex.of(2), (OrdinalIndex.of(4),)),
+                              (W.plus_nat(2), ()), (OrdinalIndex.of(1), ())):
+            assert CardSet.normalized(bound, extras) == CardSet(bound, extras)
+
 
 small_indexes = st.integers(min_value=0, max_value=6).map(OrdinalIndex.of)
 limit_indexes = st.builds(lambda c, n: OrdinalIndex.omega(1, c).plus_nat(n),
@@ -128,10 +191,7 @@ card_sets = st.lists(
 
 
 def _union_all(parts):
-    out = CardSet.empty()
-    for p in parts:
-        out = out.union(p)
-    return out
+    return CardSet.empty().union(*parts)
 
 
 @given(card_sets, card_sets)
@@ -160,6 +220,13 @@ def test_membership_respects_ops(a, b, i):
 def test_subset_via_intersection(a, b):
     assert a.is_subset(a.union(b))
     assert a.intersect(b).is_subset(a)
+
+
+def test_derived_orders():
+    assert sorted([aleph(W), aleph(0), ONE, ZERO, aleph(3)]) == \
+        [ZERO, ONE, aleph(0), aleph(3), aleph(W)]
+    assert sorted([CofPair(ALEPH0, ONE), CofPair(ONE, aleph(1)), CofPair(ONE, ALEPH0)]) == \
+        [CofPair(ONE, ALEPH0), CofPair(ONE, aleph(1)), CofPair(ALEPH0, ONE)]
 
 
 def test_cof_pair_classification():

@@ -142,6 +142,14 @@ class TestRunApi:
         parser = Parser("aleph(3)")
         assert str(parser.parse_cardinal()) == "aleph(3)"
 
+    def test_spectrum_prints_the_canonical_card_set(self, tmp_path):
+        """aleph(w) is singular, so reg<aleph(w+1) is printed reg<aleph(w)."""
+        text = ("let T = atom(x; cf=aleph(0); ci=aleph(0); coin={reg<aleph(w+1)}; "
+                "cofin={aleph(0)}; cuts={(aleph(0),aleph(0))})\n")
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+        assert (code, err) == (0, "")
+        assert "coin={reg<aleph(w)}  cofin={reg<aleph(1)}" in out
+
 
 class TestScheduleShorthand:
     def test_lim_mu_sets_both_tracks(self):

@@ -8,7 +8,7 @@ models) and compares it with the closed-form implementation.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordercuts.cardinals import (
     CardSet,
@@ -16,6 +16,7 @@ from ordercuts.cardinals import (
     ONE,
     OrdinalIndex,
     aleph,
+    index_is_regular,
     succ,
 )
 from ordercuts.order_terms import (
@@ -100,34 +101,40 @@ def test_chain_always_geq_matches_brute_force(a, s, b, t):
 # CardSet algebra against a concrete finite model
 # ---------------------------------------------------------------------------
 
-MODEL_DEPTH = 30  # regular indices of the model universe: 0..MODEL_DEPTH-1
-MODEL = [OrdinalIndex.of(n) for n in range(MODEL_DEPTH)]
+# the model universe: every index n, w+n and w*2+n with n < MODEL_DEPTH.  Drawn
+# sets use n <= 12, so a set reaching into the next tier differs from every
+# set that stops short of it inside the universe, and model equality is set
+# equality.
+TIERS = [OrdinalIndex.of(0), OrdinalIndex.omega(), OrdinalIndex.omega(1, 2)]
+MODEL_DEPTH = 14
+MODEL = [tier.plus_nat(n) for tier in TIERS for n in range(MODEL_DEPTH)]
 
 
 def to_model(cs: CardSet) -> frozenset:
-    return frozenset(i.finite_part() for i in MODEL if cs.contains(aleph(i)))
+    return frozenset(i for i in MODEL if cs.contains(aleph(i)))
 
 
+model_indexes = st.builds(lambda tier, n: tier.plus_nat(n), st.sampled_from(TIERS),
+                          st.integers(0, 12))
 small_sets = st.lists(
     st.one_of(
-        st.integers(0, 12).map(lambda n: CardSet.segment_below(aleph(n))),
-        st.integers(0, 12).map(lambda n: CardSet.singleton(aleph(n))),
+        model_indexes.map(lambda i: CardSet.segment_below(aleph(i))),
+        model_indexes.filter(index_is_regular).map(lambda i: CardSet.singleton(aleph(i))),
     ),
     max_size=4,
-).map(lambda parts: _union(parts))
+).map(lambda parts: CardSet.empty().union(*parts))
 
-
-def _union(parts):
-    out = CardSet.empty()
-    for p in parts:
-        out = out.union(p)
-    return out
+W1, W2 = OrdinalIndex.omega().succ(), OrdinalIndex.omega(1, 2).succ()
 
 
 @settings(max_examples=300)
 @given(small_sets, small_sets)
+@example(CardSet.segment_below(aleph(W1)), CardSet.segment_below(aleph(W1.limit_part())))
+@example(CardSet.segment_below(aleph(W2)).union(CardSet.singleton(aleph(W2.succ()))),
+         CardSet.segment_below(aleph(W2.succ().succ())))
 def test_cardset_ops_match_set_model(a, b):
     ma, mb = to_model(a), to_model(b)
+    assert (a == b) == (ma == mb)
     assert to_model(a.union(b)) == ma | mb
     assert to_model(a.intersect(b)) == ma & mb
     assert a.is_subset(b) == (ma <= mb)
@@ -137,7 +144,7 @@ def test_cardset_ops_match_set_model(a, b):
 @given(small_sets)
 def test_initial_segment_matches_model(a):
     ma = to_model(a)
-    downward_closed = all(j in ma for i in ma for j in range(i))
+    downward_closed = all(j in ma for i in ma for j in MODEL if j < i and index_is_regular(j))
     assert a.is_initial_segment == downward_closed
 
 

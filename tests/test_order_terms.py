@@ -9,6 +9,7 @@ from ordercuts.cardinals import (
     CardSet,
     CofPair,
     ONE,
+    OrdinalIndex,
     ZERO,
     aleph,
     reg_below,
@@ -24,6 +25,7 @@ from ordercuts.order_terms import (
     CutSpectrum,
     DOM_DEFAULT,
     DOM_ONE,
+    DOM_SEG,
     DOM_SINGLE,
     EMPTY,
     ExplicitPairs,
@@ -259,7 +261,6 @@ class TestScheduleSpectrum:
         assert cut_spectrum(t) == expected
 
     def test_singular_parameter_rejected(self):
-        from ordercuts.cardinals import OrdinalIndex
         singular = aleph(OrdinalIndex.omega())
         sched = CardinalSchedule(A1, A2, RULE_DSUCC, RULE_DSUCC)
         t = LexSchedule(singular, A1, A1, sched, EMPTY)
@@ -373,6 +374,23 @@ class TestExtendOrder:
     def test_extend_result_embeds_inner(self):
         ext = extend_order(Z_ORDER, A1, A1)
         assert ext.term.inner == Z_ORDER
+
+    def test_two_forms_of_one_coin_set_extend_alike(self):
+        """coin={reg<aleph(w+1)} is coin={reg<aleph(w)}, as aleph(w) is
+        singular, so both lexicographic products get mu=aleph(w+1)."""
+        w = OrdinalIndex.omega()
+        exts = [extend_order(recipe(A2, A1, A1, Atom("i", A0, ONE, CardSet.segment_below(aleph(b)),
+                                                     CardSet.of(A0))))
+                for b in (w.succ(), w)]
+        assert [(e.mu, e.k1, e.l1, e.base) for e in exts] == \
+            [(aleph(w.succ()), aleph(w.succ()), aleph(w.plus_nat(2)), aleph(w))] * 2
+
+
+def test_phi_image_over_a_lowered_segment():
+    """reg<aleph(w+1) is reg<aleph(w), which a segment piece covers whole."""
+    w = OrdinalIndex.omega()
+    phi = PhiMap((PhiPiece(DOM_ONE, None, A1), PhiPiece(DOM_SEG, aleph(w), A1)))
+    assert phi.image_over(CardSet.segment_below(aleph(w.succ()))) == CardSet.of(A1)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +723,24 @@ def test_term_depth_is_limited_by_memory():
     for fact in (cf, ci, coin_cofin, cut_spectrum, card_bound, completeness_predicates,
                  lambda t: extend_order(t).base):
         assert fact(deep) == fact(small)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("wrap", [lambda t: recipe(A2, A1, A1, t),
+                                  lambda t: LexRefined(A2, A2, A2, SWAP_PHI, SWAP_PHI, t)],
+                         ids=["lexsched", "lexref"])
+def test_deep_lexicographic_products_render(wrap):
+    """A lexicographic product's inner order goes on the renderer's stack,
+    so a 2,000-level nest renders at Python's default recursion limit."""
+    def nest():
+        t = OMEGA
+        for _ in range(2000):
+            t = wrap(t)
+        return t
+    deep, head = nest(), str(wrap(EMPTY))[:-len("empty)")]
+    text = head * 2000 + str(OMEGA) + ")" * 2000
+    assert str(deep) == text and repr(deep) == text
+    assert hash(deep) == hash(nest()) and deep == nest()
 
 
 def test_term_class_without_text_renders_its_name():
