@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import GeneratorType
 from typing import Dict, List, Optional, Tuple
 
 from . import hahn_concrete as hc
@@ -66,61 +67,75 @@ from .struct_classify import (
 STRUCTURE_TYPES = (GroupDescriptor, FieldDescriptor)
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<le><=)
+    \s+ | \#[^\n]*
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[(){}\[\],;=<>:+*^/-])
-""", re.VERBOSE)
+  | (?P<sym>->|<=|[(){}\[\],;=<>:+*^/-])
+  | (?P<bad>.+)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
+def _drive(reader):
+    """Run `reader` to its value.  A reader is a generator that yields a
+    reader for each nested construct it needs and is sent back that
+    construct's value; the open readers wait on a list, so nesting costs no
+    Python frames.  A reader hands a nested term here rather than taking it
+    with `yield from`, which re-enters every open level on each send."""
+    stack = []
+    value = None
+    while True:
+        try:
+            child = reader.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            reader, value = stack.pop(), done.value
         else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+            stack.append(reader)
+            reader, value = child, None
 
 
 Definition = Tuple[str, object]
 
 
 class Parser:
-    """Recursive descent over the token list with an environment of earlier
-    definitions for name references."""
+    """Descent over the token list with an environment of earlier
+    definitions for name references.  A construct that holds order terms is
+    read by a reader (see `_drive`), so order terms, and the lexicographic
+    products, groups and fields over them, nest to any depth."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = self._tokenize(text)
         self.pos = 0
         self.env: Dict[str, object] = {}
         self.order: List[str] = []
 
     # -- token plumbing ------------------------------------------------------
+
+    def _tokenize(self, text: str) -> List[Token]:
+        """One pass: whitespace and comments match unnamed groups and drop
+        out, and the catch-all `bad` group takes the rest of the text from
+        the first character no token starts with."""
+        tokens = [Token(m.lastgroup, m.group(), m.start())
+                  for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        if tokens and tokens[-1].kind == "bad":
+            raise self.error(f"unexpected character {tokens[-1].text[0]!r}", tokens[-1])
+        tokens.append(Token("eof", "", len(text)))
+        return tokens
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        """`message` as a parse error at the line and column of `tok`."""
+        line_start = self.text.rfind("\n", 0, tok.pos) + 1
+        return ParseError(message, self.text.count("\n", 0, tok.pos) + 1,
+                          tok.pos - line_start + 1)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -140,28 +155,26 @@ class Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def expect_int(self, message: str) -> int:
         tok = self.next()
         if tok.kind != "int":
-            raise ParseError(message, tok.line, tok.col)
+            raise self.error(message, tok)
         return int(tok.text)
 
     def fail(self, message: str):
         tok = self.peek()
-        raise ParseError(message + f" (at {tok.text!r})", tok.line, tok.col)
+        raise self.error(message + f" (at {tok.text!r})", tok)
 
-    @staticmethod
-    def located(tok: Token, build, *args, **kwargs):
+    def located(self, tok: Token, build, *args, **kwargs):
         """`build(*args, **kwargs)`, with a library error it raises reported
         as a parse error at `tok`."""
         try:
             return build(*args, **kwargs)
         except OrderCutsError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise self.error(str(exc), tok) from None
 
     def parse_list(self, open_: str, close: str, item, nonempty: bool = False) -> list:
         """`item`s between `open_` and `close`, with a comma between each
@@ -175,21 +188,25 @@ class Parser:
         self.expect(close)
         return out
 
-    def parse_block(self, head: str, spec, required=()) -> Dict[str, object]:
-        """`key=value` entries separated by `;`, then the closing `)`.  Each
-        key of `spec`, which maps it to the parser of its value, appears at
-        most once and every `required` key appears; `card` is written
-        `card<=`."""
+    def parse_block(self, head: str, spec, required=()):
+        """Reader of `key=value` entries separated by `;`, then the closing
+        `)`.  Each key of `spec`, which maps it to the parser of its value,
+        appears at most once and every `required` key appears; `card` is
+        written `card<=`.  A value parser that returns a reader has the
+        driver read the value."""
         out: Dict[str, object] = {}
         while True:
             key_tok = self.next()
             key = key_tok.text
             if key not in spec:
-                raise ParseError(f"unknown key {key!r}", key_tok.line, key_tok.col)
+                raise self.error(f"unknown key {key!r}", key_tok)
             if key in out:
-                raise ParseError(f"duplicate key {key!r}", key_tok.line, key_tok.col)
+                raise self.error(f"duplicate key {key!r}", key_tok)
             self.expect("<=" if key == "card" else "=")
-            out[key] = spec[key]()
+            value = spec[key]()
+            if isinstance(value, GeneratorType):
+                value = yield value
+            out[key] = value
             if not self.accept(";"):
                 break
         self.expect(")")
@@ -204,24 +221,19 @@ class Parser:
         while self.peek().kind != "eof":
             tok = self.next()
             if tok.text != "let":
-                raise ParseError(f"expected 'let', found {tok.text!r}",
-                                 tok.line, tok.col)
+                raise self.error(f"expected 'let', found {tok.text!r}", tok)
             name_tok = self.next()
             if name_tok.kind != "name":
-                raise ParseError("expected a definition name",
-                                 name_tok.line, name_tok.col)
+                raise self.error("expected a definition name", name_tok)
             self.expect("=")
             try:
                 value = self.parse_expr()
             except RecursionError:
-                # the descent recurses once per nesting level; report where
-                # it stopped rather than raising the interpreter's limit
-                tok = self.peek()
-                raise ParseError("definition nested too deeply",
-                                 tok.line, tok.col) from None
+                # only a Hahn literal still recurses, once per `lex(` of its
+                # index chain; report where it stopped
+                raise self.error("definition nested too deeply", self.peek()) from None
             if name_tok.text in self.env:
-                raise ParseError(f"duplicate definition {name_tok.text}",
-                                 name_tok.line, name_tok.col)
+                raise self.error(f"duplicate definition {name_tok.text}", name_tok)
             self.env[name_tok.text] = value
             self.order.append(name_tok.text)
         return [(n, self.env[n]) for n in self.order]
@@ -242,9 +254,9 @@ class Parser:
         if tok.text in self.TERM_HEADS:
             return self.parse_term_ref()
         if tok.text == "group":
-            return self.parse_group()
+            return _drive(self._group())
         if tok.text == "field":
-            return self.parse_field()
+            return _drive(self._field())
         if tok.text in ("hahn", "series"):
             return self.parse_hahn()
         if tok.kind == "name":
@@ -253,7 +265,7 @@ class Parser:
 
     def lookup(self, tok: Token):
         if tok.text not in self.env:
-            raise ParseError(f"undefined name {tok.text}", tok.line, tok.col)
+            raise self.error(f"undefined name {tok.text}", tok)
         return self.env[tok.text]
 
     # -- cardinals and sets -----------------------------------------------------
@@ -263,14 +275,16 @@ class Parser:
         if tok.text == "1":
             return ONE
         if tok.text != "aleph":
-            raise ParseError(f"expected a cardinal, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected a cardinal, found {tok.text!r}", tok)
         self.expect("(")
         idx = self.parse_ordinal()
         self.expect(")")
         return aleph(idx)
 
     def parse_ordinal(self) -> OrdinalIndex:
+        """An ordinal in Cantor normal form, its terms as written; a lone
+        `0` is zero."""
+        first = self.peek()
         terms: List[Tuple[int, int]] = []
         while True:
             tok = self.next()
@@ -281,19 +295,12 @@ class Parser:
                 coeff = self.expect_int("expected a coefficient") if self.accept("*") else 1
                 terms.append((exp, coeff))
             else:
-                raise ParseError(f"expected an ordinal term, found {tok.text!r}",
-                                 tok.line, tok.col)
+                raise self.error(f"expected an ordinal term, found {tok.text!r}", tok)
             if not self.accept("+"):
                 break
-        if len(terms) == 1 and terms[0] == (0, 0):
-            return OrdinalIndex.of(0)
-        acc: Dict[int, int] = {}
-        for exp, coeff in terms:
-            if (exp, coeff) == (0, 0):
-                raise ParseError("zero term inside an ordinal notation",
-                                 self.peek().line, self.peek().col)
-            acc[exp] = acc.get(exp, 0) + coeff
-        return OrdinalIndex(tuple(sorted(acc.items(), reverse=True)))
+        if terms == [(0, 0)]:
+            terms = []
+        return self.located(first, OrdinalIndex, tuple(terms))
 
     def parse_cardset(self) -> CardSet:
         return CardSet.empty().union(*self.parse_list("{", "}", self._parse_cardset_part))
@@ -302,76 +309,69 @@ class Parser:
         if self.accept("reg"):
             self.expect("<")
             return CardSet.segment_below(self.parse_cardinal())
-        return CardSet.singleton(self.parse_cardinal())
+        tok = self.peek()
+        return self.located(tok, CardSet.singleton, self.parse_cardinal())
 
     def parse_pair(self) -> CofPair:
-        self.expect("(")
+        tok = self.expect("(")
         left = self.parse_cardinal()
         self.expect(",")
         right = self.parse_cardinal()
         self.expect(")")
-        return CofPair(left, right)
+        return self.located(tok, CofPair, left, right)
 
     # -- order terms -------------------------------------------------------------
 
     def parse_term_ref(self) -> OrderTerm:
-        """An order term or the name of one.  Open `rev(`, `comp(` and `sum(`
-        frames wait on a stack, each with the parts read so far, so their
-        nesting costs no Python frames."""
-        frames: List[Tuple[str, List[OrderTerm]]] = []
-        while True:
-            tok = self.peek()
-            head = tok.text
-            if head not in self.TERM_HEADS and tok.kind != "name":
-                self.fail("expected an order term")
-            self.pos += 1
-            if head in ("rev", "comp", "sum"):
-                self.expect("(")
-                frames.append((head, []))
-                continue
-            if head == "empty":
-                value = EMPTY
-            elif head == "chain":
-                self.expect("(")
-                size = self.expect_int("chain needs a size")
-                self.expect(")")
-                value = chain(size)
-            elif head == "well":
-                self.expect("(")
-                k = self.parse_cardinal()
-                self.expect(")")
-                value = well(k)
-            elif head == "atom":
-                value = self.parse_atom()
-            elif head == "lexsched":
-                value = self.parse_lexsched()
-            elif head == "lexref":
-                value = self.parse_lexref()
-            else:
-                value = self.lookup(tok)
-                if not isinstance(value, OrderTerm):
-                    raise ParseError(f"{head} is not an order term", tok.line, tok.col)
-            # close every frame that this value completes
-            while frames:
-                head, parts = frames[-1]
-                parts.append(value)
-                if head == "sum" and self.accept(","):
-                    break
-                self.expect(")")
-                frames.pop()
-                value = rev(value) if head == "rev" else \
-                    completion(value) if head == "comp" else sum_of(*parts)
-            else:
-                return value
+        """An order term or the name of one."""
+        return _drive(self._term())
 
-    def parse_atom(self) -> Atom:
+    def _term(self):
+        """Reader of an order term or the name of one."""
+        tok = self.peek()
+        if tok.kind != "name":
+            self.fail("expected an order term")
+        self.pos += 1
+        head = tok.text
+        if head in ("rev", "comp"):
+            self.expect("(")
+            inner = yield self._term()
+            self.expect(")")
+            return rev(inner) if head == "rev" else completion(inner)
+        if head == "sum":
+            self.expect("(")
+            parts = [(yield self._term())]
+            while self.accept(","):
+                parts.append((yield self._term()))
+            self.expect(")")
+            return sum_of(*parts)
+        if head == "empty":
+            return EMPTY
+        if head == "chain":
+            self.expect("(")
+            size = self.expect_int("chain needs a size")
+            self.expect(")")
+            return chain(size)
+        if head == "well":
+            self.expect("(")
+            k = self.parse_cardinal()
+            self.expect(")")
+            return self.located(tok, well, k)
+        if head in ("atom", "lexsched", "lexref"):
+            return (yield from getattr(self, "_" + head)())
+        value = self.lookup(tok)
+        if not isinstance(value, OrderTerm):
+            raise self.error(f"{head} is not an order term", tok)
+        return value
+
+    def _atom(self):
         self.expect("(")
         name_tok = self.next()
         if name_tok.kind != "name":
-            raise ParseError("atom needs a name", name_tok.line, name_tok.col)
+            raise self.error("atom needs a name", name_tok)
         fields: Dict[str, object] = {}
         if self.accept(";"):
-            fields = self.parse_block("atom", {
+            fields = yield from self.parse_block("atom", {
                 "cf": self.parse_cardinal, "ci": self.parse_cardinal,
                 "coin": self.parse_cardset, "cofin": self.parse_cardset,
                 "card": self.parse_cardinal,
@@ -389,17 +389,17 @@ class Parser:
         tok = self.next()
         table = {"id": RULE_ID, "plus": RULE_SUCC, "plusplus": RULE_DSUCC}
         if tok.text not in table:
-            raise ParseError("successor rule is id/plus/plusplus", tok.line, tok.col)
+            raise self.error("successor rule is id/plus/plusplus", tok)
         return table[tok.text]
 
-    def parse_lexsched(self) -> LexSchedule:
+    def _lexsched(self):
         self.expect("(")
         card, rule = self.parse_cardinal, self._parse_rule
-        kv = self.parse_block("lexsched", {
+        kv = yield from self.parse_block("lexsched", {
             "mu": card, "k0": card, "l0": card, "k1": card, "l1": card,
             "succ": rule, "ksucc": rule, "lsucc": rule,
             "lim": self._parse_lim, "klim": card, "llim": card,
-            "i": self.parse_term_ref,
+            "i": self._term,
         }, required=("mu", "k0", "l0", "k1", "l1"))
         mu = kv["mu"]
         ksucc = kv.get("ksucc", kv.get("succ", RULE_DSUCC))
@@ -437,12 +437,12 @@ class Parser:
         value = PHI_SUCC if self.accept("succ") else self.parse_cardinal()
         return self.located(tok, PhiPiece, dom_kind, dom_card, value)
 
-    def parse_lexref(self) -> LexRefined:
+    def _lexref(self):
         self.expect("(")
         card = self.parse_cardinal
-        kv = self.parse_block("lexref", {
+        kv = yield from self.parse_block("lexref", {
             "mu": card, "k0": card, "l0": card, "phil": self.parse_phimap,
-            "phir": self.parse_phimap, "i": self.parse_term_ref,
+            "phir": self.parse_phimap, "i": self._term,
         }, required=("mu", "k0", "l0", "phil", "phir"))
         return LexRefined(kv["mu"], kv["k0"], kv["l0"], kv["phil"], kv["phir"],
                           kv.get("i", EMPTY))
@@ -452,7 +452,7 @@ class Parser:
     def _parse_bool(self) -> bool:
         tok = self.next()
         if tok.text not in ("true", "false"):
-            raise ParseError("expected true/false", tok.line, tok.col)
+            raise self.error("expected true/false", tok)
         return tok.text == "true"
 
     def _parse_comp(self) -> ComponentAssignment:
@@ -463,22 +463,22 @@ class Parser:
             return ComponentAssignment(ComponentKind.REALS,
                                        kinds[tok.text.split("_")[0]])
         if tok.text not in kinds:
-            raise ParseError("component kind is reals/ints/dense", tok.line, tok.col)
+            raise self.error("component kind is reals/ints/dense", tok)
         base = kinds[tok.text]
         if self.accept("+"):
             top_tok = self.next()
             if not top_tok.text.endswith("_at_top") or \
                     top_tok.text.split("_")[0] not in kinds:
-                raise ParseError("expected <kind>_at_top", top_tok.line, top_tok.col)
+                raise self.error("expected <kind>_at_top", top_tok)
             return ComponentAssignment(base, kinds[top_tok.text.split("_")[0]])
         return ComponentAssignment(base)
 
-    def parse_group(self) -> GroupDescriptor:
+    def _group(self):
         head = self.next()
         self.expect("(")
         boolean = self._parse_bool
-        kv = self.parse_block("group", {
-            "vset": self.parse_term_ref, "comp": self._parse_comp,
+        kv = yield from self.parse_block("group", {
+            "vset": self._term, "comp": self._parse_comp,
             "spherical": boolean, "discrete": boolean, "divisible": boolean,
         }, required=("vset",))
         return self.located(head, GroupDescriptor, kv["vset"],
@@ -487,18 +487,17 @@ class Parser:
                             discrete=kv.get("discrete", False),
                             divisible=kv.get("divisible", False))
 
-    def parse_field(self) -> FieldDescriptor:
+    def _field(self):
         head = self.next()
         self.expect("(")
 
         def group_ref():
             tok = self.peek()
             if tok.text == "group":
-                return self.parse_group()
+                return self._group()
             value = self.lookup(self.next())
             if not isinstance(value, GroupDescriptor):
-                raise ParseError(f"{tok.text} is not a group descriptor",
-                                 tok.line, tok.col)
+                raise self.error(f"{tok.text} is not a group descriptor", tok)
             return value
 
         def residue():
@@ -507,9 +506,9 @@ class Parser:
                 return Residue.REALS
             if tok.text == "proper":
                 return Residue.PROPER
-            raise ParseError("residue is reals/proper", tok.line, tok.col)
+            raise self.error("residue is reals/proper", tok)
 
-        kv = self.parse_block("field", {
+        kv = yield from self.parse_block("field", {
             "group": group_ref, "residue": residue,
             "realclosed": self._parse_bool, "spherical": self._parse_bool,
         }, required=("group",))
@@ -534,7 +533,7 @@ class Parser:
         if tok.text == "lex":
             return LexChain(tuple(self.parse_list("(", ")", self._parse_index_chain,
                                                   nonempty=True)))
-        raise ParseError("index chain is int/rat/fin(n)/lex(...)", tok.line, tok.col)
+        raise self.error("index chain is int/rat/fin(n)/lex(...)", tok)
 
     def _parse_rational(self) -> Fraction:
         sign = -1 if self.accept("-") else 1
@@ -543,30 +542,29 @@ class Parser:
             den_tok = self.peek()
             den = self.expect_int("expected a denominator")
             if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                raise self.error("zero denominator", den_tok)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
     def _parse_point(self, chain_):
         if isinstance(chain_, hc.ExponentGroup):
             # the coordinate count is checked by make, located at the head
-            return tuple(self.parse_list("(", ")", self._parse_rational, nonempty=True))
+            return tuple(self.parse_list("(", ")", self._parse_rational,
+                                         nonempty=chain_.dims > 0))
         if isinstance(chain_, LexChain):
             factors = iter(chain_.factors)
 
             def coordinate():
                 factor = next(factors, None)
                 if factor is None:
-                    comma = self.tokens[self.pos - 1]
-                    raise ParseError(f"{chain_} points have {len(chain_.factors)} "
-                                     "coordinates", comma.line, comma.col)
+                    raise self.error(f"{chain_} points have {len(chain_.factors)} "
+                                     "coordinates", self.tokens[self.pos - 1])
                 return self._parse_point(factor)
             return tuple(self.parse_list("(", ")", coordinate, nonempty=True))
         value = self._parse_rational()
         if isinstance(chain_, IntChain):
             if value.denominator != 1:
-                raise ParseError("integer point expected",
-                                 self.peek().line, self.peek().col)
+                raise self.error("integer point expected", self.peek())
             return int(value)
         return value
 
@@ -584,7 +582,7 @@ class Parser:
             tok = self.next()
             m = re.fullmatch(r"lex(\d+)", tok.text)
             if not m:
-                raise ParseError("exponent group is lexN", tok.line, tok.col)
+                raise self.error("exponent group is lexN", tok)
             chain_ = hc.ExponentGroup(int(m.group(1)))
 
         def term():

@@ -63,6 +63,14 @@ class TestRoundTrip:
                                            "let B = comp(well(aleph(1)))\n"
                                            "let E = empty\n")
 
+    def test_empty_exponent_series_roundtrips(self):
+        """A series over lex0 has the one exponent (), printed and read back."""
+        from ordercuts.hahn_concrete import ExponentGroup, HahnElement
+        defs = [("S", HahnElement.one(ExponentGroup(0)))]
+        text = print_definitions(defs)
+        assert text == "let S = series(exp=lex0; ():1)\n"
+        assert parse_definitions(text) == defs
+
     def test_unknown_keyword_is_named(self):
         with pytest.raises(ParseError) as err:
             parse_definitions("let T = wobble(aleph(1))\n")
@@ -178,8 +186,22 @@ class TestScheduleShorthand:
         assert str(sched.klim) == str(sched.llim) == "aleph(6)"
 
     def test_ordinal_index_syntax(self):
-        defs = parse_definitions("let c = aleph(w^2*3+w*2+5)\n")
-        assert str(defs[0][1]) == "aleph(w^2*3+w*2+5)"
+        for text, canon in (("aleph(w^2*3+w*2+5)", "aleph(w^2*3+w*2+5)"),
+                            ("aleph(0)", "aleph(0)"), ("aleph(w^0*3)", "aleph(3)")):
+            defs = parse_definitions(f"let c = {text}\n")
+            assert str(defs[0][1]) == canon
+
+    @pytest.mark.parametrize("text,message", [
+        ("aleph(1+w)", "CNF exponents must strictly decrease"),
+        ("aleph(w+1+w)", "CNF exponents must strictly decrease"),
+        ("aleph(w+w)", "CNF exponents must strictly decrease"),
+        ("aleph(1+1)", "CNF exponents must strictly decrease"),
+        ("aleph(w*0)", "malformed CNF term (1,0)"),
+    ])
+    def test_ordinal_text_is_cantor_normal_form(self, tmp_path, text, message):
+        """Ordinal terms are read as written, so text that is not in Cantor
+        normal form (1+w is w, not w+1) is refused at the ordinal."""
+        assert_located(tmp_path, f"let c = {text}\n", 15, message)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +419,46 @@ class TestInputErrors:
         assert_located(tmp_path, text, col, message)
 
     @pytest.mark.parametrize("text,col,message", [
+        ("let a = {aleph(w)}\n", 10,
+         "card sets hold infinite regular cardinals, got aleph(w)"),
+        ("let a = {1}\n", 10, "card sets hold infinite regular cardinals, got 1"),
+        ("let a = atom(x; cuts={(aleph(w),1)})\n", 23,
+         "cut cofinality components must be 1 or regular, got aleph(w)"),
+        ("let a = well(1)\n", 9,
+         "well order length must be an infinite regular cardinal, got 1"),
+        ("let a = well(aleph(w))\n", 9,
+         "well order length must be an infinite regular cardinal, got aleph(w)"),
+        ("let a = aleph(w*0)\n", 15, "malformed CNF term (1,0)"),
+    ])
+    def test_library_error_located(self, tmp_path, text, col, message):
+        """A value the library refuses is reported at the construct that
+        names it."""
+        assert_located(tmp_path, text, col, message)
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("# head\n\nlet a = aleph(1)\n\tlet b = {aleph(0) aleph(1)}\n", 4, 20,
+         "expected '}', found 'aleph'"),
+        ("\r\nlet a = 1\r\n# c (\r\nlet b = well(aleph(1) x)\r\n", 4, 23,
+         "expected ')', found 'x'"),
+        ("let a = 1\n\n\tlet\tb = \tnope\n", 3, 11, "undefined name nope"),
+        ("# x\n\n  let a = $\n", 3, 11, "unexpected character '$'"),
+        ("let a = 1\n\n# trailing (\nlet b = sum(", 4, 13, "expected an order term"),
+        ("let a = 1 # (\n\n\n\t\tlet b = rev(\r\n  chain(x))\n", 5, 9,
+         "chain needs a size"),
+    ])
+    def test_error_position_after_comments_and_blank_lines(self, tmp_path, text,
+                                                           line, col, message):
+        """A tab is one column, and a comment, a blank line or a `\\r\\n`
+        line end counts as a line."""
+        with pytest.raises(ParseError) as exc:
+            parse_definitions(text)
+        assert (exc.value.line, exc.value.column) == (line, col)
+        assert message in str(exc.value)
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}, col {col}: ")
+
+    @pytest.mark.parametrize("text,col,message", [
         ("let H = hahn(chain=fin(x); 0:1)\n", 24, "fin(n) needs an integer size"),
         ("let H = hahn(chain=lex(int,int); (1,2,3):1)\n", 38,
          "lex(int,int) points have 2 coordinates"),
@@ -470,6 +532,9 @@ class TestInputErrors:
 
     LEXSCHED_I = ("lexsched(mu=aleph(1); k0=aleph(1); l0=aleph(1); k1=aleph(1); "
                   "l1=aleph(1); i=")
+    LEXREF_I = ("lexref(mu=aleph(1); k0=aleph(1); l0=aleph(1); "
+                "phil=[1->aleph(0), default->aleph(0)]; "
+                "phir=[1->aleph(0), default->aleph(0)]; i=")
 
     @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize("head,tail,depth", [
@@ -477,26 +542,34 @@ class TestInputErrors:
         ("rev(", ")", 3000),
         ("sum(chain(1), rev(", "))", 300),
         (LEXSCHED_I, ")", 1000),
+        (LEXSCHED_I, ")", 3000),
+        (LEXREF_I, ")", 1000),
+        ("lex(", ")", 600),
     ])
     def test_deep_nesting_located(self, tmp_path, head, tail, depth):
-        """`rev`, `comp` and `sum` nest to any depth: the parser keeps their
-        open frames on a stack.  A construct it still reads by recursion, as
-        the inner order of `lexsched`, stops at Python's limit with a located
-        message and no traceback."""
-        body = head * depth + "well(aleph(0))" + tail * depth
-        text = f"let T = {body}\n"
-        if head != self.LEXSCHED_I:
-            ((_, term),) = parse_definitions(text)
+        """Order terms, and a group over one, nest to any depth: the parser
+        keeps the open constructs on a list.  A `lex(` of a Hahn index chain
+        is still read by recursion, so a deep one stops at Python's limit
+        with a located message and no traceback."""
+        if head != "lex(":
+            body = head * depth + "well(aleph(0))" + tail * depth
+            text = f"let T = {body}\nlet G = group(vset={body}; comp=reals)\n"
+            defs = parse_definitions(text)
+            canon = print_definitions(defs)
+            assert parse_definitions(canon) == defs
+            assert print_definitions(parse_definitions(canon)) == canon
             # an even number of reversals cancels
-            assert str(term) == ("well(aleph(0))" if head == "rev(" else body)
+            if head == "rev(":
+                assert str(defs[0][1]) == "well(aleph(0))"
             code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
             assert (code, err) == (0, "")
-            assert out == invoke_on(tmp_path, f"let T = {term}\n", "--cmd", "spectrum")[1]
+            assert out == invoke_on(tmp_path, canon, "--cmd", "spectrum")[1]
             return
+        text = f"let H = hahn(chain={head * depth}int{tail * depth})\n"
         with pytest.raises(ParseError) as exc:
             parse_definitions(text)
         line, col = exc.value.line, exc.value.column
-        assert line == 1 and len("let T = ") < col <= len(head) * depth
+        assert line == 1 and len("let H = hahn(chain=") < col <= len(head) * depth + 20
         code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
         assert code == 2
         assert out == ""
@@ -505,27 +578,32 @@ class TestInputErrors:
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_every_command_on_deep_nests(self, tmp_path):
-        """A 1,000-level nest, a lexicographic product over it, and a
-        discrete group over a 1,201-level nest whose reversals alternate at
-        its top end, go through every command: each exits 0 or 1 with a
-        report and no traceback."""
+        """A 1,000-level nest, a lexicographic product over it, a discrete
+        group over a 1,201-level nest whose reversals alternate at its top
+        end, and a 1,000-level nest of alternating `lexsched` and `lexref`
+        with a group over it go through every command: each exits 0 or 1
+        with a report and no traceback."""
         nest = "sum(well(aleph(0)), rev(" * 1000 + "well(aleph(0))" + "))" * 1000
         alt = "chain(2)"
         for level in range(1201):
             alt = f"sum(well(aleph(0)), rev({alt}))" if level % 2 == 0 else \
                 f"sum(rev({alt}), rev(well(aleph(0))))"
+        lex_nest = "".join(self.LEXSCHED_I if k % 2 == 0 else self.LEXREF_I
+                           for k in range(1000)) + "well(aleph(0))" + ")" * 1000
         order = f"let T = {nest}\n"
         text = order + (
             f"let A = {alt}\n"
             "let D = group(vset=A; comp=reals+ints_at_top; spherical=true; "
             "discrete=true; divisible=false)\n"
             "let L = lexsched(mu=aleph(1); k0=aleph(1); l0=aleph(1); k1=aleph(1); "
-            "l1=aleph(1); i=T)\n")
-        # verify reports an error on the lexicographic product, which has no
+            "l1=aleph(1); i=T)\n"
+            f"let X = {lex_nest}\n"
+            "let E = group(vset=X; comp=reals)\n")
+        # verify reports an error on a lexicographic product, which has no
         # concrete model, so it runs on the nest alone
-        for cmd, defs, items in (("spectrum", text, "TAL"), ("extend", text, "TADL"),
-                                 ("verify", order, "T"), ("classify", text, "D"),
-                                 ("check-conditions", text, "L")):
+        for cmd, defs, items in (("spectrum", text, "TALX"), ("extend", text, "TADLXE"),
+                                 ("verify", order, "T"), ("classify", text, "DE"),
+                                 ("check-conditions", text, "LX")):
             code, out, err = invoke_on(tmp_path, defs, "--cmd", cmd)
             assert code in (0, 1) and err == "", (cmd, err[-500:])
             assert re.findall(r"^== (\w+) ", out, re.M) == list(items)
@@ -584,3 +662,5 @@ def test_mutated_corpus_keeps_exit_contract(tmp_path_factory, edits):
             code = main(["--in", str(path), "--cmd", cmd])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        # an input error is reported at its line and column
+        assert not err.getvalue() or re.match(r"error: line \d+, col \d+: ", err.getvalue())
