@@ -459,9 +459,6 @@ class Parser:
         tok = self.next()
         kinds = {"reals": ComponentKind.REALS, "ints": ComponentKind.INTEGERS,
                  "dense": ComponentKind.DENSE}
-        if tok.text in ("ints_at_top", "dense_at_top"):
-            return ComponentAssignment(ComponentKind.REALS,
-                                       kinds[tok.text.split("_")[0]])
         if tok.text not in kinds:
             raise self.error("component kind is reals/ints/dense", tok)
         base = kinds[tok.text]

@@ -30,13 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .cardinals import ALEPH0, ALEPH1, Card, CofPair, ONE
+from .cardinals import ALEPH0, Card, CofPair, ONE
 from .chains import (ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain,
                      WitnessSide, is_exact)
 from .errors import DomainError
 from .order_terms import (
     Atom,
+    Completion,
     FiniteChain,
+    LexRefined,
+    LexSchedule,
     OrderTerm,
     Rev,
     Sum,
@@ -224,7 +227,9 @@ def _leaf(t: OrderTerm):
         if t.name.lower() in RAT_ATOM_NAMES:
             return RatChain(), _rat_witnesses()
         raise DomainError(f"atom {t.name} has no concrete model")
-    raise DomainError(f"{t} is not in the concretizable countable fragment")
+    head = {Completion: "comp(...)", LexSchedule: "lexsched(...)",
+            LexRefined: "lexref(...)"}.get(type(t), t)
+    raise DomainError(f"{head} is not in the concretizable countable fragment")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +441,7 @@ def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     because its reason names a probe of its own part."""
     _check_depth(depth)
     chain, witnesses = _flatten(t)
-    claimed = cut_spectrum(t).pairs_below(ALEPH1)
+    claimed = cut_spectrum(t).countable_pairs()
     rows = []
     passed = set()
     verdicts = {}

@@ -693,30 +693,18 @@ def _affine(base: OrdinalIndex, step: int, n: int) -> Card:
 
 class _Part:
     """Shared defaults of the spectrum parts.  A one-sided family stores one
-    orientation; `flipped` mirrors each of its pairs.  The predicates derive
-    from one pair-level identity: a pair fails to be strongly asymmetric
-    exactly when it is symmetric or both of its components are countable.
-    The defaults fit a family: its pairs have infinite left components,
-    except in a row of pairs (1, l) (see `RowSeg`), and its symmetric pairs
-    are infinite."""
+    orientation; `flipped` mirrors each of its pairs.  A pair fails to be
+    strongly asymmetric exactly when it is symmetric with infinite
+    components or it is one of the four pairs over {1, aleph(0)}.  So each
+    shape answers two questions, and every flag reads them:
+    `has_infinite_symmetric`, does the part hold a symmetric pair with
+    infinite components, and `countable_pairs`, its pairs over {1, aleph(0)}."""
 
     principal = False
     flipped = False
 
     def mirrored(self):
         return replace(self, flipped=not self.flipped)
-
-    def has_infinite_symmetric(self) -> bool:
-        return self.has_symmetric()
-
-    def has_not_strongly(self) -> bool:
-        return self.has_symmetric() or self.has_both_countable()
-
-    def violates_one_left(self) -> bool:
-        return False
-
-    def violates_type2(self) -> bool:
-        return self.has_not_strongly()
 
     def pairs_below(self, bound: Card) -> Iterator[CofPair]:
         if self.flipped:
@@ -744,21 +732,11 @@ class ExplicitPairs(_Part):
     def mirrored(self):
         return ExplicitPairs(tuple(p.mirrored() for p in self.pairs), self.principal)
 
-    def has_symmetric(self) -> bool:
-        return any(p.is_symmetric for p in self.pairs)
-
     def has_infinite_symmetric(self) -> bool:
         return any(p.is_symmetric and p.left.is_infinite for p in self.pairs)
 
-    def violates_one_left(self) -> bool:
-        return any(p.left.is_one and not p.right.is_uncountable for p in self.pairs)
-
-    def violates_type2(self) -> bool:
-        return any(p.left.is_infinite and not p.is_strongly_asymmetric
-                   for p in self.pairs)
-
-    def has_both_countable(self) -> bool:
-        return any(p.both_countable for p in self.pairs)
+    def countable_pairs(self) -> Tuple[CofPair, ...]:
+        return tuple(p for p in self.pairs if p.both_countable)
 
     def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         for p in self.pairs:
@@ -786,21 +764,14 @@ class RowSeg(_Part):
     def principal(self) -> bool:
         return self.fixed.is_one
 
-    def _one_left(self) -> bool:
-        """Are the pairs of this row (1, l)?"""
-        return self.fixed.is_one and not self.flipped
-
-    def violates_one_left(self) -> bool:
-        return self._one_left() and self.has_both_countable()
-
-    def violates_type2(self) -> bool:
-        return not self._one_left() and self.has_not_strongly()
-
-    def has_symmetric(self) -> bool:
+    def has_infinite_symmetric(self) -> bool:
         return self.seg.contains(self.fixed)
 
-    def has_both_countable(self) -> bool:
-        return not self.fixed.is_uncountable and self.seg.contains(ALEPH0)
+    def countable_pairs(self) -> Tuple[CofPair, ...]:
+        if self.fixed.is_uncountable or not self.seg.contains(ALEPH0):
+            return ()
+        pair = CofPair(self.fixed, ALEPH0)
+        return (pair.mirrored() if self.flipped else pair,)
 
     def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         if self.fixed < bound:
@@ -825,11 +796,13 @@ class PhiFam(_Part):
     def is_empty(self) -> bool:
         return self.seg.is_empty
 
-    def has_symmetric(self) -> bool:
+    def has_infinite_symmetric(self) -> bool:
         return self.phi.fixed_point_in(self.seg) is not None
 
-    def has_both_countable(self) -> bool:
-        return self.seg.contains(ALEPH0) and self.phi.evaluate(ALEPH0) == ALEPH0
+    def countable_pairs(self) -> Tuple[CofPair, ...]:
+        if self.seg.contains(ALEPH0) and self.phi.evaluate(ALEPH0) == ALEPH0:
+            return (CofPair(ALEPH0, ALEPH0),)
+        return ()
 
     def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         for kap in self.seg.intersect(CardSet.segment_below(bound)).members():
@@ -857,11 +830,13 @@ class ChainPairs(_Part):
     def mirrored(self):
         return ChainPairs(self.ra, self.rs, self.la, self.ls)
 
-    def has_symmetric(self) -> bool:
+    def has_infinite_symmetric(self) -> bool:
         return _chain_eq_exists(self.la, self.ls, self.ra, self.rs)
 
-    def has_both_countable(self) -> bool:
-        return self.la.is_zero and self.ra.is_zero
+    def countable_pairs(self) -> Tuple[CofPair, ...]:
+        if self.la.is_zero and self.ra.is_zero:
+            return (CofPair(ALEPH0, ALEPH0),)
+        return ()
 
     def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         n = 0
@@ -894,15 +869,14 @@ class ChainSeg(_Part):
     def is_empty(self) -> bool:
         return self.ba.is_zero and self.bs == 0
 
-    def has_symmetric(self) -> bool:
+    def has_infinite_symmetric(self) -> bool:
         return _chain_lt_exists(self.la, self.ls, self.ba, self.bs)
 
-    def has_both_countable(self) -> bool:
-        if not self.la.is_zero:
-            return False
-        if self.ls > 0:
-            return not self.ba.is_zero
-        return not self.ba.is_zero or self.bs > 0
+    def countable_pairs(self) -> Tuple[CofPair, ...]:
+        # (aleph(0), aleph(0)) at n = 0, or at a later n of a constant chain
+        if self.la.is_zero and (not self.ba.is_zero or self.ls == 0 < self.bs):
+            return (CofPair(ALEPH0, ALEPH0),)
+        return ()
 
     def _pairs_below(self, bound: Card) -> Iterator[CofPair]:
         below = CardSet.segment_below(bound)
@@ -1019,23 +993,16 @@ class CutSpectrum:
     def mirrored(self) -> "CutSpectrum":
         return CutSpectrum.of(tuple(p.mirrored() for p in self.parts))
 
-    def has_symmetric_pair(self) -> bool:
-        return any(p.has_symmetric() for p in self.parts)
+    def has_infinite_symmetric(self) -> bool:
+        return any(p.has_infinite_symmetric() for p in self.parts)
 
-    def has_not_strongly_asymmetric(self) -> bool:
-        return any(p.has_not_strongly() for p in self.parts)
+    def countable_pairs(self) -> frozenset:
+        """The pairs over {1, aleph(0)}: those below aleph(1)."""
+        return frozenset(q for p in self.parts for q in p.countable_pairs())
 
     def has_nonprincipal_symmetric(self) -> bool:
         """Tag-based route: symmetric pair inside a part not tagged principal."""
-        return any(p.has_symmetric() for p in self.parts if not p.principal)
-
-    def all_one_left_uncountable(self) -> bool:
-        """Every pair (1, l) in the spectrum has l uncountable."""
-        return not any(p.violates_one_left() for p in self.parts)
-
-    def all_infinite_left_strongly_asymmetric(self) -> bool:
-        """Every pair with infinite left component is strongly asymmetric."""
-        return not any(p.violates_type2() for p in self.parts)
+        return any(p.has_infinite_symmetric() for p in self.parts if not p.principal)
 
     def pairs_below(self, bound: Card) -> frozenset:
         if not (bound.is_infinite and bound.index.is_finite_number()):
@@ -1182,8 +1149,9 @@ def _schedule_conditions(t: LexSchedule):
     # rows holds a symmetric pair
     rows = _schedule_rows(t)
     b_ok = s.k1 >= t.l0 and s.l1 >= t.k0 and not any(
-        r.has_symmetric() for r in rows if isinstance(r, ChainSeg))
-    c_ok = not any(r.has_symmetric() for r in rows if isinstance(r, ChainPairs))
+        r.has_infinite_symmetric() for r in rows if isinstance(r, ChainSeg))
+    c_ok = not any(r.has_infinite_symmetric() for r in rows
+                   if isinstance(r, ChainPairs))
     d_ok = (not t.mu.is_uncountable) or (s.klim >= t.mu and s.llim >= t.mu)
     return (_check("cond-a", a_ok, f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
                                    f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"),
@@ -1238,14 +1206,17 @@ def nonprincipal_cuts_all_asymmetric(spec: CutSpectrum) -> bool:
     """Second route for the order-ball criterion: inspect components instead
     of the principal tags.  A symmetric pair without a `1` component is a
     nonprincipal symmetric cut."""
-    return not any(p.has_infinite_symmetric() for p in spec.parts)
+    return not spec.has_infinite_symmetric()
 
 
 def completeness_predicates(t: OrderTerm) -> Completeness:
-    """The four completeness notions, decided from the cut spectrum."""
+    """The four completeness notions, decided from the cut spectrum: a pair
+    is symmetric when it is infinite symmetric or (1, 1), and not strongly
+    asymmetric when it is infinite symmetric or countable."""
     spec, cf_t, ci_t = cut_spectrum(t), cf(t), ci(t)
-    symmetric = not spec.has_symmetric_pair()
-    strong = not spec.has_not_strongly_asymmetric()
+    infinite_symmetric, countable = spec.has_infinite_symmetric(), spec.countable_pairs()
+    symmetric = not infinite_symmetric and CofPair(ONE, ONE) not in countable
+    strong = not infinite_symmetric and not countable
     extreme = strong and cf_t.is_uncountable and ci_t.is_uncountable
     spherical = not spec.has_nonprincipal_symmetric()
     return Completeness(symmetric, strong, extreme, spherical)
@@ -1265,15 +1236,15 @@ class OrderExtension:
     note: str
 
 
-def extend_order(t: OrderTerm, k0: Card = aleph(1), l0: Card = aleph(1),
-                 bound: Optional[Card] = None) -> OrderExtension:
-    """Instantiate the recipe: mu above max(k0, l0, card bound), kappa_1 = mu,
-    lambda_1 = mu^+, double successors, limits restarting at the nu=1 values.
-    The result embeds the input and, for uncountable k0 and l0, is extremely
-    symmetrically complete."""
+def extend_order(t: OrderTerm, k0: Card = aleph(1),
+                 l0: Card = aleph(1)) -> OrderExtension:
+    """Instantiate the recipe: mu above k0, l0 and the base derived from the
+    input (see `_cardinality`), kappa_1 = mu, lambda_1 = mu^+, double
+    successors, limits restarting at the nu=1 values.  The result embeds the
+    input and, for uncountable k0 and l0, is extremely symmetrically complete."""
     require_infinite_regular(k0, "k0")
     require_infinite_regular(l0, "l0")
-    base = bound if bound is not None else _ok(_cardinality(t)[1])
+    base = _ok(_cardinality(t)[1])
     mu = succ(max(k0, l0, base))
     sched = CardinalSchedule(k1=mu, l1=succ(mu), ksucc=RULE_DSUCC,
                              lsucc=RULE_DSUCC, klim=mu, llim=succ(mu))

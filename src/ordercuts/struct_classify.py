@@ -225,7 +225,7 @@ def type1_cuts_ok(g: GroupDescriptor) -> bool:
         comp_ok = g.components.base == ComponentKind.REALS and \
             top in (None, ComponentKind.REALS, ComponentKind.INTEGERS)
     spec = cut_spectrum(g.value_set)
-    return comp_ok and spec.all_one_left_uncountable()
+    return comp_ok and not any(p.left.is_one for p in spec.countable_pairs())
 
 
 def type2_cuts_ok(g: GroupDescriptor) -> Optional[bool]:
@@ -235,7 +235,9 @@ def type2_cuts_ok(g: GroupDescriptor) -> Optional[bool]:
     _require_nontrivial(g)
     if not g.spherical:
         return None
-    return cut_spectrum(g.value_set).all_infinite_left_strongly_asymmetric()
+    spec = cut_spectrum(g.value_set)
+    return not spec.has_infinite_symmetric() and \
+        all(p.left.is_one for p in spec.countable_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +391,12 @@ class FieldExtension:
     recipe: OrderExtension
 
 
-def extend_group(g: GroupDescriptor, k0: Card = aleph(1), l0: Card = aleph(1),
-                 bound: Optional[Card] = None) -> GroupExtension:
+def extend_group(g: GroupDescriptor, k0: Card = aleph(1),
+                 l0: Card = aleph(1)) -> GroupExtension:
     """Embed the group into the Hahn product over the extended value set with
     real components: the result is extremely symmetrically complete."""
     _require_nontrivial(g)
-    ext = extend_order(g.value_set, k0, l0, bound)
+    ext = extend_order(g.value_set, k0, l0)
     return GroupExtension(_extended_group(ext), ext)
 
 
@@ -403,14 +405,14 @@ def _extended_group(ext: OrderExtension) -> GroupDescriptor:
                            discrete=False, divisible=True)
 
 
-def extend_field(k: FieldDescriptor, k0: Card = aleph(1), l0: Card = aleph(1),
-                 bound: Optional[Card] = None) -> FieldExtension:
+def extend_field(k: FieldDescriptor, k0: Card = aleph(1),
+                 l0: Card = aleph(1)) -> FieldExtension:
     """Pass to the real closure, embed it into a power series field over the
     extended value group, with real coefficients: extremely symmetrically
     complete.  The real closure's value group is the divisible hull of the
     value group, over the same value set, and only the value set is
     extended."""
-    ext = extend_order(k.value_group.value_set, k0, l0, bound)
+    ext = extend_order(k.value_group.value_set, k0, l0)
     out = FieldDescriptor(value_group=_extended_group(ext), residue=Residue.REALS,
                           real_closed=True, spherical=True)
     return FieldExtension(out, ext)

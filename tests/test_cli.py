@@ -522,6 +522,13 @@ class TestInputErrors:
         assert "--bound" in err or not args
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("top", ["ints_at_top", "dense_at_top"])
+    def test_bare_top_component_refused(self, tmp_path, top):
+        """A top-special component is spelled `<kind>+<kind>_at_top`, the
+        way it prints; a bare `<kind>_at_top` is no component kind."""
+        assert_located(tmp_path, f"let G = group(vset=well(aleph(0)); comp={top})\n",
+                       41, "component kind is reals/ints/dense")
+
     @pytest.mark.parametrize("bound", ["aleph(w)", "1", "aleph(0"])
     def test_bound_must_be_finite_aleph(self, tmp_path, bound):
         code, out, err = invoke_on(tmp_path, "let W0 = well(aleph(0))\n",
@@ -575,6 +582,21 @@ class TestInputErrors:
         assert out == ""
         assert re.search(r"line 1, col \d+: definition nested too deeply", err)
         assert "Traceback" not in err
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_verify_refusal_names_the_head(self, tmp_path):
+        """`verify` refuses a 3,000-level `lexsched` nest by naming the head
+        of the refused construct, so the error record does not grow with
+        the nesting."""
+        head = ("lexsched(mu=aleph(1); k0=aleph(1); l0=aleph(1); k1=aleph(1); "
+                "l1=aleph(2); i=")
+        text = "let X = " + head * 3000 + "well(aleph(0))" + ")" * 3000 + "\n"
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "verify",
+                                   "--format", "machine")
+        assert (code, err) == (2, "")
+        [record] = re.findall(r"^rec=row\|name=X\|error=.*$", out, re.M)
+        assert len(record.encode()) < 1024
+        assert "lexsched(...) is not in the concretizable countable fragment" in record
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_every_command_on_deep_nests(self, tmp_path):

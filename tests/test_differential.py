@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ordercuts.cardinals import (
+    ALEPH1,
     CardSet,
     CofPair,
     ONE,
@@ -24,6 +25,7 @@ from ordercuts.order_terms import (
     CardinalSchedule,
     ChainPairs,
     ChainSeg,
+    CutSpectrum,
     DOM_DEFAULT,
     DOM_ONE,
     DOM_SEG,
@@ -45,6 +47,7 @@ from ordercuts.order_terms import (
     ci,
     coin_cofin,
     cut_spectrum,
+    nonprincipal_cuts_all_asymmetric,
     rev,
     sum_of,
     well,
@@ -234,20 +237,49 @@ def test_schedule_enumeration_matches_pointwise_walk(mu, k0, l0, k1, l1,
 
 
 # ---------------------------------------------------------------------------
-# Spectrum-part predicates against their pair-level definitions
+# The two facts of the spectrum parts against their pair-level definitions
 # ---------------------------------------------------------------------------
 
 # every witness pair of the parts below has components under aleph(10)
 PART_BOUND = aleph(14)
 
-PAIR_DEFINITIONS = {
-    "has_symmetric": lambda p: p.is_symmetric,
-    "has_infinite_symmetric": lambda p: p.is_symmetric and p.left.is_infinite,
-    "has_not_strongly": lambda p: not p.is_strongly_asymmetric,
-    "has_both_countable": lambda p: p.both_countable,
-    "violates_one_left": lambda p: p.left.is_one and not p.right.is_uncountable,
-    "violates_type2": lambda p: p.left.is_infinite and not p.is_strongly_asymmetric,
+
+def _infinite_symmetric(p):
+    return p.is_symmetric and p.left.is_infinite
+
+
+# each flag the library derives from the two facts (an infinite symmetric
+# pair, the countable pairs), read as the library reads it, against its
+# definition on the pairs
+FLAG_READINGS = {
+    "has a symmetric pair": (lambda inf, cnt: inf or CofPair(ONE, ONE) in cnt,
+                             lambda p: p.is_symmetric),
+    "has a pair not strongly asymmetric": (lambda inf, cnt: inf or bool(cnt),
+                                           lambda p: not p.is_strongly_asymmetric),
+    "has a pair (1, l) with l countable": (
+        lambda inf, cnt: any(p.left.is_one for p in cnt),
+        lambda p: p.left.is_one and not p.right.is_uncountable),
+    "has an infinite-left pair not strongly asymmetric": (
+        lambda inf, cnt: inf or any(p.left.is_infinite for p in cnt),
+        lambda p: p.left.is_infinite and not p.is_strongly_asymmetric),
 }
+
+
+def _fact_mismatches(facts, below):
+    """The names of the facts of a part or spectrum, and of the flags read
+    off them, that disagree with the enumerated pairs `below`."""
+    inf, cnt = facts.has_infinite_symmetric(), set(facts.countable_pairs())
+    out = []
+    if inf != any(map(_infinite_symmetric, below)):
+        out.append("has_infinite_symmetric")
+    if cnt != {p for p in below if p.both_countable} or \
+            cnt != set(facts.pairs_below(ALEPH1)):
+        out.append("countable_pairs")
+    for flag, (reading, definition) in FLAG_READINGS.items():
+        if reading(inf, cnt) != any(map(definition, below)):
+            out.append(flag)
+    return out
+
 
 PART_SEGS = [CardSet.empty(), CardSet.segment_below(aleph(OrdinalIndex.omega())),
              CardSet.of(A[0], A[2], A[3])] + \
@@ -300,14 +332,42 @@ def test_part_predicates_match_pair_definitions(shape):
     mismatches = []
     for part in PART_FAMILIES[shape]:
         below = frozenset(part.pairs_below(PART_BOUND))
-        for name, holds in PAIR_DEFINITIONS.items():
-            if getattr(part, name)() != any(holds(p) for p in below):
-                mismatches.append((part.render(), name))
+        mismatches += [(part.render(), name) for name in _fact_mismatches(part, below)]
         if any(p.is_principal != part.principal for p in below):
             mismatches.append((part.render(), "principal"))
         mirror = frozenset(part.mirrored().pairs_below(PART_BOUND))
         if mirror != frozenset(p.mirrored() for p in below):
             mismatches.append((part.render(), "mirrored"))
+    assert not mismatches, mismatches[:10]
+
+
+SPECTRUM_DRAWS = 5000
+
+
+def test_spectrum_facts_match_pair_definitions():
+    """Seeded random spectra of 1-3 parts: the two facts, the flags read off
+    them and the tag route agree with the enumerated pairs, and every pair
+    fails to be strongly asymmetric exactly when it is symmetric with
+    infinite components or both of its components are countable."""
+    rng = random.Random(21)
+    shapes = sorted(PART_FAMILIES)
+    mismatches = []
+    for _ in range(SPECTRUM_DRAWS):
+        parts = [rng.choice(PART_FAMILIES[rng.choice(shapes)])
+                 for _ in range(rng.randint(1, 3))]
+        spec = CutSpectrum.of(parts)
+        below = spec.pairs_below(PART_BOUND)
+        if below != frozenset(q for p in parts for q in p.pairs_below(PART_BOUND)):
+            mismatches.append((str(spec), "pairs"))
+        mismatches += [(str(spec), name) for name in _fact_mismatches(spec, below)]
+        tag_route = spec.has_nonprincipal_symmetric()
+        if tag_route != any(p.is_symmetric and not p.is_principal for p in below) or \
+                tag_route == nonprincipal_cuts_all_asymmetric(spec):
+            mismatches.append((str(spec), "nonprincipal symmetric"))
+        for p in below:
+            if (not p.is_strongly_asymmetric) != (
+                    _infinite_symmetric(p) or p.both_countable):
+                mismatches.append((str(spec), str(p)))
     assert not mismatches, mismatches[:10]
 
 

@@ -339,3 +339,24 @@ def test_asa_at_spectrum_level():
         for pair in cut_spectrum(vset).pairs_below(aleph(4)):
             if not pair.is_principal and pair.is_asymmetric:
                 assert pair.is_strongly_asymmetric
+
+
+def test_cut_lemmas_match_pair_definitions():
+    """The two cut lemmas read the value set's two spectrum facts; on the
+    sample value sets, and on atoms whose countable pairs have a left
+    component 1 or an infinite one, they agree with their definitions on
+    the enumerated pairs."""
+    from ordercuts.order_terms import cut_spectrum
+    ends = CardSet.of(A0, A1, A2)
+    atoms = [Atom("v", A2, A2, ends, ends, A2, cuts)
+             for cuts in [(CofPair(ONE, ONE), CofPair(A0, A2)),
+                          (CofPair(ONE, A0), CofPair(A2, A1)),
+                          (CofPair(A0, ONE), CofPair(ONE, A1)),
+                          (CofPair(A0, A0), CofPair(A1, ONE))]]
+    for vset in VALUE_SET_SAMPLES + atoms:
+        below = cut_spectrum(vset).pairs_below(aleph(12))
+        g = GroupDescriptor(vset, REALS, spherical=True)
+        assert type1_cuts_ok(g) == (not any(
+            p.left.is_one and not p.right.is_uncountable for p in below)), vset
+        assert type2_cuts_ok(g) == (not any(
+            p.left.is_infinite and not p.is_strongly_asymmetric for p in below)), vset
