@@ -164,6 +164,14 @@ class Parser:
             raise self.error(message, tok)
         return int(tok.text)
 
+    def choose(self, table: dict, message: str):
+        """`table[text]` for the text of the next token; `message`, located
+        at that token, when the text is not a key of `table`."""
+        tok = self.next()
+        if tok.text not in table:
+            raise self.error(message, tok)
+        return table[tok.text]
+
     def fail(self, message: str):
         tok = self.peek()
         raise self.error(message + f" (at {tok.text!r})", tok)
@@ -226,12 +234,7 @@ class Parser:
             if name_tok.kind != "name":
                 raise self.error("expected a definition name", name_tok)
             self.expect("=")
-            try:
-                value = self.parse_expr()
-            except RecursionError:
-                # only a Hahn literal still recurses, once per `lex(` of its
-                # index chain; report where it stopped
-                raise self.error("definition nested too deeply", self.peek()) from None
+            value = self.parse_expr()
             if name_tok.text in self.env:
                 raise self.error(f"duplicate definition {name_tok.text}", name_tok)
             self.env[name_tok.text] = value
@@ -386,11 +389,8 @@ class Parser:
                             fields.get("card"), fields.get("cuts"))
 
     def _parse_rule(self) -> int:
-        tok = self.next()
-        table = {"id": RULE_ID, "plus": RULE_SUCC, "plusplus": RULE_DSUCC}
-        if tok.text not in table:
-            raise self.error("successor rule is id/plus/plusplus", tok)
-        return table[tok.text]
+        return self.choose({"id": RULE_ID, "plus": RULE_SUCC, "plusplus": RULE_DSUCC},
+                           "successor rule is id/plus/plusplus")
 
     def _lexsched(self):
         self.expect("(")
@@ -450,24 +450,17 @@ class Parser:
     # -- descriptors -------------------------------------------------------------
 
     def _parse_bool(self) -> bool:
-        tok = self.next()
-        if tok.text not in ("true", "false"):
-            raise self.error("expected true/false", tok)
-        return tok.text == "true"
+        return self.choose({"true": True, "false": False}, "expected true/false")
+
+    _KINDS = {str(kind): kind for kind in ComponentKind}
+    _TOP_KINDS = {f"{kind}_at_top": kind for kind in ComponentKind}
+    _RESIDUES = {str(residue): residue for residue in Residue}
 
     def _parse_comp(self) -> ComponentAssignment:
-        tok = self.next()
-        kinds = {"reals": ComponentKind.REALS, "ints": ComponentKind.INTEGERS,
-                 "dense": ComponentKind.DENSE}
-        if tok.text not in kinds:
-            raise self.error("component kind is reals/ints/dense", tok)
-        base = kinds[tok.text]
+        base = self.choose(self._KINDS, "component kind is reals/ints/dense")
         if self.accept("+"):
-            top_tok = self.next()
-            if not top_tok.text.endswith("_at_top") or \
-                    top_tok.text.split("_")[0] not in kinds:
-                raise self.error("expected <kind>_at_top", top_tok)
-            return ComponentAssignment(base, kinds[top_tok.text.split("_")[0]])
+            return ComponentAssignment(
+                base, self.choose(self._TOP_KINDS, "expected <kind>_at_top"))
         return ComponentAssignment(base)
 
     def _group(self):
@@ -497,16 +490,9 @@ class Parser:
                 raise self.error(f"{tok.text} is not a group descriptor", tok)
             return value
 
-        def residue():
-            tok = self.next()
-            if tok.text == "reals":
-                return Residue.REALS
-            if tok.text == "proper":
-                return Residue.PROPER
-            raise self.error("residue is reals/proper", tok)
-
         kv = yield from self.parse_block("field", {
-            "group": group_ref, "residue": residue,
+            "group": group_ref,
+            "residue": lambda: self.choose(self._RESIDUES, "residue is reals/proper"),
             "realclosed": self._parse_bool, "spherical": self._parse_bool,
         }, required=("group",))
         return self.located(head, FieldDescriptor, kv["group"],
@@ -516,7 +502,9 @@ class Parser:
 
     # -- concrete elements ---------------------------------------------------------
 
-    def _parse_index_chain(self):
+    def _parse_index_chain(self, factor: bool = False):
+        """An index chain; a `factor` of a `lex(...)` is int/rat/fin(n), since
+        a nested product is the flat one with its factors in order."""
         tok = self.next()
         if tok.text == "int":
             return hc.INT_CHAIN
@@ -528,8 +516,10 @@ class Parser:
             self.expect(")")
             return self.located(tok, IntChain, 0, size)
         if tok.text == "lex":
-            return LexChain(tuple(self.parse_list("(", ")", self._parse_index_chain,
-                                                  nonempty=True)))
+            if factor:
+                raise self.error("a lex factor is int/rat/fin(n)", tok)
+            return LexChain(tuple(self.parse_list(
+                "(", ")", lambda: self._parse_index_chain(True), nonempty=True)))
         raise self.error("index chain is int/rat/fin(n)/lex(...)", tok)
 
     def _parse_rational(self) -> Fraction:

@@ -105,10 +105,16 @@ def point_le(a, b) -> bool:
 
 def _require_index_chain(chain) -> None:
     """Refuse a chain that cannot check points, by its shape, so that an
-    element with no points is refused as one with points would be."""
+    element with no points is refused as one with points would be.  A lex
+    factor is an integer or a rational chain: a nested product is the flat
+    one with its factors in order."""
     if isinstance(chain, LexChain):
         for factor in chain.factors:
-            _require_index_chain(factor)
+            if not isinstance(factor, (IntChain, RatChain)):
+                name = type(factor).__name__
+                raise DomainError(f"a lex factor is an IntChain or a RatChain, not {name}"
+                                  if isinstance(factor, (LexChain, ExponentGroup))
+                                  else f"{name} is not an index chain")
     elif not isinstance(chain, (IntChain, RatChain, ExponentGroup)):
         raise DomainError(f"{type(chain).__name__} is not an index chain")
 

@@ -84,6 +84,8 @@ class FiniteChain(OrderTerm):
     size: int
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise DomainError(f"finite chain sizes are ints, got {self.size!r}")
         if self.size < 1:
             raise DomainError("finite chains have at least one point; use empty")
 
@@ -225,15 +227,29 @@ class LexSchedule(OrderTerm):
 DOM_ONE, DOM_SINGLE, DOM_SEG, DOM_DEFAULT = "1", "single", "seg", "default"
 PHI_SUCC = "succ"
 
+# per domain kind: its text, and its part inside Reg (None for all of Reg)
+_PHI_DOMAINS = {
+    DOM_ONE: ("1", lambda c: CardSet.empty()),
+    DOM_SINGLE: ("{}", CardSet.singleton),
+    DOM_SEG: ("reg<{}", CardSet.segment_below),
+    DOM_DEFAULT: ("default", lambda c: None),
+}
+
 
 @dataclass(frozen=True)
 class PhiPiece:
+    """One piece of a phi map, with its domain inside Reg (`regs`) and its
+    one value (`image`) fixed when it is built: a `succ` piece has a
+    singleton domain, so its image is the successor of that cardinal."""
+
     dom_kind: str
     dom_card: Optional[Card]  # the singleton value or the segment bound
     value: Union[Card, str]   # a constant, or PHI_SUCC on singleton domains
+    regs: Optional[CardSet] = field(init=False, repr=False, compare=False)
+    image: Card = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dom_kind not in (DOM_ONE, DOM_SINGLE, DOM_SEG, DOM_DEFAULT):
+        if self.dom_kind not in _PHI_DOMAINS:
             raise DomainError("bad phi piece domain")
         if self.dom_kind in (DOM_SINGLE, DOM_SEG):
             if self.dom_card is None:
@@ -243,39 +259,21 @@ class PhiPiece:
         if self.value == PHI_SUCC:
             if self.dom_kind != DOM_SINGLE:
                 raise DomainError("succ rule needs a singleton domain")
+            image = succ(self.dom_card)
         else:
             require_infinite_regular(self.value, "phi value")
+            image = self.value
+        object.__setattr__(self, "regs", _PHI_DOMAINS[self.dom_kind][1](self.dom_card))
+        object.__setattr__(self, "image", image)
 
     def matches(self, c: Card) -> bool:
-        if self.dom_kind == DOM_ONE:
-            return c.is_one
-        if self.dom_kind == DOM_SINGLE:
-            return c == self.dom_card
-        if self.dom_kind == DOM_SEG:
-            return c.is_infinite and c < self.dom_card
-        return True
-
-    def reg_domain(self) -> Optional[CardSet]:
-        """The piece domain inside Reg; None means `all of Reg`."""
-        if self.dom_kind == DOM_ONE:
-            return CardSet.empty()
-        if self.dom_kind == DOM_SINGLE:
-            return CardSet.singleton(self.dom_card)
-        if self.dom_kind == DOM_SEG:
-            return CardSet.segment_below(self.dom_card)
-        return None
+        """`1` lies in the `1` and `default` pieces only."""
+        if c.is_one:
+            return self.dom_kind in (DOM_ONE, DOM_DEFAULT)
+        return self.regs is None or self.regs.contains(c)
 
     def __str__(self) -> str:
-        if self.dom_kind == DOM_ONE:
-            lhs = "1"
-        elif self.dom_kind == DOM_SINGLE:
-            lhs = str(self.dom_card)
-        elif self.dom_kind == DOM_SEG:
-            lhs = f"reg<{self.dom_card}"
-        else:
-            lhs = "default"
-        rhs = "succ" if self.value == PHI_SUCC else str(self.value)
-        return f"{lhs}->{rhs}"
+        return f"{_PHI_DOMAINS[self.dom_kind][0].format(self.dom_card)}->{self.value}"
 
 
 @dataclass(frozen=True)
@@ -284,33 +282,32 @@ class PhiMap:
 
     pieces: Tuple[PhiPiece, ...]
 
+    def _first_match(self, c: Card) -> Optional[PhiPiece]:
+        return next((p for p in self.pieces if p.matches(c)), None)
+
     def evaluate(self, c: Card) -> Card:
-        for piece in self.pieces:
-            if piece.matches(c):
-                if piece.value == PHI_SUCC:
-                    return succ(c)
-                return piece.value
-        raise DomainError(f"phi map undefined at {c}")
+        piece = self._first_match(c)
+        if piece is None:
+            raise DomainError(f"phi map undefined at {c}")
+        return piece.image
 
     def _live_pieces(self, seg: CardSet):
         """The pieces hit by some member of seg not claimed by an earlier
         piece; nothing for an empty seg."""
         covered = CardSet.empty()
         for piece in self.pieces:
-            dom = piece.reg_domain()
-            if dom is None:
+            if piece.regs is None:
                 if not seg.is_subset(covered):
                     yield piece
                 return
-            if not dom.intersect(seg).is_subset(covered):
+            if not piece.regs.intersect(seg).is_subset(covered):
                 yield piece
-            covered = covered.union(dom)
+            covered = covered.union(piece.regs)
         if not seg.is_subset(covered):
             raise DomainError("phi map is partial on the requested segment")
 
     def image_over(self, seg: CardSet) -> CardSet:
-        return CardSet.of(*(succ(p.dom_card) if p.value == PHI_SUCC else p.value
-                            for p in self._live_pieces(seg)))
+        return CardSet.of(*(p.image for p in self._live_pieces(seg)))
 
     def range_violation(self, seg: CardSet, target: CardSet) -> Optional[str]:
         """A witness that phi({1} u seg) is not inside target, or None."""
@@ -319,26 +316,17 @@ class PhiMap:
             if not target.contains(v):
                 return f"phi(1)={v} outside {target}"
             for piece in self._live_pieces(seg):
-                if piece.value == PHI_SUCC:
-                    v = succ(piece.dom_card)
-                    if not target.contains(v):
-                        return f"phi({piece.dom_card})={v} outside {target}"
-                elif not target.contains(piece.value):
-                    return f"piece {piece} maps into {piece.value} outside {target}"
+                if not target.contains(piece.image):
+                    return f"piece {piece} maps into {piece.image} outside {target}"
         except DomainError as exc:
             return str(exc)
         return None
 
     def fixed_point_in(self, seg: CardSet) -> Optional[Card]:
-        """Some kappa in seg with phi(kappa) = kappa, if one exists."""
-        for i, piece in enumerate(self.pieces):
-            if piece.value == PHI_SUCC:
-                continue
-            c = piece.value
-            if seg.contains(c) and piece.matches(c) and \
-                    not any(self.pieces[j].matches(c) for j in range(i)):
-                return c
-        return None
+        """Some kappa in seg with phi(kappa) = kappa, if one exists: the image
+        of the first piece that is the first match of its own image."""
+        return next((p.image for p in self.pieces
+                     if seg.contains(p.image) and self._first_match(p.image) is p), None)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.pieces) + "]"
@@ -367,7 +355,7 @@ EMPTY = Empty()
 
 
 def chain(n: int) -> OrderTerm:
-    return EMPTY if n == 0 else FiniteChain(n)
+    return EMPTY if n == 0 and type(n) is int else FiniteChain(n)
 
 
 def well(kappa: Card) -> WellOrder:
@@ -1139,22 +1127,18 @@ def _check(name: str, passed: bool, detail: str = "") -> ConditionCheck:
 
 
 def _schedule_conditions(t: LexSchedule):
+    """Conditions (a)-(c) hold when the listed rows of the spectrum hold no
+    infinite symmetric pair: (a) the two rows at mu_0 = 0, (b) the chain
+    segments, with k1 >= l0 and l1 >= k0, and (c) the chains of pairs."""
     s = t.schedule
-    coin_i, cofin_i = coin_cofin(t.inner)
-    right0 = coin_i.union(CardSet.segment_below(t.l0))
-    left0 = cofin_i.union(CardSet.segment_below(t.k0))
-    a_ok = not right0.contains(s.k1) and not left0.contains(s.l1)
-
-    # b and c: no chain segment, and no chain of pairs, of the spectrum's
-    # rows holds a symmetric pair
     rows = _schedule_rows(t)
+    a_ok = not any(r.has_infinite_symmetric() for r in rows[1:3])
     b_ok = s.k1 >= t.l0 and s.l1 >= t.k0 and not any(
         r.has_infinite_symmetric() for r in rows if isinstance(r, ChainSeg))
-    c_ok = not any(r.has_infinite_symmetric() for r in rows
-                   if isinstance(r, ChainPairs))
+    c_ok = not any(r.has_infinite_symmetric() for r in rows if isinstance(r, ChainPairs))
     d_ok = (not t.mu.is_uncountable) or (s.klim >= t.mu and s.llim >= t.mu)
-    return (_check("cond-a", a_ok, f"k1={s.k1} vs Coin(I)+Reg<l0={right0}; "
-                                   f"l1={s.l1} vs Cofin(I)+Reg<k0={left0}"),
+    return (_check("cond-a", a_ok, f"k1={s.k1} vs Coin(I)+Reg<l0={rows[1].seg}; "
+                                   f"l1={s.l1} vs Cofin(I)+Reg<k0={rows[2].seg}"),
             _check("cond-b", b_ok,
                    "some kappa_{nu+1} < lambda_nu or lambda_{nu+1} < kappa_nu"),
             _check("cond-c", c_ok, "kappa_nu = lambda_nu at some successor nu"),

@@ -97,6 +97,14 @@ class GroupDescriptor:
     def nontrivial(self) -> bool:
         return not isinstance(self.value_set, Empty)
 
+    def component_kinds(self) -> Tuple[Optional[ComponentKind], Optional[ComponentKind]]:
+        """(the kind below the top value, None on a one-point value set; the
+        kind at the top value, None when the value set has no top)."""
+        vset, comps = self.value_set, self.components
+        has_max = cf(vset).is_one
+        one_point = has_max and ci(vset).is_one and cut_spectrum(vset).is_empty
+        return (None if one_point else comps.base), comps.effective_top(has_max)
+
     @staticmethod
     def trivial() -> "GroupDescriptor":
         return GroupDescriptor(EMPTY)
@@ -204,26 +212,14 @@ def principal_cuts_ok(g: GroupDescriptor) -> Tuple[bool, bool]:
     return dense, dense and cf(g.value_set).is_uncountable
 
 
-def _value_set_has_max(g: GroupDescriptor) -> bool:
-    return cf(g.value_set).is_one
-
-
-def _order_size_one(t: OrderTerm) -> bool:
-    return cf(t).is_one and ci(t).is_one and cut_spectrum(t).is_empty
-
-
 def type1_cuts_ok(g: GroupDescriptor) -> bool:
     """Nonprincipal cuts refining a smallest ultrametric ball are strongly
     asymmetric iff the components are real lines (integers allowed at the
     top) and every (1, l) cut of the value set has l uncountable."""
     _require_nontrivial(g)
-    has_max = _value_set_has_max(g)
-    top = g.components.effective_top(has_max)
-    if _order_size_one(g.value_set):
-        comp_ok = top in (ComponentKind.REALS, ComponentKind.INTEGERS)
-    else:
-        comp_ok = g.components.base == ComponentKind.REALS and \
-            top in (None, ComponentKind.REALS, ComponentKind.INTEGERS)
+    below, top = g.component_kinds()
+    comp_ok = below in (None, ComponentKind.REALS) and \
+        top in (None, ComponentKind.REALS, ComponentKind.INTEGERS)
     spec = cut_spectrum(g.value_set)
     return comp_ok and not any(p.left.is_one for p in spec.countable_pairs())
 
@@ -301,13 +297,7 @@ def _minus_end(t: OrderTerm, top: bool) -> OrderTerm:
 
 def _classify_core(g: GroupDescriptor) -> Tuple[bool, bool, bool]:
     vset = completeness_predicates(g.value_set)
-    has_max = _value_set_has_max(g)
-    top = g.components.effective_top(has_max)
-    all_reals = g.components.base == ComponentKind.REALS and \
-        top in (None, ComponentKind.REALS)
-    if _order_size_one(g.value_set):
-        all_reals = top == ComponentKind.REALS
-
+    all_reals = all(kind in (None, ComponentKind.REALS) for kind in g.component_kinds())
     symmetric = g.spherical and vset.strong and all_reals
     strong = symmetric and cf(g.value_set).is_uncountable
     extreme = symmetric and vset.extreme

@@ -555,8 +555,8 @@ class TestInputErrors:
     ])
     def test_deep_nesting_located(self, tmp_path, head, tail, depth):
         """Order terms, and a group over one, nest to any depth: the parser
-        keeps the open constructs on a list.  A `lex(` of a Hahn index chain
-        is still read by recursion, so a deep one stops at Python's limit
+        keeps the open constructs on a list.  A factor of a Hahn index
+        chain's `lex(` is int/rat/fin(n), so a nested `lex(` stops at once
         with a located message and no traceback."""
         if head != "lex(":
             body = head * depth + "well(aleph(0))" + tail * depth
@@ -580,7 +580,7 @@ class TestInputErrors:
         code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
         assert code == 2
         assert out == ""
-        assert re.search(r"line 1, col \d+: definition nested too deeply", err)
+        assert re.search(r"line 1, col \d+: a lex factor is int/rat/fin\(n\)", err)
         assert "Traceback" not in err
 
     @pytest.mark.usefixtures("default_recursion_limit")

@@ -779,3 +779,21 @@ def test_make_over_a_chain_without_point_checks(chain, cls):
                   lambda: HahnElement.zero(chain)):
         with pytest.raises(DomainError, match=f"{cls} is not an index chain"):
             build()
+
+
+def test_make_over_a_nested_lex_chain_is_refused():
+    """A lex factor is an integer or a rational chain: a nested product is the
+    flat one with its factors in order, so make and zero refuse a lex factor
+    at once, with no walk down the nesting."""
+    nested = LexChain((INT_CHAIN, LexChain((RAT_CHAIN,))))
+    for build in (lambda: HahnElement.make(nested, [((1, (Fraction(1, 2),)), 1)]),
+                  lambda: HahnElement.make(nested, []),
+                  lambda: HahnElement.zero(nested)):
+        with pytest.raises(DomainError, match="a lex factor is an IntChain or a "
+                                              "RatChain, not LexChain"):
+            build()
+    with pytest.raises(DomainError, match="not ExponentGroup"):
+        HahnElement.zero(LexChain((ExponentGroup(1),)))
+    flat = LexChain((INT_CHAIN, RAT_CHAIN))
+    assert HahnElement.make(flat, [((1, Fraction(1, 2)), 1)]).support() == \
+        ((1, Fraction(1, 2)),)

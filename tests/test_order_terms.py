@@ -1,6 +1,8 @@
 """Order-term attributes: cf/ci, Coin/Cofin, cut spectra, side conditions,
 completeness predicates, and the extension recipe."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from ordercuts.order_terms import (
     DOM_SINGLE,
     EMPTY,
     ExplicitPairs,
+    FiniteChain,
     LexRefined,
     LexSchedule,
     PHI_SUCC,
@@ -168,6 +171,17 @@ class TestCutSpectrumBasics:
     def test_finite_chains(self):
         assert cut_spectrum(chain(1)).is_empty
         assert cut_spectrum(chain(4)).pairs_below(A1) == pairs((ONE, ONE))
+
+    def test_finite_chain_sizes_are_ints(self):
+        """A size that is not an int, a bool included, is refused, where it
+        used to build a term that printed as `chain(2.5)`, or, for 0.0, the
+        empty order."""
+        for build in (lambda: chain(2.5), lambda: chain(True), lambda: chain(0.0),
+                      lambda: chain(False), lambda: FiniteChain(2.5)):
+            with pytest.raises(DomainError, match="finite chain sizes are ints"):
+                build()
+        assert chain(0) is EMPTY
+        assert chain(3) == FiniteChain(3) and str(chain(3)) == "chain(3)"
 
 
 class TestRefinedSpectrum:
@@ -391,6 +405,61 @@ def test_phi_image_over_a_lowered_segment():
     w = OrdinalIndex.omega()
     phi = PhiMap((PhiPiece(DOM_ONE, None, A1), PhiPiece(DOM_SEG, aleph(w), A1)))
     assert phi.image_over(CardSet.segment_below(aleph(w.succ()))) == CardSet.of(A1)
+
+
+def _random_finite_phi(rng):
+    """A first-match map over {1} and aleph(0..5), in random piece order;
+    without a `default` piece it may be partial."""
+    small = [aleph(n) for n in range(6)]
+    pieces = []
+    if rng.random() < 0.8:
+        pieces.append(PhiPiece(DOM_ONE, None, rng.choice(small)))
+    for card in rng.sample(small, rng.randint(0, 4)):
+        value = PHI_SUCC if rng.random() < 0.3 else rng.choice(small)
+        pieces.append(PhiPiece(DOM_SINGLE, card, value))
+    for _ in range(rng.randint(0, 2)):
+        pieces.append(PhiPiece(DOM_SEG, aleph(rng.randint(0, 6)), rng.choice(small)))
+    if rng.random() < 0.6:
+        pieces.append(PhiPiece(DOM_DEFAULT, None, rng.choice(small)))
+    rng.shuffle(pieces)
+    return PhiMap(tuple(pieces))
+
+
+def _random_finite_seg(rng):
+    if rng.random() < 0.3:
+        return CardSet.segment_below(aleph(rng.randint(0, 6)))
+    return CardSet.of(*rng.sample([aleph(n) for n in range(7)], rng.randint(0, 4)))
+
+
+def test_phi_map_rules_match_pointwise_evaluation():
+    """`image_over`, `fixed_point_in` and `range_violation` read each piece's
+    stored domain and image; on random finite maps and segments each agrees
+    with `evaluate` on every member, and a map that is partial on the segment
+    is refused by `image_over` as by `evaluate`."""
+    rng = random.Random(20260)
+    partial = 0
+    for _ in range(3000):
+        phi = _random_finite_phi(rng)
+        seg, target = _random_finite_seg(rng), _random_finite_seg(rng)
+        values = {}
+        for k in [ONE, *seg.members()]:
+            try:
+                values[k] = phi.evaluate(k)
+            except DomainError:
+                values[k] = None
+        fixed = {k for k, v in values.items() if k != ONE and v == k}
+        found = phi.fixed_point_in(seg)
+        assert (found is None) == (not fixed) and (found is None or found in fixed)
+        in_range = all(v is not None and target.contains(v) for v in values.values())
+        assert (phi.range_violation(seg, target) is None) == in_range
+        images = [v for k, v in values.items() if k != ONE]
+        if None in images:
+            partial += 1
+            with pytest.raises(DomainError):
+                phi.image_over(seg)
+        else:
+            assert phi.image_over(seg) == CardSet.of(*images)
+    assert 300 < partial < 2700
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,61 @@ class TestExtensions:
 
 
 # ---------------------------------------------------------------------------
+# Component kinds over a one-point value set
+# ---------------------------------------------------------------------------
+
+R, Z, D = ComponentKind.REALS, ComponentKind.INTEGERS, ComponentKind.DENSE
+ONE_POINT, W1_PLUS_ONE = chain(1), sum_of(well(A1), chain(1))
+J_PLUS_ONE = sum_of(J_RECIPE, chain(1))
+
+
+def _kind_pairs():
+    """Every base kind with every top kind, None (no top kind) included."""
+    return [(base, top) for base in ComponentKind for top in (None, *ComponentKind)]
+
+
+def _spherical_group(vset, base, top):
+    """A spherical group over a value set with a largest element: discrete
+    exactly when the kind at the top value is the integers."""
+    return GroupDescriptor(vset, ComponentAssignment(base, top), spherical=True,
+                           discrete=(top or base) == Z)
+
+
+@pytest.mark.parametrize("base,top", _kind_pairs())
+def test_one_point_value_set_reads_only_the_top_kind(base, top):
+    """On a one-point value set only the kind at the top value counts: a
+    real or an integer top passes the type-1 lemma, and only a real one makes
+    the group symmetric; a lone Z is a Z-group.  Over w1 + 1 the (1,1) cut
+    fails the lemma whatever the kinds, and over J + 1 the base kind counts
+    too: it must be real."""
+    at_top = top or base
+    verdicts = [
+        (ONE_POINT, at_top in (R, Z), at_top == R, (True, False)),
+        (W1_PLUS_ONE, False, False, (False, False)),
+        (J_PLUS_ONE, base == R and at_top in (R, Z), base == R and at_top == R,
+         (base == R, base == R)),
+    ]
+    for vset, type1, symmetric, discrete_verdicts in verdicts:
+        g = _spherical_group(vset, base, top)
+        assert type1_cuts_ok(g) is type1, vset
+        v = classify_group(g)
+        assert (v.symmetric, v.strong, v.extreme) == (symmetric, False, False), vset
+        if g.discrete:
+            assert (v.symmetric_d, v.extreme_d) == discrete_verdicts, vset
+
+
+def test_component_kinds():
+    """The kind below the top value (None on one point) and the kind at the
+    top value (None without a top)."""
+    for base, top in _kind_pairs():
+        at_top = top or base
+        assert _spherical_group(ONE_POINT, base, top).component_kinds() == (None, at_top)
+        assert _spherical_group(W1_PLUS_ONE, base, top).component_kinds() == (base, at_top)
+    assert GroupDescriptor(well(A1), DENSE).component_kinds() == (D, None)
+    assert GroupDescriptor(rev(well(A1)), INTS, discrete=True).component_kinds() == (Z, Z)
+
+
+# ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
 
