@@ -21,7 +21,7 @@ from . import hahn_concrete as hc
 from . import oracle as orc
 from .cardinals import ALEPH0, Card, CardSet, CofPair, ONE, OrdinalIndex, aleph
 from .chains import IntChain, LexChain
-from .errors import OrderCutsError, ParseError
+from .errors import DomainError, OrderCutsError, ParseError
 from .order_terms import (
     Atom,
     CardinalSchedule,
@@ -100,6 +100,11 @@ def _drive(reader):
         else:
             stack.append(reader)
             reader, value = child, None
+
+
+def _renamed(kv: Dict[str, object], **names: str) -> Dict[str, object]:
+    """`kv` with each key of `names` renamed to its value there."""
+    return {names.get(key, key): value for key, value in kv.items()}
 
 
 Definition = Tuple[str, object]
@@ -471,11 +476,8 @@ class Parser:
             "vset": self._term, "comp": self._parse_comp,
             "spherical": boolean, "discrete": boolean, "divisible": boolean,
         }, required=("vset",))
-        return self.located(head, GroupDescriptor, kv["vset"],
-                            kv.get("comp", ComponentAssignment(ComponentKind.REALS)),
-                            spherical=kv.get("spherical", False),
-                            discrete=kv.get("discrete", False),
-                            divisible=kv.get("divisible", False))
+        return self.located(head, GroupDescriptor,
+                            **_renamed(kv, vset="value_set", comp="components"))
 
     def _field(self):
         head = self.next()
@@ -495,10 +497,8 @@ class Parser:
             "residue": lambda: self.choose(self._RESIDUES, "residue is reals/proper"),
             "realclosed": self._parse_bool, "spherical": self._parse_bool,
         }, required=("group",))
-        return self.located(head, FieldDescriptor, kv["group"],
-                            kv.get("residue", Residue.PROPER),
-                            real_closed=kv.get("realclosed", False),
-                            spherical=kv.get("spherical", False))
+        return self.located(head, FieldDescriptor,
+                            **_renamed(kv, group="value_group", realclosed="real_closed"))
 
     # -- concrete elements ---------------------------------------------------------
 
@@ -762,7 +762,9 @@ def run(defs: List[Definition], command: str, depth: int = 100,
         bound: Optional[Card] = None) -> Report:
     """Report `command` on each definition of the types it applies to.  An
     error stops that definition's records with an error record."""
-    types, records_of = COMMANDS.get(command, ((), None))
+    if command not in COMMANDS:
+        raise DomainError(f"unknown command {command!r}; known: {', '.join(COMMANDS)}")
+    types, records_of = COMMANDS[command]
     items: List[ReportItem] = []
     for name, value in defs:
         if not isinstance(value, types):

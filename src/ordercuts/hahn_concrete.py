@@ -311,8 +311,7 @@ def arch_equiv(a: HahnElement, b: HahnElement) -> bool:
     """Archimedean equivalence n|a| >= |b| and n|b| >= |a| for some n,
     decided by the equal-valuation criterion."""
     a._require_same_chain(b)
-    va, vb = nat_valuation(a), nat_valuation(b)
-    return (va is INF and vb is INF) or (va is not INF and vb is not INF and va == vb)
+    return nat_valuation(a) == nat_valuation(b)
 
 
 def arch_witness(a: HahnElement, b: HahnElement) -> Optional[int]:
@@ -343,11 +342,6 @@ class UltraBall:
     center: HahnElement
     radius: object
 
-    @staticmethod
-    def spanned_by(a: HahnElement, b: HahnElement) -> "UltraBall":
-        a._require_same_chain(b)
-        return UltraBall(a, nat_valuation(a - b))
-
     def member(self, x: HahnElement) -> bool:
         return point_le(self.radius, nat_valuation(self.center - x))
 
@@ -362,7 +356,9 @@ BALL_EQUAL = "equal"
 
 
 def ball(a: HahnElement, b: HahnElement) -> UltraBall:
-    return UltraBall.spanned_by(a, b)
+    """The least ball around `a` that holds `b`: B(a, v(a - b))."""
+    a._require_same_chain(b)
+    return UltraBall(a, nat_valuation(a - b))
 
 
 def ball_compare(b1: UltraBall, b2: UltraBall) -> str:

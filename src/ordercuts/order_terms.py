@@ -1230,8 +1230,7 @@ def extend_order(t: OrderTerm, k0: Card = aleph(1),
     require_infinite_regular(l0, "l0")
     base = _ok(_cardinality(t)[1])
     mu = succ(max(k0, l0, base))
-    sched = CardinalSchedule(k1=mu, l1=succ(mu), ksucc=RULE_DSUCC,
-                             lsucc=RULE_DSUCC, klim=mu, llim=succ(mu))
+    sched = CardinalSchedule(k1=mu, l1=succ(mu))
     term = LexSchedule(mu=mu, k0=k0, l0=l0, schedule=sched, inner=t)
     note = ("each point a of the input embeds as a sequence with first "
             "coordinate a inside I_0 = l0* + I^c + k0")

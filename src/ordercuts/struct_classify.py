@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .cardinals import ALEPH0, Card, ONE, aleph
 from .errors import DescriptorError, DomainError, NotDerivableError
@@ -81,11 +81,10 @@ class GroupDescriptor:
                 raise DescriptorError(
                     "a top-special component needs a value set with a largest element")
             top = self.components.effective_top(has_max)
-            if self.discrete and top != ComponentKind.INTEGERS:
+            if self.discrete != (top == ComponentKind.INTEGERS):
                 raise DescriptorError(
-                    "a discretely ordered group has integer component at the top value")
-            if not self.discrete and top == ComponentKind.INTEGERS:
-                raise DescriptorError(
+                    "a discretely ordered group has integer component at the top value"
+                    if self.discrete else
                     "integer component at the top value forces a discrete order")
             if self.divisible and (self.components.base == ComponentKind.INTEGERS
                                    or top == ComponentKind.INTEGERS):
@@ -257,13 +256,11 @@ def _quotient_mod_z(g: GroupDescriptor) -> Optional[GroupDescriptor]:
     vq = _minus_end(g.value_set, True)
     if isinstance(vq, Empty):
         return None
-    comps = ComponentAssignment(g.components.base)
-    has_max = cf(vq).is_one
-    top = comps.effective_top(has_max)
-    discrete = top == ComponentKind.INTEGERS
-    divisible = g.components.base != ComponentKind.INTEGERS and not discrete
-    return GroupDescriptor(vq, comps, spherical=g.spherical,
-                           discrete=discrete, divisible=divisible)
+    base = g.components.base
+    divisible = base != ComponentKind.INTEGERS
+    return GroupDescriptor(vq, ComponentAssignment(base), spherical=g.spherical,
+                           discrete=not divisible and cf(vq).is_one,
+                           divisible=divisible)
 
 
 def _minus_end(t: OrderTerm, top: bool) -> OrderTerm:
@@ -321,7 +318,7 @@ def classify_group(g: GroupDescriptor) -> Verdict:
     symmetric, strong, extreme = _classify_core(g)
 
     symmetric_d = extreme_d = None
-    facts = []
+    facts = ("divisible", "isomorphic to a Hahn product") if symmetric else ()
     if g.discrete:
         quotient = _quotient_mod_z(g)
         if quotient is None:
@@ -329,13 +326,8 @@ def classify_group(g: GroupDescriptor) -> Verdict:
         else:
             _, symmetric_d, extreme_d = _classify_core(quotient)
         if symmetric_d:
-            facts.append("Z-group")
-            facts.append("isomorphic to a Hahn product")
-    if symmetric:
-        facts.append("divisible")
-        facts.append("isomorphic to a Hahn product")
-    return Verdict(symmetric, strong, extreme, symmetric_d, extreme_d,
-                   tuple(dict.fromkeys(facts)))
+            facts = ("Z-group", "isomorphic to a Hahn product")
+    return Verdict(symmetric, strong, extreme, symmetric_d, extreme_d, facts)
 
 
 def classify_discrete(g: GroupDescriptor) -> Verdict:
@@ -370,33 +362,28 @@ def classify_field(k: FieldDescriptor) -> Verdict:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GroupExtension:
-    descriptor: GroupDescriptor
-    recipe: OrderExtension
+class StructureExtension:
+    """An extended group or field and the recipe that extends its value set."""
 
-
-@dataclass(frozen=True)
-class FieldExtension:
-    descriptor: FieldDescriptor
+    descriptor: Union[GroupDescriptor, FieldDescriptor]
     recipe: OrderExtension
 
 
 def extend_group(g: GroupDescriptor, k0: Card = aleph(1),
-                 l0: Card = aleph(1)) -> GroupExtension:
+                 l0: Card = aleph(1)) -> StructureExtension:
     """Embed the group into the Hahn product over the extended value set with
     real components: the result is extremely symmetrically complete."""
     _require_nontrivial(g)
     ext = extend_order(g.value_set, k0, l0)
-    return GroupExtension(_extended_group(ext), ext)
+    return StructureExtension(_extended_group(ext), ext)
 
 
 def _extended_group(ext: OrderExtension) -> GroupDescriptor:
-    return GroupDescriptor(ext.term, UNIFORM_REALS, spherical=True,
-                           discrete=False, divisible=True)
+    return GroupDescriptor(ext.term, spherical=True, divisible=True)
 
 
 def extend_field(k: FieldDescriptor, k0: Card = aleph(1),
-                 l0: Card = aleph(1)) -> FieldExtension:
+                 l0: Card = aleph(1)) -> StructureExtension:
     """Pass to the real closure, embed it into a power series field over the
     extended value group, with real coefficients: extremely symmetrically
     complete.  The real closure's value group is the divisible hull of the
@@ -405,4 +392,4 @@ def extend_field(k: FieldDescriptor, k0: Card = aleph(1),
     ext = extend_order(k.value_group.value_set, k0, l0)
     out = FieldDescriptor(value_group=_extended_group(ext), residue=Residue.REALS,
                           real_closed=True, spherical=True)
-    return FieldExtension(out, ext)
+    return StructureExtension(out, ext)

@@ -8,8 +8,6 @@ import functools
 import itertools
 import pathlib
 import random
-import subprocess
-import sys
 import time
 
 from ordercuts.cardinals import (
@@ -65,6 +63,7 @@ from ordercuts.struct_classify import (
     classify_group,
     classify_group_cutwise,
 )
+from subproc import run_python
 
 A = [aleph(n) for n in range(9)]
 W = OrdinalIndex.omega()
@@ -458,11 +457,9 @@ def test_criterion_8_cli():
         ("verify", "countable.defs", "machine", ()),
     ]
     for cmd, fixture, fmt, extra in jobs:
-        args = [sys.executable, "-m", "ordercuts.cli",
-                "--in", str(fixtures / fixture), "--cmd", cmd,
-                "--format", fmt, *extra]
-        first = subprocess.run(args, capture_output=True, text=True)
-        second = subprocess.run(args, capture_output=True, text=True)
+        args = ["-m", "ordercuts.cli", "--in", str(fixtures / fixture),
+                "--cmd", cmd, "--format", fmt, *extra]
+        first, second = run_python(*args), run_python(*args)
         assert first.stdout == second.stdout
         name = f"{cmd}_{fixture.split('.')[0]}.{fmt}"
         assert first.stdout == (golden / name).read_text(), name

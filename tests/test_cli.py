@@ -5,8 +5,6 @@ import contextlib
 import io
 import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -18,7 +16,8 @@ from ordercuts.cli import (
     print_definitions,
     run,
 )
-from ordercuts.errors import ParseError
+from ordercuts.errors import DomainError, ParseError
+from subproc import run_python
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -28,8 +27,7 @@ CORPUS = (FIXTURES / "corpus.defs").read_text()
 
 
 def invoke(*args):
-    proc = subprocess.run([sys.executable, "-m", "ordercuts.cli", *args],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "ordercuts.cli", *args)
     return proc.returncode, proc.stdout
 
 
@@ -145,6 +143,13 @@ class TestRunApi:
         defs = parse_definitions(CORPUS)
         assert run(defs, "classify").exit_status == 0
         assert run(defs, "check-conditions").exit_status == 1
+
+    def test_unknown_command_is_refused(self):
+        """An unknown command names itself and the known ones, where it used
+        to give an empty report with exit status 0."""
+        with pytest.raises(DomainError, match=r"unknown command 'bogus'; known: "
+                           r"spectrum, classify, extend, verify, check-conditions$"):
+            run(parse_definitions(CORPUS), "bogus")
 
     def test_bound_parsing(self):
         parser = Parser("aleph(3)")
@@ -372,9 +377,7 @@ def test_random_definitions_roundtrip(values):
 def invoke_on(tmp_path, text, *args):
     path = tmp_path / "input.defs"
     path.write_text(text)
-    proc = subprocess.run([sys.executable, "-m", "ordercuts.cli",
-                           "--in", str(path), *args],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "ordercuts.cli", "--in", str(path), *args)
     return proc.returncode, proc.stdout, proc.stderr
 
 

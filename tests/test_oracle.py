@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -740,3 +741,70 @@ def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
         assert spectrum_soundness(_rat_sum(random.Random(k), k)).ok
         counts[k] = calls[0]
     assert counts[8] <= 2 * counts[1], counts
+
+
+# ---------------------------------------------------------------------------
+# Refusals of verify_witness and the report's failure lines
+# ---------------------------------------------------------------------------
+
+def _halves(sign, rungs=None):
+    """sign * 1/2^n for n = 0, 1, ...: a ladder closing in on 0 from the
+    side of `sign`, cut after `rungs` rungs when given."""
+    return WitnessSide.via(lambda: itertools.islice(
+        (Fraction(sign, 2 ** n) for n in itertools.count(0)), rungs))
+
+
+def _then(side, *rungs):
+    """The ladder of `side` cut after four rungs and followed by `rungs`."""
+    return WitnessSide.via(lambda: itertools.chain(
+        itertools.islice(side.ladder(), 4), rungs))
+
+
+@pytest.mark.parametrize("lower,upper,claim,reason", [
+    (WitnessSide.at(0), WitnessSide.at(1), CofPair(ALEPH1, ONE),
+     r"claim component aleph\(1\) is not finitely checkable"),
+    (WitnessSide.at(0), WitnessSide.at(1), CofPair(ONE, ALEPH1),
+     r"claim component aleph\(1\) is not finitely checkable"),
+    (WitnessSide.at(0), _halves(+1), CofPair(A0, A0),
+     r"claim aleph\(0\) needs a lower ladder"),
+    (_halves(-1), WitnessSide.at(0), CofPair(A0, A0),
+     r"claim aleph\(0\) needs an? upper ladder"),
+    (WitnessSide.at(0), _halves(+1, 2), CofPair(ONE, A0),
+     "upper ladder exhausted at index 2"),
+    (WitnessSide.at(0), WitnessSide.via(lambda: iter([1, Fraction(1, 2), 2])),
+     CofPair(ONE, A0), "upper ladder not strictly monotone at index 2"),
+    (_halves(-1, 4), WitnessSide.at(0), CofPair(A0, ONE),
+     "lower ladder exhausted while converging"),
+    (WitnessSide.at(0), _halves(+1, 4), CofPair(ONE, A0),
+     "upper ladder exhausted while converging"),
+    (_then(_halves(-1), Fraction(-1)), WitnessSide.at(0), CofPair(A0, ONE),
+     "lower ladder not strictly monotone$"),
+    (WitnessSide.at(0), _then(_halves(+1), Fraction(1)), CofPair(ONE, A0),
+     "upper ladder not strictly monotone$"),
+    (_then(_halves(-1), Fraction(1)), WitnessSide.at(0), CofPair(A0, ONE),
+     "ladders crossed while converging"),
+    (WitnessSide.at(0), _then(_halves(+1), Fraction(-1)), CofPair(ONE, A0),
+     "ladders crossed while converging"),
+], ids=["aleph1-lower", "aleph1-upper", "aleph0-extremal-lower",
+        "aleph0-extremal-upper", "upper-exhausted-early", "upper-not-monotone-early",
+        "lower-exhausted-converging", "upper-exhausted-converging",
+        "lower-not-monotone-converging", "upper-not-monotone-converging",
+        "lower-crosses", "upper-crosses"])
+def test_verify_witness_refusals(lower, upper, claim, reason):
+    """On the rationals at depth 4: a claim the walk cannot check, and
+    ladders that break within their first four rungs or while the walk
+    pulls them toward the probes."""
+    result = verify_witness(RatChain(), CutWitness("w", lower, upper, claim), 4)
+    assert not result.ok
+    assert re.search(reason, result.reason), result.reason
+
+
+def test_report_lines_for_missing_and_unclaimed_pairs():
+    row = WitnessRow(CofPair(ONE, ONE), "step", 7, True)
+    report = oracle.OracleReport("t", (row,), (CofPair(A0, A0),), (CofPair(ONE, A0),))
+    assert not report.ok
+    assert report.render_lines() == [
+        "pair=(1,1) witness=step depth=7 verdict=pass",
+        "pair=(aleph(0),aleph(0)) witness=missing depth=- verdict=fail",
+        "pair=(1,aleph(0)) witness=sampled-but-unclaimed depth=- verdict=fail",
+    ]

@@ -865,3 +865,49 @@ class TestFactCounts:
         spectra = runs["_spectrum_rule"]
         assert sum(node is vset for node in spectra) == 1
         assert len(set(map(id, spectra))) == len(spectra)
+
+
+# ---------------------------------------------------------------------------
+# Refusals of the term, schedule and spectrum constructors
+# ---------------------------------------------------------------------------
+
+A_W = aleph(OrdinalIndex.omega())   # singular
+NO_CARDS = CardSet.empty()
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: FiniteChain(0), "finite chains have at least one point"),
+    (lambda: Sum(EMPTY, chain(1)), "sum parts must be nonempty"),
+    (lambda: Sum(chain(1), EMPTY), "sum parts must be nonempty"),
+    (lambda: Atom("a", ZERO, A0, NO_CARDS, NO_CARDS), "atom cf must be 1 or infinite regular"),
+    (lambda: Atom("a", A0, A_W, CardSet.of(A0), CardSet.of(A0)),
+     "atom ci must be 1 or infinite regular"),
+    (lambda: Atom("a", A0, ONE, NO_CARDS, NO_CARDS), "atom cf must belong to its Cofin set"),
+    (lambda: Atom("a", ONE, A0, NO_CARDS, NO_CARDS), "atom ci must belong to its Coin set"),
+    (lambda: Atom("a", A1, A0, CardSet.of(A0), CardSet.of(A1), A0),
+     "atom Coin/Cofin exceed the declared cardinality bound"),
+    (lambda: Atom("a", A0, A0, CardSet.of(A0), CardSet.of(A0, A1), None, (CofPair(A1, A1),)),
+     r"declared cut \(aleph\(1\),aleph\(1\)\) has coinitiality outside Coin"),
+    (lambda: Atom("a", A0, A0, CardSet.of(A0, A1), CardSet.of(A0), None, (CofPair(A1, ONE),)),
+     r"declared cut \(aleph\(1\),1\) has cofinality outside Cofin"),
+    (lambda: CardinalSchedule(A1, A2, 3), "schedule successor rule must be id/plus/plusplus"),
+    (lambda: CardinalSchedule(A1, A2, RULE_DSUCC, -1),
+     "schedule successor rule must be id/plus/plusplus"),
+    (lambda: PhiPiece("other", None, A0), "bad phi piece domain"),
+    (lambda: PhiPiece(DOM_SEG, None, A0), "phi piece needs a cardinal"),
+    (lambda: PhiPiece(DOM_SEG, A2, PHI_SUCC), "succ rule needs a singleton domain"),
+    (lambda: ExplicitPairs((CofPair(ONE, ONE), CofPair(A0, A0)), principal=False),
+     r"pair \(1,1\) does not match principal=False"),
+    (lambda: ExplicitPairs((CofPair(A0, A0),), principal=True),
+     r"pair \(aleph\(0\),aleph\(0\)\) does not match principal=True"),
+    (lambda: cut_spectrum(Z_ORDER).pairs_below(A_W),
+     "enumeration needs a bound aleph\\(n\\) with finite n"),
+], ids=["finite-chain-0", "sum-empty-left", "sum-empty-right", "atom-cf", "atom-ci",
+        "atom-cf-outside-cofin", "atom-ci-outside-coin", "atom-over-bound",
+        "atom-cut-outside-coin", "atom-cut-outside-cofin", "schedule-ksucc",
+        "schedule-lsucc", "phi-domain", "phi-no-cardinal", "phi-succ-on-segment",
+        "explicit-pairs-principal", "explicit-pairs-nonprincipal",
+        "pairs-below-aleph-w"])
+def test_constructor_refusals(build, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        build()

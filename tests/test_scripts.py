@@ -1,20 +1,8 @@
 """Smoke runs of the scripts under scripts/."""
 
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env)
+from subproc import ROOT, run_python
 
 
 def run_script(name, *args):

@@ -4,7 +4,8 @@ classification theorems, and the extension constructions."""
 import pytest
 
 from ordercuts.cardinals import CardSet, CofPair, ONE, aleph
-from ordercuts.errors import DescriptorError, DomainError
+from ordercuts import struct_classify
+from ordercuts.errors import DescriptorError, DomainError, NotDerivableError
 from ordercuts.order_terms import (
     Atom,
     EMPTY,
@@ -21,6 +22,7 @@ from ordercuts.struct_classify import (
     FieldDescriptor,
     GroupDescriptor,
     Residue,
+    Verdict,
     cf_group,
     cf_m_gamma,
     ci_positive_cone,
@@ -415,3 +417,51 @@ def test_cut_lemmas_match_pair_definitions():
             p.left.is_one and not p.right.is_uncountable for p in below)), vset
         assert type2_cuts_ok(g) == (not any(
             p.left.is_infinite and not p.is_strongly_asymmetric for p in below)), vset
+
+
+# ---------------------------------------------------------------------------
+# Refusals of descriptors, verdicts and the classifier
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: GroupDescriptor(chain(1), REALS, discrete=True),
+     "^a discretely ordered group has integer component at the top value$"),
+    (lambda: GroupDescriptor(chain(1), INTS),
+     "^integer component at the top value forces a discrete order$"),
+    (lambda: GroupDescriptor(EMPTY, spherical=True),
+     "^the trivial group carries no structure flags$"),
+    (lambda: GroupDescriptor(EMPTY, discrete=True),
+     "^the trivial group carries no structure flags$"),
+    (lambda: Verdict(True, False, True), "^extreme implies strong$"),
+    (lambda: Verdict(False, True, False), "^strong implies symmetric$"),
+    (lambda: Verdict(False, False, False, symmetric_d=False, extreme_d=True),
+     "^extreme-d implies symmetric-d$"),
+], ids=["discrete-needs-integer-top", "integer-top-forces-discrete",
+        "trivial-spherical", "trivial-discrete", "verdict-extreme",
+        "verdict-strong", "verdict-extreme-d"])
+def test_descriptor_and_verdict_refusals(build, fragment):
+    with pytest.raises(DescriptorError, match=fragment):
+        build()
+
+
+def test_disagreeing_routes_are_refused(monkeypatch):
+    """The two classifier routes are compared on every spherical group: a
+    cut-by-cut route that says otherwise stops the classification."""
+    monkeypatch.setattr(struct_classify, "classify_group_cutwise", lambda g: False)
+    with pytest.raises(DescriptorError,
+                       match="classifier routes disagree on .*: theorem=True lemmas=False"):
+        classify_group(H_GROUP)
+    monkeypatch.setattr(struct_classify, "classify_group_cutwise", lambda g: True)
+    with pytest.raises(DescriptorError, match="theorem=False lemmas=True"):
+        classify_group(GroupDescriptor(well(A0), REALS, spherical=True))
+
+
+def test_quotient_of_an_atom_topped_value_set_is_refused():
+    """The quotient by the convex integer copy drops the largest value; an
+    atom has no element the calculus can remove."""
+    top = Atom("top", ONE, ONE, CardSet.empty(), CardSet.empty(), None, ())
+    for vset in (top, sum_of(well(A0), top)):
+        g = GroupDescriptor(vset, R_WITH_Z_TOP, spherical=True, discrete=True)
+        with pytest.raises(NotDerivableError,
+                           match="cannot remove the largest element of atom"):
+            classify_group(g)
