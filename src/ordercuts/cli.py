@@ -406,16 +406,15 @@ class Parser:
             "lim": self._parse_lim, "klim": card, "llim": card,
             "i": self._term,
         }, required=("mu", "k0", "l0", "k1", "l1"))
-        mu = kv["mu"]
-        ksucc = kv.get("ksucc", kv.get("succ", RULE_DSUCC))
-        lsucc = kv.get("lsucc", kv.get("succ", RULE_DSUCC))
-        lim = kv.get("lim", "v1")
-        if lim == "mu":
-            lim = mu
-        klim = kv.get("klim", kv["k1"] if lim == "v1" else lim)
-        llim = kv.get("llim", kv["l1"] if lim == "v1" else lim)
-        sched = CardinalSchedule(kv["k1"], kv["l1"], ksucc, lsucc, klim, llim)
-        return LexSchedule(mu, kv["k0"], kv["l0"], sched, kv.get("i", EMPTY))
+        # `succ` and `lim` stand for both their k and l keys, and the
+        # schedule's own defaults fill what is left out (`lim=v1` is one)
+        lim = kv.get("lim")
+        lim = {"mu": kv["mu"], "v1": None}.get(lim, lim)
+        shared = {"ksucc": kv.get("succ"), "lsucc": kv.get("succ"), "klim": lim, "llim": lim}
+        given = {key: kv.get(key, value) for key, value in shared.items()}
+        sched = CardinalSchedule(kv["k1"], kv["l1"],
+                                 **{key: v for key, v in given.items() if v is not None})
+        return LexSchedule(kv["mu"], kv["k0"], kv["l0"], sched, kv.get("i", EMPTY))
 
     def _parse_lim(self):
         tok = self.peek()

@@ -12,15 +12,16 @@ end through the same ladder walker.  The irrational gap of the rationals
 is witnessed by the alternate Pell convergents of sqrt 2.
 Sampled cut generation hunts for pairs the symbolic claim would have missed.
 
-One stack walk over a term builds its chain with the reversals pushed down
-to the leaves, so a term with several leaves is one flat `SumChain` of leaf
-chains, and names and keys its witnesses: term depth is limited by memory.
+One stack walk over a term names its rows and concretizes each distinct
+leaf once; the chain, with the reversals pushed down to the leaves, is one
+flat `SumChain` of leaf chains: term depth is limited by memory.
 
-Inside one part of a sum chain, comparison and betweenness are the part's
-own, so a report walks each distinct part witness, each distinct pair of
-adjacent parts and each distinct in-part descent once: its cost grows with
-the distinct structure of a sum, not with its length.  A homogeneous part
-(`rat`, upright or reversed) is descended once per direction.
+Each check of a row runs on its own chain: a leaf witness on its part,
+upright or reversed, a sum boundary as two end walks, each part end beside
+one point.  Equal checks share one verdict, failures included, so a report
+walks each distinct leaf witness and part end once: its cost grows with the
+distinct structure of a sum, not with its length.  The sampler descends a
+homogeneous part (`rat`, upright or reversed) once per direction.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ def verify_witness(chain: ConcreteChain, w: CutWitness,
     convergence: every probe strictly inside the frontier must be swallowed
     by a bounded number of further ladder steps."""
     _check_depth(depth)
-    for comp, side, what in ((w.claim.left, w.lower, "lower"),
-                             (w.claim.right, w.upper, "upper")):
+    for comp, side, what, article in ((w.claim.left, w.lower, "lower", "a"),
+                                      (w.claim.right, w.upper, "upper", "an")):
         if comp not in (ONE, ALEPH0):
             return WitnessResult(False, f"claim component {comp} is not finitely checkable")
         if comp.is_one and side.extremal is None:
             return WitnessResult(False, f"claim 1 needs an extremal {what} element")
         if comp == ALEPH0 and side.ladder is None:
-            return WitnessResult(False, f"claim aleph(0) needs a {what} ladder")
+            return WitnessResult(False, f"claim aleph(0) needs {article} {what} ladder")
 
     lower, err, lo_iter = _materialize(w.lower, depth, +1, chain, "lower")
     if err:
@@ -236,58 +237,49 @@ def _leaf(t: OrderTerm):
 # Concretization of the countable term fragment: one flat chain of leaves
 # ---------------------------------------------------------------------------
 
-def _leaf_counts(t: OrderTerm) -> dict:
-    """The number of leaves under each sum and reversal node of t, by id."""
-    nodes, stack = [], [t]
-    while stack:
-        s = stack.pop()
-        kids = (s.left, s.right) if isinstance(s, Sum) else \
-            (s.inner,) if isinstance(s, Rev) else ()
-        if kids:
-            nodes.append((s, kids))
-            stack += kids
-    counts = {}
-    for s, kids in reversed(nodes):     # children before their parents
-        counts[id(s)] = sum(counts.get(id(k), 1) for k in kids)
-    return counts
+POINT = IntChain(0, 1)
+
+
+def _cut(x: ConcreteChain, y: ConcreteChain, claim: CofPair):
+    """The check of the cut between x and y on the chain x + y: x's cofinal
+    end below, y's coinitial end above."""
+    return SumChain(x, y), CutWitness("sum-boundary", x.cofinal().in_part(0),
+                                      y.coinitial().in_part(1), claim)
 
 
 def _flatten(t: OrderTerm):
-    """The chain of t and its (pair, witness, key) rows, from one walk.
+    """The chain of t and its (pair, name, checks) rows.
 
-    rev(a + b) is rev(b) + rev(a), so a node covers a block of flat parts
-    that runs backwards under an odd number of reversals, and a sum splits
-    its block by the leaf count of its left side.  Rows follow the term: a
-    sum's left side, its right side, then its boundary, each named by its
-    path, as `right:rev(left:finite-step)`.  Witnesses with one key have one
-    verdict at a given depth: a part witness is keyed by its part and
-    untagged name, a boundary by its two adjacent parts and its claim.  Each
-    distinct leaf is concretized once, in term order, so the first leaf
-    outside the fragment raises."""
-    counts = _leaf_counts(t)
-    n = counts.get(id(t), 1)
-    parts, rows, leaves = [None] * n, [], {}
-    stack = [(False, t, 0, n, False, "", "")]
+    A check is a (chain, witness) pair that reads nothing outside itself.  A
+    leaf witness is checked on its own part, upright or reversed; the
+    boundary claim (a, b) of a sum is two checks, each end of an adjacent
+    part beside one point: (a, 1) on below + 1 and (1, b) on 1 + above.
+    Rows follow the term: a sum's left side, its right side, then its
+    boundary, each named by its path, as `right:rev(left:finite-step)`; a
+    stack keeps the (first, last) parts of each finished side in chain
+    order.  Each distinct leaf is concretized once, in term order, so the
+    first leaf outside the fragment raises.  The chain is then one walk over
+    the leaves in chain order: rev(a + b) is rev(b) + rev(a)."""
+    rows, leaves, ends = [], {}, []
+    stack = [(False, t, False, "", "")]
     while stack:
-        boundary, s, lo, hi, back, prefix, suffix = stack.pop()
+        boundary, s, back, prefix, suffix = stack.pop()
         if boundary:
-            # the cut between parts lo - 1 and lo
+            lo, hi = ends.pop(-2), ends.pop()   # the two sides in term order
             claim = CofPair(cf(s.left), ci(s.right))
-            claim = claim.mirrored() if back else claim
-            below, above = parts[lo - 1], parts[lo]
-            rows.append((claim, CutWitness(prefix + "sum-boundary" + suffix,
-                                           below.cofinal().in_part(lo - 1),
-                                           above.coinitial().in_part(lo), claim),
-                         (below, above, claim)))
+            if back:
+                claim, lo, hi = claim.mirrored(), hi, lo
+            below, above = lo[1], hi[0]
+            ends.append((lo[0], hi[1]))
+            rows.append((claim, prefix + "sum-boundary" + suffix,
+                         (_cut(below, POINT, CofPair(claim.left, ONE)),
+                          _cut(POINT, above, CofPair(ONE, claim.right)))))
         elif isinstance(s, Sum):
-            size = counts.get(id(s.left), 1)
-            cut = hi - size if back else lo + size
-            left, right = ((cut, hi), (lo, cut)) if back else ((lo, cut), (cut, hi))
-            stack += [(True, s, cut, cut, back, prefix, suffix),
-                      (False, s.right, *right, back, prefix + "right:", suffix),
-                      (False, s.left, *left, back, prefix + "left:", suffix)]
+            stack += [(True, s, back, prefix, suffix),
+                      (False, s.right, back, prefix + "right:", suffix),
+                      (False, s.left, back, prefix + "left:", suffix)]
         elif isinstance(s, Rev):
-            stack.append((False, s.inner, lo, hi, not back, prefix + "rev(", ")" + suffix))
+            stack.append((False, s.inner, not back, prefix + "rev(", ")" + suffix))
         else:
             if s not in leaves:
                 # the part and its witnesses upright, then reversed
@@ -295,13 +287,18 @@ def _flatten(t: OrderTerm):
                 leaves[s] = ((chain, wits), (RevChain(chain), [
                     CutWitness(w.name, w.upper, w.lower, w.claim.mirrored()) for w in wits]))
             part, wits = leaves[s][back]
-            parts[lo] = part
-            for w in wits:
-                lower, upper = (w.lower.in_part(lo), w.upper.in_part(lo)) if n > 1 \
-                    else (w.lower, w.upper)
-                rows.append((w.claim, CutWitness(prefix + w.name + suffix, lower, upper,
-                                                 w.claim), (part, w.name)))
-    return (parts[0] if n == 1 else SumChain(*parts)), rows
+            ends.append((part, part))
+            rows += [(w.claim, prefix + w.name + suffix, ((part, w),)) for w in wits]
+    parts, stack = [], [(t, False)]
+    while stack:
+        s, back = stack.pop()
+        if isinstance(s, Sum):
+            stack += [(k, back) for k in ((s.left, s.right) if back else (s.right, s.left))]
+        elif isinstance(s, Rev):
+            stack.append((s.inner, not back))
+        else:
+            parts.append(leaves[s][back][0])
+    return (parts[0] if len(parts) == 1 else SumChain(*parts)), rows
 
 
 def concretize(t: OrderTerm) -> ConcreteChain:
@@ -311,11 +308,11 @@ def concretize(t: OrderTerm) -> ConcreteChain:
 
 
 def term_witnesses(t: OrderTerm):
-    """(pair, witness) list covering every claimed pair of the countable
+    """(pair, name, checks) rows covering every claimed pair of the countable
     fragment: the leaves' own witnesses, and cofinal and coinitial ladders at
-    sum boundaries.  Witnesses address the parts of `concretize(t)` and are
-    named by their path in the term."""
-    return [(pair, w) for pair, w, _ in _flatten(t)[1]]
+    sum boundaries.  Each check is a (chain, witness) pair, and each row is
+    named by its path in the term."""
+    return _flatten(t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +432,26 @@ class OracleReport:
 
 
 def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
-    """Verify every claimed countable pair by an explicit witness and hunt
-    for sampled pairs missing from the claim.  Witnesses that share a key
-    share a passing verdict; a failure is walked again at each occurrence,
-    because its reason names a probe of its own part."""
+    """Verify every claimed countable pair by explicit witnesses and hunt
+    for sampled pairs missing from the claim.  A row passes when all its
+    checks pass and reports the first failing reason; a check reads nothing
+    outside its chain, so equal checks share one verdict, failures
+    included."""
     _check_depth(depth)
     chain, witnesses = _flatten(t)
     claimed = cut_spectrum(t).countable_pairs()
-    rows = []
-    passed = set()
-    verdicts = {}
-    for pair, witness, key in witnesses:
-        result = verdicts.get(key)
-        if result is None:
-            result = verify_witness(chain, witness, depth)
-            if result.ok:
-                verdicts[key] = result
-        rows.append(WitnessRow(pair, witness.name, depth, result.ok, result.reason))
+    rows, passed, verdicts = [], set(), {}
+
+    def verdict(c: ConcreteChain, w: CutWitness) -> WitnessResult:
+        key = (c, w.name, w.claim)
+        if key not in verdicts:
+            verdicts[key] = verify_witness(c, w, depth)
+        return verdicts[key]
+
+    for pair, name, checks in witnesses:
+        result = next((r for r in itertools.starmap(verdict, checks) if not r.ok),
+                      WitnessResult(True))
+        rows.append(WitnessRow(pair, name, depth, result.ok, result.reason))
         if result.ok:
             passed.add(pair)
     unwitnessed = tuple(sorted(p for p in claimed if p not in passed))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .cardinals import ALEPH0, Card, ONE, aleph
+from .cardinals import ALEPH0, Card, ONE
 from .errors import DescriptorError, DomainError, NotDerivableError
 from .order_terms import (
     EMPTY,
@@ -369,12 +369,12 @@ class StructureExtension:
     recipe: OrderExtension
 
 
-def extend_group(g: GroupDescriptor, k0: Card = aleph(1),
-                 l0: Card = aleph(1)) -> StructureExtension:
+def extend_group(g: GroupDescriptor) -> StructureExtension:
     """Embed the group into the Hahn product over the extended value set with
-    real components: the result is extremely symmetrically complete."""
+    real components: the result is extremely symmetrically complete.  The
+    recipe takes aleph(1) for both k0 and l0."""
     _require_nontrivial(g)
-    ext = extend_order(g.value_set, k0, l0)
+    ext = extend_order(g.value_set)
     return StructureExtension(_extended_group(ext), ext)
 
 
@@ -382,14 +382,13 @@ def _extended_group(ext: OrderExtension) -> GroupDescriptor:
     return GroupDescriptor(ext.term, spherical=True, divisible=True)
 
 
-def extend_field(k: FieldDescriptor, k0: Card = aleph(1),
-                 l0: Card = aleph(1)) -> StructureExtension:
+def extend_field(k: FieldDescriptor) -> StructureExtension:
     """Pass to the real closure, embed it into a power series field over the
     extended value group, with real coefficients: extremely symmetrically
     complete.  The real closure's value group is the divisible hull of the
     value group, over the same value set, and only the value set is
-    extended."""
-    ext = extend_order(k.value_group.value_set, k0, l0)
+    extended, with aleph(1) for both k0 and l0."""
+    ext = extend_order(k.value_group.value_set)
     out = FieldDescriptor(value_group=_extended_group(ext), residue=Residue.REALS,
                           real_closed=True, spherical=True)
     return StructureExtension(out, ext)

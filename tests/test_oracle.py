@@ -39,6 +39,7 @@ from ordercuts.order_terms import (
     cut_spectrum,
     rev,
     sum_of,
+    sum_parts,
     well,
 )
 
@@ -218,11 +219,11 @@ def test_soundness_on_random_terms(t):
 def test_witness_acceptance_monotone_in_depth(t):
     # every structural witness accepted at depth 90 is accepted below it
     from ordercuts.oracle import term_witnesses
-    chain_ = concretize(t)
-    for _, witness in term_witnesses(t):
-        if verify_witness(chain_, witness, 90).ok:
-            for depth in (60, 30, 10):
-                assert verify_witness(chain_, witness, depth).ok
+    for _, _, checks in term_witnesses(t):
+        for chain_, witness in checks:
+            if verify_witness(chain_, witness, 90).ok:
+                for depth in (60, 30, 10):
+                    assert verify_witness(chain_, witness, depth).ok
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,8 @@ def test_verify_deep_nest_does_not_recurse():
 # ---------------------------------------------------------------------------
 
 def _sqrt2_witness():
-    return next(w for _, w in term_witnesses(RAT_ATOM) if w.name == "rat-sqrt2-gap")
+    return next(w for _, name, ((_, w),) in term_witnesses(RAT_ATOM)
+                if name == "rat-sqrt2-gap")
 
 
 @pytest.mark.parametrize("call", [
@@ -593,10 +595,12 @@ def _random_sums(count):
 
 
 def _plain_rows(t, depth):
-    c = concretize(t)
-    return tuple(WitnessRow(pair, w.name, depth, r.ok, r.reason)
-                 for pair, w in term_witnesses(t)
-                 for r in (verify_witness(c, w, depth),))
+    rows = []
+    for pair, name, checks in term_witnesses(t):
+        failed = [r for r in (verify_witness(c, w, depth) for c, w in checks) if not r.ok]
+        rows.append(WitnessRow(pair, name, depth, not failed,
+                               failed[0].reason if failed else ""))
+    return tuple(rows)
 
 
 def _plain_sample_cuts(c, depth, samples=60):
@@ -636,8 +640,8 @@ def _plain_sample_cuts(c, depth, samples=60):
 
 @pytest.mark.parametrize("probe_pulls", [oracle.PROBE_PULLS, 0])
 def test_shared_verdicts_match_plain_rows(monkeypatch, probe_pulls):
-    # with no probe pulls, ladder witnesses fail with a reason naming the
-    # probe of their own part: a repeated part must not borrow another's
+    # with no probe pulls, ladder witnesses fail: a shared failing verdict
+    # must carry the reason of a check walked on its own
     monkeypatch.setattr(oracle, "PROBE_PULLS", probe_pulls)
     failures = 0
     for t in _random_sums(14):
@@ -659,6 +663,17 @@ def test_boundary_verdict_needs_both_parts():
     assert rows == _plain_rows(t, 30)
     boundary_verdicts = [r.ok for r in rows if r.witness.endswith("sum-boundary")]
     assert True in boundary_verdicts and False in boundary_verdicts
+
+
+def test_boundary_walks_the_upper_part_end(monkeypatch):
+    # a bounded decreasing ladder is no coinitial end of the rationals; the
+    # boundary after omega must find that out although omega has no greatest
+    # element to stop the probes below the cut
+    monkeypatch.setattr(RatChain, "coinitial", lambda self: WitnessSide.via(
+        lambda: (Fraction(-2) + Fraction(1, 2 ** n) for n in itertools.count(0))))
+    report = spectrum_soundness(sum_of(OMEGA, RAT_ATOM), 30)
+    assert not report.ok
+    assert [r.ok for r in report.rows if r.witness == "sum-boundary"] == [False]
 
 
 def test_shared_descents_match_plain_sampling():
@@ -741,6 +756,25 @@ def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
         assert spectrum_soundness(_rat_sum(random.Random(k), k)).ok
         counts[k] = calls[0]
     assert counts[8] <= 2 * counts[1], counts
+
+
+def test_verify_walks_each_leaf_witness_and_part_end_once(monkeypatch):
+    # a deterministic count: one walk per distinct leaf witness, and at
+    # most two per distinct part, its cofinal and its coinitial end
+    t = _rat_free_sum(random.Random(64), 64)
+    parts = set(sum_parts(t))
+    bound = sum(len(term_witnesses(part)) for part in parts) + 2 * len(parts)
+    assert bound == 17
+    calls = [0]
+    walk = oracle.verify_witness
+
+    def counting(chain_, witness, depth=100):
+        calls[0] += 1
+        return walk(chain_, witness, depth)
+
+    monkeypatch.setattr(oracle, "verify_witness", counting)
+    assert spectrum_soundness(t).ok
+    assert calls[0] <= bound, calls
 
 
 # ---------------------------------------------------------------------------
