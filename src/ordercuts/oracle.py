@@ -18,15 +18,22 @@ flat `SumChain` of leaf chains: term depth is limited by memory.
 
 Each check of a row runs on its own chain: a leaf witness on its part,
 upright or reversed, a sum boundary as two end walks, each part end beside
-one point.  Equal checks share one verdict, failures included, so a report
-walks each distinct leaf witness and part end once: its cost grows with the
-distinct structure of a sum, not with its length.  The sampler descends a
-homogeneous part (`rat`, upright or reversed) once per direction.
+one point.  A check, a part's end tag and a sampler descent thus read only
+the chain in their key, so one bounded memo (the last 4,096 keys) shares
+them across the reports of a process: verdicts, failures included, by
+(depth, chain, witness name, claim), `derive_cf`/`derive_ci` tags by
+(depth, part), and descents by (depth, part, direction) and their local
+floor and start (see `sample_cuts`).  A process walks each distinct leaf
+witness, part end and descent once.  Only what `spectrum_soundness` and
+`sample_cuts` build enters the memo; the public walkers `verify_witness`,
+`derive_cf` and `derive_ci` are uncached, since a caller may pass any
+witness under any name.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -51,6 +58,24 @@ from .order_terms import (
 )
 
 PROBE_PULLS = 8
+
+# The memo of the module docstring: each key is its kind, the depth and
+# what the computation reads.
+_MEMO_CAP = 4096
+_memo = OrderedDict()
+
+
+def _memoized(key, compute, *args):
+    """compute(*args), walked once while key stays among the last _MEMO_CAP
+    keys stored.  The oldest key goes first, popped in one step, so threads
+    sharing the memo can at worst walk a key twice."""
+    value = _memo.get(key)
+    if value is None:
+        value = compute(*args)
+        if len(_memo) >= _MEMO_CAP:
+            _memo.popitem(last=False)
+        _memo[key] = value
+    return value
 
 
 # perfbench resolves `LexChain` in this module (imported above, unused
@@ -253,14 +278,15 @@ def _flatten(t: OrderTerm):
     A check is a (chain, witness) pair that reads nothing outside itself.  A
     leaf witness is checked on its own part, upright or reversed; the
     boundary claim (a, b) of a sum is two checks, each end of an adjacent
-    part beside one point: (a, 1) on below + 1 and (1, b) on 1 + above.
-    Rows follow the term: a sum's left side, its right side, then its
-    boundary, each named by its path, as `right:rev(left:finite-step)`; a
-    stack keeps the (first, last) parts of each finished side in chain
-    order.  Each distinct leaf is concretized once, in term order, so the
-    first leaf outside the fragment raises.  The chain is then one walk over
-    the leaves in chain order: rev(a + b) is rev(b) + rev(a)."""
-    rows, leaves, ends = [], {}, []
+    part beside one point: (a, 1) on below + 1 and (1, b) on 1 + above,
+    built once per distinct (below, above, claim) of the walk.  Rows follow
+    the term: a sum's left side, its right side, then its boundary, each
+    named by its path, as `right:rev(left:finite-step)`; a stack keeps the
+    (first, last) parts of each finished side in chain order.  Each
+    distinct leaf is concretized once, in term order, so the first leaf
+    outside the fragment raises.  The chain is then one walk over the leaves
+    in chain order: rev(a + b) is rev(b) + rev(a)."""
+    rows, leaves, ends, joints = [], {}, [], {}
     stack = [(False, t, False, "", "")]
     while stack:
         boundary, s, back, prefix, suffix = stack.pop()
@@ -271,9 +297,11 @@ def _flatten(t: OrderTerm):
                 claim, lo, hi = claim.mirrored(), hi, lo
             below, above = lo[1], hi[0]
             ends.append((lo[0], hi[1]))
-            rows.append((claim, prefix + "sum-boundary" + suffix,
-                         (_cut(below, POINT, CofPair(claim.left, ONE)),
-                          _cut(POINT, above, CofPair(ONE, claim.right)))))
+            joint = (below, above, claim)
+            if joint not in joints:
+                joints[joint] = (_cut(below, POINT, CofPair(claim.left, ONE)),
+                                 _cut(POINT, above, CofPair(ONE, claim.right)))
+            rows.append((claim, prefix + "sum-boundary" + suffix, joints[joint]))
         elif isinstance(s, Sum):
             stack += [(True, s, back, prefix, suffix),
                       (False, s.right, back, prefix + "right:", suffix),
@@ -351,42 +379,46 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100,
     """Cofinality pairs of sampled cuts on a chain that `concretize` builds:
     principal cuts at enumerated elements plus the nonprincipal boundary
     cuts between adjacent parts of a flat sum.  A flat sum draws at least
-    one sample per part, so every part is reached."""
+    one sample per part, so every part is reached.  Each descent reads only
+    the part of its start, and each end tag only its part, so both come
+    from the process-wide memo, keyed by the part and the depth."""
     _check_depth(depth)
     _check_count(samples, 0, "sample count")
     parts = chain.parts if isinstance(chain, SumChain) else ()
     samples = max(samples, len(parts))
     mirror = RevChain(chain)
-    descents = {}
 
     def descend(walk: ConcreteChain, x, start) -> Card:
-        # a descent from a start in x's own part only meets that part, and
-        # the sum's parts repeat: walk each (part, x, start, direction) once.
-        # A homogeneous part's automorphism taking x to y commutes with the
-        # walk, so its descents in one direction all end alike.
+        # a descent only meets the part of its start, and parts repeat: key
+        # it by that part, the direction and the local x and start.  A
+        # homogeneous part's automorphism taking x to y commutes with the
+        # walk, so its descents in one direction all end alike.  A start past
+        # x's part means x ends its own part, so the walk steps by neighbours
+        # in the start's part whatever x is: no element is None, so
+        # (None, start) keys it apart from the walks by `between`.
         if not parts:
             part, at = chain, (x, start)
         elif start[0] == x[0]:
             part, at = parts[x[0]], (x[1], start[1])
         else:
-            return _descend_to(walk, x, start, depth)
-        key = (part, walk is mirror) + (() if part.homogeneous else at)
-        tag = descents.get(key)
-        if tag is None:
-            tag = descents[key] = _descend_to(walk, x, start, depth)
-        return tag
+            part, at = parts[start[0]], (None, start[1])
+        if part.homogeneous and at[0] is not None:
+            at = ()
+        return _memoized(("descent", depth, part, walk is mirror) + at,
+                         _descend_to, walk, x, start, depth)
 
-    pairs = set()
+    ups, downs = set(), set()
     for x in itertools.islice(chain.elements(), samples):
         e0 = chain.above(x)
         if e0 is not None:
-            pairs.add(CofPair(ONE, descend(chain, x, e0)))
+            ups.add(descend(chain, x, e0))
         d0 = chain.below(x)
         if d0 is not None:
-            pairs.add(CofPair(descend(mirror, x, d0), ONE))
+            downs.add(descend(mirror, x, d0))
+    pairs = {CofPair(ONE, tag) for tag in ups} | {CofPair(tag, ONE) for tag in downs}
     # a sum repeats a few part kinds: walk each distinct part's ladders once
-    cf_tag = {p: derive_cf(p, depth) for p in set(parts)}
-    ci_tag = {p: derive_ci(p, depth) for p in cf_tag}
+    cf_tag = {p: _memoized(("cf", depth, p), derive_cf, p, depth) for p in set(parts)}
+    ci_tag = {p: _memoized(("ci", depth, p), derive_ci, p, depth) for p in cf_tag}
     pairs.update(CofPair(cf_tag[a], ci_tag[b]) for a, b in zip(parts, parts[1:]))
     return frozenset(pairs)
 
@@ -436,17 +468,16 @@ def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     for sampled pairs missing from the claim.  A row passes when all its
     checks pass and reports the first failing reason; a check reads nothing
     outside its chain, so equal checks share one verdict, failures
-    included."""
+    included, through the process-wide memo: a term equal to one verified
+    before at the same depth walks nothing again."""
     _check_depth(depth)
     chain, witnesses = _flatten(t)
     claimed = cut_spectrum(t).countable_pairs()
-    rows, passed, verdicts = [], set(), {}
+    rows, passed = [], set()
 
     def verdict(c: ConcreteChain, w: CutWitness) -> WitnessResult:
-        key = (c, w.name, w.claim)
-        if key not in verdicts:
-            verdicts[key] = verify_witness(c, w, depth)
-        return verdicts[key]
+        return _memoized(("verdict", depth, c, w.name, w.claim),
+                         verify_witness, c, w, depth)
 
     for pair, name, checks in witnesses:
         result = next((r for r in itertools.starmap(verdict, checks) if not r.ok),

@@ -1,6 +1,8 @@
 """Ladder witnesses and spectrum soundness on the countable fragment."""
 
+import importlib.util
 import itertools
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordercuts.cardinals import ALEPH1, CardSet, CofPair, ONE, aleph
 from ordercuts.errors import DomainError
-from ordercuts import oracle
+from ordercuts import cli, oracle
 from ordercuts.chains import (
     ConcreteChain,
     IntChain,
@@ -33,6 +35,7 @@ from ordercuts.oracle import (
 )
 from ordercuts.order_terms import (
     Atom,
+    OrderTerm,
     cf,
     chain,
     ci,
@@ -408,6 +411,7 @@ def test_verify_cmp_count_linear_in_parts(monkeypatch):
     counts = {}
     for k in (16, 64):
         calls[0] = 0
+        oracle._memo.clear()
         assert spectrum_soundness(_rat_free_sum(random.Random(k), k)).ok
         counts[3 * k] = calls[0]
     assert counts[192] <= 5 * counts[48], counts
@@ -711,6 +715,7 @@ def test_sqrt2_ladders_walked_once_per_distinct_leaf(monkeypatch):
                          (sum_of(_rat_sum(random.Random(3), 3), rev(RAT_ATOM),
                                  OMEGA, rev(RAT_ATOM)), 2)):
         starts.update(lower=0, upper=0)
+        oracle._memo.clear()
         assert spectrum_soundness(term).ok
         assert starts == {"lower": leaves, "upper": leaves}
 
@@ -730,6 +735,7 @@ def test_one_descent_per_homogeneous_part_and_direction(monkeypatch):
     for term in (RAT_ATOM, rev(RAT_ATOM), _rat_sum(random.Random(8), 8)):
         c = concretize(term)
         walked.clear()
+        oracle._memo.clear()
         pairs = sample_cuts(c, 30)
         assert len(walked) == 2, (str(term), len(walked))
         assert pairs == _plain_sample_cuts(c, 30), str(term)
@@ -753,6 +759,7 @@ def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
     counts = {}
     for k in (1, 8):
         calls[0] = 0
+        oracle._memo.clear()
         assert spectrum_soundness(_rat_sum(random.Random(k), k)).ok
         counts[k] = calls[0]
     assert counts[8] <= 2 * counts[1], counts
@@ -775,6 +782,175 @@ def test_verify_walks_each_leaf_witness_and_part_end_once(monkeypatch):
     monkeypatch.setattr(oracle, "verify_witness", counting)
     assert spectrum_soundness(t).ok
     assert calls[0] <= bound, calls
+
+
+# ---------------------------------------------------------------------------
+# One process-wide memo: every entry is what a cold walk of its key gives
+# ---------------------------------------------------------------------------
+
+def _liar(cf_, ci_):
+    return Atom("rat", cf_, ci_, CardSet.of(A0), CardSet.of(A0), A0,
+                (CofPair(ONE, A0), CofPair(A0, ONE), CofPair(A0, A0)))
+
+
+# atoms that claim a greatest or a least element the rationals lack, so some
+# boundary verdicts in the memo are failures
+MEMO_LEAVES = DIFF_LEAVES + [_liar(ONE, A0), _liar(A0, ONE), rev(_liar(A0, ONE))]
+
+
+def _memo_sums(count):
+    """Random sums over a short pool of MEMO_LEAVES, each upright and
+    reversed."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        pool = rng.sample(MEMO_LEAVES, 4)
+        t = _random_tree(rng, [rng.choice(pool) for _ in range(rng.randint(2, 9))])
+        yield from (t, rev(t))
+
+
+def _cold(key, witnesses):
+    """A fresh walk of what a memo key names.  A verdict walks its check; a
+    descent walks its part alone from its floor, from the part's first
+    element when the part is homogeneous, or beside one point when its floor
+    lies outside the part."""
+    kind, depth, c, *rest = key
+    if kind == "verdict":
+        return verify_witness(c, witnesses[(c, *rest)], depth)
+    if kind == "cf":
+        return derive_cf(c, depth)
+    if kind == "ci":
+        return derive_ci(c, depth)
+    mirrored, at = rest[0], tuple(rest[1:])
+    if not at:
+        floor = next(iter(c.elements()))
+        at = (floor, c.below(floor) if mirrored else c.above(floor))
+    if at[0] is not None:
+        return oracle._descend_to(RevChain(c) if mirrored else c, *at, depth)
+    point = IntChain(0, 1)
+    if mirrored:
+        return oracle._descend_to(RevChain(SumChain(c, point)), (1, 0), (0, at[1]), depth)
+    return oracle._descend_to(SumChain(point, c), (0, 0), (1, at[1]), depth)
+
+
+def _next_part(key):
+    """A descent from the end of one part into the next: it has no floor."""
+    return key[0] == "descent" and key[4:5] == (None,)
+
+
+def _assert_memo_is_cold(terms):
+    witnesses = {(c, w.name, w.claim): w for t in terms
+                 for _, _, checks in term_witnesses(t) for c, w in checks}
+    kinds = set()
+    for key, value in list(oracle._memo.items()):
+        assert value == _cold(key, witnesses), key
+        kinds.add("next-part descent" if _next_part(key) else key[0])
+    return kinds
+
+
+@pytest.mark.parametrize("depth", [30, 100])
+def test_memo_entries_equal_cold_walks(depth):
+    terms = list(_memo_sums(12))
+    for t in terms:
+        spectrum_soundness(t, depth)
+    assert _assert_memo_is_cold(terms) == {"verdict", "cf", "ci", "descent",
+                                           "next-part descent"}
+    assert any(not v.ok for k, v in oracle._memo.items() if k[0] == "verdict")
+
+
+@pytest.mark.parametrize("depth", [30, 100])
+def test_memo_descents_match_plain_sampling(depth):
+    # descents shared across sums, those from a part's end into the next
+    # part included, give the pairs of a plain walk of every sample
+    chains = [concretize(t) for t in _memo_sums(12)]
+    for c in chains + chains[::-1]:
+        assert sample_cuts(c, depth) == _plain_sample_cuts(c, depth)
+    assert any(map(_next_part, oracle._memo))
+
+
+def _load_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_reports_independent_of_item_order():
+    # countable.defs and the seed-1 countable-verify batch, one item per
+    # report: forward, then reversed twice (the second time on a warm memo),
+    # match items each verified on an empty memo, text and machine formats
+    job = _load_workloads().countable_verify(1)
+    fixture = (pathlib.Path(__file__).resolve().parent / "fixtures" /
+               job["fixture"]).read_text(encoding="utf-8")
+    defs = [d for d in cli.parse_definitions(fixture + job["text"])
+            if isinstance(d[1], OrderTerm)]
+
+    def reports(order, cold=False):
+        out = {}
+        for d in order:
+            if cold:
+                oracle._memo.clear()
+            report = cli.run([d], "verify")
+            out[d[0]] = (report.render_text(), report.render_machine())
+        return out
+
+    cold = reports(defs, cold=True)
+    oracle._memo.clear()
+    assert reports(defs) == cold
+    oracle._memo.clear()
+    assert reports(defs[::-1]) == cold
+    assert reports(defs[::-1]) == cold
+
+
+def _counting_walks(monkeypatch):
+    calls = {"verify_witness": 0, "_descend_to": 0, "derive_cf": 0}
+    for name in calls:
+        def counting(*args, _walk=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _walk(*args)
+        monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def test_equal_term_walks_nothing_again(monkeypatch):
+    calls = _counting_walks(monkeypatch)
+    first = spectrum_soundness(_rat_sum(random.Random(3), 3))
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert spectrum_soundness(_rat_sum(random.Random(3), 3)) == first
+    assert calls == {"verify_witness": 0, "_descend_to": 0, "derive_cf": 0}
+
+
+def test_other_depth_shares_no_entry(monkeypatch):
+    # after a walk at depth 100, depth 30 walks and stores what it does on
+    # an empty memo
+    calls = _counting_walks(monkeypatch)
+    t = _rat_sum(random.Random(3), 3)
+    spectrum_soundness(t, 30)
+    cold, stored = dict(calls), len(oracle._memo)
+    oracle._memo.clear()
+    spectrum_soundness(t, 100)
+    at_100 = len(oracle._memo)
+    calls.update(dict.fromkeys(calls, 0))
+    spectrum_soundness(t, 30)
+    assert calls == cold
+    assert len(oracle._memo) == at_100 + stored
+
+
+def test_memo_never_exceeds_its_cap():
+    terms = [t for n in range(2, 90) for t in (chain(n), sum_of(OMEGA, chain(n)))]
+    first = None
+    for t in terms:
+        spectrum_soundness(t, 30)
+        first = first or next(iter(oracle._memo))
+        assert len(oracle._memo) <= oracle._MEMO_CAP
+    assert len(oracle._memo) == oracle._MEMO_CAP and first not in oracle._memo
+    assert _assert_memo_is_cold(terms) >= {"verdict", "cf", "ci", "descent"}
+    # the evicted entries are walked again, as on an empty memo
+    for t in terms[:8]:
+        assert spectrum_soundness(t, 30).rows == _plain_rows(t, 30)
+        assert sample_cuts(concretize(t), 30) == _plain_sample_cuts(concretize(t), 30)
+        assert len(oracle._memo) <= oracle._MEMO_CAP
 
 
 # ---------------------------------------------------------------------------
