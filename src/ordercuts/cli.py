@@ -107,6 +107,11 @@ def _renamed(kv: Dict[str, object], **names: str) -> Dict[str, object]:
     return {names.get(key, key): value for key, value in kv.items()}
 
 
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """`message` as a parse error at the line and column of `text[pos]`."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
 Definition = Tuple[str, object]
 
 
@@ -138,9 +143,7 @@ class Parser:
 
     def error(self, message: str, tok: Token) -> ParseError:
         """`message` as a parse error at the line and column of `tok`."""
-        line_start = self.text.rfind("\n", 0, tok.pos) + 1
-        return ParseError(message, self.text.count("\n", 0, tok.pos) + 1,
-                          tok.pos - line_start + 1)
+        return _error_at(self.text, tok.pos, message)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -587,6 +590,19 @@ def parse_definitions(text: str) -> List[Definition]:
     return Parser(text).parse_file()
 
 
+def _read_definitions(path: str) -> str:
+    """The text of a definitions file; the first byte that is not UTF-8 is
+    a parse error at its line and column."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    # surrogateescape reads each byte b that does not decode as U+DC00 + b
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        raise _error_at(text, bad.start(),
+                        f"byte 0x{ord(bad.group()) - 0xdc00:02x} is not valid UTF-8")
+    return text
+
+
 def print_definitions(defs: List[Definition]) -> str:
     return "".join(f"let {name} = {value}\n" for name, value in defs)
 
@@ -811,9 +827,7 @@ def main(argv=None) -> int:
             ap.error(f"--bound must be aleph(n) with finite n, got {bound}")
 
     try:
-        with open(args.infile, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        defs = parse_definitions(text)
+        defs = parse_definitions(_read_definitions(args.infile))
     except (OSError, OrderCutsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

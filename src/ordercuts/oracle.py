@@ -18,16 +18,16 @@ flat `SumChain` of leaf chains: term depth is limited by memory.
 
 Each check of a row runs on its own chain: a leaf witness on its part,
 upright or reversed, a sum boundary as two end walks, each part end beside
-one point.  A check, a part's end tag and a sampler descent thus read only
-the chain in their key, so one bounded memo (the last 4,096 keys) shares
-them across the reports of a process: verdicts, failures included, by
-(depth, chain, witness name, claim), `derive_cf`/`derive_ci` tags by
-(depth, part), and descents by (depth, part, direction) and their local
-floor and start (see `sample_cuts`).  A process walks each distinct leaf
-witness, part end and descent once.  Only what `spectrum_soundness` and
-`sample_cuts` build enters the memo; the public walkers `verify_witness`,
-`derive_cf` and `derive_ci` are uncached, since a caller may pass any
-witness under any name.
+one point.  The sampler walks each part of a sum on its own.  A check, a
+part's end tag and a part sample thus read only the chain in their key, so
+one bounded memo (the last 4,096 keys) shares them across the reports of a
+process: verdicts, failures included, by (depth, chain, witness name,
+claim), `derive_cf`/`derive_ci` tags by (depth, part), and part samples by
+(depth, part, sample count) (see `sample_cuts`).  A process walks each
+distinct leaf witness, part end and part sample once.  Only what
+`spectrum_soundness` and `sample_cuts` build enters the memo; the public
+walkers `verify_witness`, `derive_cf` and `derive_ci` are uncached, since a
+caller may pass any witness under any name.
 """
 
 from __future__ import annotations
@@ -94,14 +94,10 @@ def NatChain() -> IntChain:
 # Witnesses
 # ---------------------------------------------------------------------------
 
-def _check_count(value, least: int, what: str) -> None:
-    if not is_exact(value, int) or value < least:
-        raise DomainError(f"{what} must be an integer at least {least}, got {value!r}")
-
-
 def _check_depth(depth) -> None:
     """Every ladder walk takes at least one step."""
-    _check_count(depth, 1, "witness depth")
+    if not is_exact(depth, int) or depth < 1:
+        raise DomainError(f"witness depth must be an integer at least 1, got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -347,19 +343,6 @@ def term_witnesses(t: OrderTerm):
 # Sampled cut generation
 # ---------------------------------------------------------------------------
 
-def _descend_to(chain: ConcreteChain, floor, start, depth: int) -> Card:
-    """Coinitiality tag of {z : z > floor} explored from start: 1 when an
-    immediate successor shows up, aleph(0) when the descent survives.  On
-    the reversed chain it is the cofinality tag of {z : z < floor}."""
-    cur = start
-    for _ in range(depth):
-        nxt = chain.between(floor, cur)
-        if nxt is None:
-            return ONE
-        cur = nxt
-    return ALEPH0
-
-
 def derive_cf(chain: ConcreteChain, depth: int = 100) -> Card:
     """Cofinality re-derived by ladder search: 1 or aleph(0)-to-depth."""
     _check_depth(depth)
@@ -374,51 +357,54 @@ def derive_ci(chain: ConcreteChain, depth: int = 100) -> Card:
     return derive_cf(RevChain(chain), depth)
 
 
-def sample_cuts(chain: ConcreteChain, depth: int = 100,
-                 samples: int = 60) -> frozenset:
-    """Cofinality pairs of sampled cuts on a chain that `concretize` builds:
-    principal cuts at enumerated elements plus the nonprincipal boundary
-    cuts between adjacent parts of a flat sum.  A flat sum draws at least
-    one sample per part, so every part is reached.  Each descent reads only
-    the part of its start, and each end tag only its part, so both come
-    from the process-wide memo, keyed by the part and the depth."""
-    _check_depth(depth)
-    _check_count(samples, 0, "sample count")
-    parts = chain.parts if isinstance(chain, SumChain) else ()
-    samples = max(samples, len(parts))
-    mirror = RevChain(chain)
+SAMPLES = 60
 
-    def descend(walk: ConcreteChain, x, start) -> Card:
-        # a descent only meets the part of its start, and parts repeat: key
-        # it by that part, the direction and the local x and start.  A
-        # homogeneous part's automorphism taking x to y commutes with the
-        # walk, so its descents in one direction all end alike.  A start past
-        # x's part means x ends its own part, so the walk steps by neighbours
-        # in the start's part whatever x is: no element is None, so
-        # (None, start) keys it apart from the walks by `between`.
-        if not parts:
-            part, at = chain, (x, start)
-        elif start[0] == x[0]:
-            part, at = parts[x[0]], (x[1], start[1])
-        else:
-            part, at = parts[start[0]], (None, start[1])
-        if part.homogeneous and at[0] is not None:
-            at = ()
-        return _memoized(("descent", depth, part, walk is mirror) + at,
-                         _descend_to, walk, x, start, depth)
 
+def _sample_part(part: ConcreteChain, count: int, depth: int) -> frozenset:
+    """Cofinality pairs of the principal cuts just above and just below each
+    of the first `count` elements x of a part, each walked inside the part
+    from x's neighbour toward x by `between`: 1 when the walk stops, aleph(0)
+    when it survives `depth` steps.  Past an x that ends the part lies no
+    cut of the part."""
     ups, downs = set(), set()
-    for x in itertools.islice(chain.elements(), samples):
-        e0 = chain.above(x)
-        if e0 is not None:
-            ups.add(descend(chain, x, e0))
-        d0 = chain.below(x)
-        if d0 is not None:
-            downs.add(descend(mirror, x, d0))
-    pairs = {CofPair(ONE, tag) for tag in ups} | {CofPair(tag, ONE) for tag in downs}
+    for walk, tags in ((part, ups), (RevChain(part), downs)):
+        for x in itertools.islice(walk.elements(), count):
+            cur = walk.above(x)
+            if cur is None:
+                continue
+            for _ in range(depth):
+                cur = walk.between(x, cur)
+                if cur is None:
+                    break
+            tags.add(ONE if cur is None else ALEPH0)
+    return frozenset({CofPair(ONE, tag) for tag in ups} | {CofPair(tag, ONE) for tag in downs})
+
+
+def sample_cuts(chain: ConcreteChain, depth: int = 100) -> frozenset:
+    """Cofinality pairs of sampled cuts on a chain that `concretize` builds:
+    principal cuts at the first SAMPLES enumerated elements, round-robin over
+    the parts of a flat sum and at least one in each, plus the boundary cuts
+    between adjacent parts.  Each part is sampled on its own, once per
+    distinct (part, count) through the process-wide memo, and a homogeneous
+    part, whose automorphisms commute with the walk, by its first element
+    alone.  The cut just past a part's greatest element is the boundary cut
+    to the next part, (1, ci) of it by the sum rule: the boundary pairs read
+    it from the parts' end tags, and the cut below a least element alike."""
+    _check_depth(depth)
+    if isinstance(chain, SumChain):
+        parts, counts = chain.parts, [0] * len(chain.parts)
+        for i, _ in itertools.islice(chain.elements(), max(SAMPLES, len(parts))):
+            counts[i] += 1
+    else:
+        parts, counts = (chain,), [SAMPLES]
+    pairs = set()
+    for key in dict.fromkeys((p, 1 if p.homogeneous else n) for p, n in zip(parts, counts)):
+        pairs |= _memoized(("sample", depth) + key, _sample_part, *key, depth)
     # a sum repeats a few part kinds: walk each distinct part's ladders once
-    cf_tag = {p: _memoized(("cf", depth, p), derive_cf, p, depth) for p in set(parts)}
-    ci_tag = {p: _memoized(("ci", depth, p), derive_ci, p, depth) for p in cf_tag}
+    cf_tag = {p: _memoized(("cf", depth, p), derive_cf, p, depth)
+              for p in dict.fromkeys(parts[:-1])}
+    ci_tag = {p: _memoized(("ci", depth, p), derive_ci, p, depth)
+              for p in dict.fromkeys(parts[1:])}
     pairs.update(CofPair(cf_tag[a], ci_tag[b]) for a, b in zip(parts, parts[1:]))
     return frozenset(pairs)
 
@@ -442,7 +428,6 @@ class WitnessRow:
 
 @dataclass(frozen=True)
 class OracleReport:
-    term: str
     rows: Tuple[WitnessRow, ...]
     unwitnessed: Tuple[CofPair, ...]
     unclaimed: Tuple[CofPair, ...]
@@ -489,4 +474,4 @@ def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     sampled = sample_cuts(chain, depth)
     unclaimed = tuple(sorted(p for p in sampled if p not in claimed))
     stray = tuple(sorted(p for p in passed if p not in claimed))
-    return OracleReport(str(t), tuple(rows), unwitnessed, unclaimed + stray)
+    return OracleReport(tuple(rows), unwitnessed, unclaimed + stray)

@@ -105,6 +105,18 @@ def test_each_end_is_stated_once(chain):
     _check_end(chain, chain.coinitial(), chain.least(), chain.below, -1)
 
 
+@pytest.mark.parametrize("chain", END_SHAPES, ids=repr)
+def test_only_an_end_lacks_a_neighbour(chain):
+    """The converse of the end contract: `above(x)` is None only at the
+    greatest element, and `below(x)` only at the least.  So the cut just
+    past a part's greatest element of a sum is the boundary cut read from
+    the ends of the two parts."""
+    top, bottom = chain.greatest(), chain.least()
+    for x in itertools.islice(chain.elements(), 200):
+        assert (chain.above(x) is None) == (top is not None and chain.cmp(x, top) == 0), x
+        assert (chain.below(x) is None) == (bottom is not None and chain.cmp(x, bottom) == 0), x
+
+
 def test_least_and_greatest_derive_from_the_ends():
     shapes = [c for c in vars(chains).values()
               if isinstance(c, type) and issubclass(c, ConcreteChain)]
@@ -193,11 +205,11 @@ def test_translation_is_an_automorphism_of_the_walk(chain):
 
 @pytest.mark.parametrize("chain", HOMOGENEOUS, ids=repr)
 def test_homogeneous_descents_end_alike(chain):
-    mirror = RevChain(chain)
-    points = list(itertools.islice(chain.elements(), 20))
-    ups = {oracle._descend_to(chain, x, chain.above(x), 30) for x in points}
-    downs = {oracle._descend_to(mirror, x, chain.below(x), 30) for x in points}
-    assert len(ups) == 1 and len(downs) == 1
+    """The descents from the first n points give the pairs of the first
+    point's two descents alone, for every n up to 20."""
+    first = oracle._sample_part(chain, 1, 30)
+    assert len(first) == 2
+    assert all(oracle._sample_part(chain, n, 30) == first for n in range(2, 21))
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,20 @@ class TestInputErrors:
         assert "--depth" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data,line,col,byte", [
+        (b"let a = chain(2)\n\xff\n", 2, 1, "0xff"),
+        (b"let a = 1\r\n\tlet b = \xc3\xa9\xe2\x82", 2, 11, "0xe2"),
+    ], ids=["stray-byte", "cut-sequence"])
+    def test_invalid_utf8_located(self, tmp_path, data, line, col, byte):
+        """A definitions file that is not UTF-8 exits 2 with the line and
+        column of the first byte that does not decode, counted in the
+        characters before it, and no traceback."""
+        path = tmp_path / "input.defs"
+        path.write_bytes(data)
+        proc = run_python("-m", "ordercuts.cli", "--in", str(path), "--cmd", "spectrum")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: line {line}, col {col}: byte {byte} is not valid UTF-8\n"
+
     def test_depth_one_accepted(self, tmp_path):
         code, out, err = invoke_on(tmp_path, "let W0 = well(aleph(0))\n",
                                    "--cmd", "verify", "--depth", "1")

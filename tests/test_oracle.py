@@ -1,5 +1,6 @@
 """Ladder witnesses and spectrum soundness on the countable fragment."""
 
+import collections
 import importlib.util
 import itertools
 import pathlib
@@ -169,9 +170,10 @@ class TestSoundness:
 
 
 class TestLexSampling:
-    def test_zxz_principal_pattern(self):
+    def test_zxz_principal_pattern(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SAMPLES", 40)
         zz = LexChain((SumChain(RevChain(IntChain(0)), IntChain(0)),) * 2)
-        sampled = sample_cuts(zz, depth=100, samples=40)
+        sampled = sample_cuts(zz, depth=100)
         principal = {p for p in sampled if p.is_principal}
         assert principal == {CofPair(ONE, ONE)}
 
@@ -348,28 +350,30 @@ def test_sampling_reaches_every_part():
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n", [12, 60, 61, 96, 192])
 def test_sample_cuts_reaches_every_part(monkeypatch, n, reverse):
-    # sample_cuts probes each sampled element with one above() on the flat
-    # sum that concretize builds, with or without a reversal around the term
+    # sample_cuts samples each part of the flat sum that concretize builds,
+    # with or without a reversal around the term, by the count of samples a
+    # round-robin prefix puts in it, and a homogeneous part by one sample
     rng = random.Random(n)
     parts = [rng.choice(SAMPLE_POOL) for _ in range(n)]
     term = sum_of(*parts)
     c = concretize(rev(term) if reverse else term)
     m = _leaf_count(parts)
     assert isinstance(c, SumChain) and len(c.parts) == m
-    probed = []
+    sampled = []
+    sample_part = oracle._sample_part
 
-    def recording(step):
-        def wrapper(self, x):
-            if self is c:
-                probed.append(x)
-            return step(self, x)
-        return wrapper
+    def recording(part, count, depth):
+        sampled.append((part, count))
+        return sample_part(part, count, depth)
 
-    monkeypatch.setattr(SumChain, "above", recording(SumChain.above))
+    monkeypatch.setattr(oracle, "_sample_part", recording)
     sample_cuts(c, depth=5)
     # sums of at most 60 parts keep the fixed 60 samples
-    assert probed == list(itertools.islice(c.elements(), max(60, m)))
-    assert {i for i, _ in probed} == set(range(m))
+    counts = collections.Counter(
+        i for i, _ in itertools.islice(c.elements(), max(oracle.SAMPLES, m)))
+    assert set(counts) == set(range(m))
+    expected = {(p, 1 if p.homogeneous else counts[i]) for i, p in enumerate(c.parts)}
+    assert len(sampled) == len(expected) and set(sampled) == expected
 
 
 def test_concretize_pushes_reversals_to_the_leaves():
@@ -464,12 +468,9 @@ def _sqrt2_witness():
     lambda: spectrum_soundness(sum_of(OMEGA, OMEGA_STAR), 2.5),
     lambda: spectrum_soundness(OMEGA, True),
     lambda: verify_witness(RatChain(), _sqrt2_witness(), -1),
-    lambda: sample_cuts(IntChain(0), 100, -1),
-    lambda: sample_cuts(IntChain(0), 100, 2.0),
 ], ids=["verify_witness-0", "sample_cuts-0", "derive_cf-0", "derive_ci-0",
         "spectrum_soundness-float", "spectrum_soundness-bool",
-        "verify_witness-negative", "sample_cuts-negative-samples",
-        "sample_cuts-float-samples"])
+        "verify_witness-negative"])
 def test_bad_depth_or_samples_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -681,9 +682,16 @@ def test_boundary_walks_the_upper_part_end(monkeypatch):
 
 
 def test_shared_descents_match_plain_sampling():
-    for t in _random_sums(14):
-        for c in (concretize(t), concretize(rev(t))):
-            assert sample_cuts(c, 30) == _plain_sample_cuts(c, 30), str(t)
+    # single leaves, sums whose finite parts are sampled end to end, and
+    # random sums, each upright and reversed, down to walks of one step
+    terms = DIFF_LEAVES + [chain(1), sum_of(chain(1), chain(2)),
+                           sum_of(chain(3), rev(chain(2)), RAT_ATOM, chain(1), OMEGA),
+                           sum_of(OMEGA_STAR, chain(4), rev(RAT_ATOM), rev(chain(1)))]
+    terms += list(_random_sums(14))
+    for depth in (1, 2, 30):
+        for t in terms:
+            for c in (concretize(t), concretize(rev(t))):
+                assert sample_cuts(c, depth) == _plain_sample_cuts(c, depth), (str(t), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -721,24 +729,29 @@ def test_sqrt2_ladders_walked_once_per_distinct_leaf(monkeypatch):
 
 
 def test_one_descent_per_homogeneous_part_and_direction(monkeypatch):
-    rats = (RatChain(), RevChain(RatChain()))
-    walked = []
-    descend = oracle._descend_to
+    # each descent starts at a neighbour of its sample, and on a rat part,
+    # upright or reversed, that neighbour is a rat above() or below(): one
+    # of each per part and process, whatever the part's sample count (60
+    # alone, 2 or 3 in a sum of 24 parts)
+    cases = [(concretize(t), parts) for t, parts in (
+        (RAT_ATOM, 1), (_rat_sum(random.Random(8), 8), 1),
+        (rev(RAT_ATOM), 2), (rev(_rat_sum(random.Random(5), 5)), 2))]
+    plain = [_plain_sample_cuts(c, 30) for c, _ in cases]
+    steps = collections.Counter()
 
-    def counting(walk, floor, start, depth):
-        # c is the chain sampled below
-        if (c.parts[floor[0]] if isinstance(c, SumChain) else c) in rats:
-            walked.append(floor)
-        return descend(walk, floor, start, depth)
+    def counting(name):
+        step = getattr(RatChain, name)
 
-    monkeypatch.setattr(oracle, "_descend_to", counting)
-    for term in (RAT_ATOM, rev(RAT_ATOM), _rat_sum(random.Random(8), 8)):
-        c = concretize(term)
-        walked.clear()
-        oracle._memo.clear()
-        pairs = sample_cuts(c, 30)
-        assert len(walked) == 2, (str(term), len(walked))
-        assert pairs == _plain_sample_cuts(c, 30), str(term)
+        def wrapper(self, x):
+            steps[name] += 1
+            return step(self, x)
+        return wrapper
+
+    for name in ("above", "below"):
+        monkeypatch.setattr(RatChain, name, counting(name))
+    for (c, parts), pairs in zip(cases, plain):
+        assert sample_cuts(c, 30) == pairs, str(c)
+        assert steps == {"above": parts, "below": parts}, (str(c), steps)
 
 
 def test_verify_cmp_count_flat_in_rat_triples(monkeypatch):
@@ -810,9 +823,8 @@ def _memo_sums(count):
 
 def _cold(key, witnesses):
     """A fresh walk of what a memo key names.  A verdict walks its check; a
-    descent walks its part alone from its floor, from the part's first
-    element when the part is homogeneous, or beside one point when its floor
-    lies outside the part."""
+    part sample walks the first `count` elements of its part alone, as the
+    plain sampler does."""
     kind, depth, c, *rest = key
     if kind == "verdict":
         return verify_witness(c, witnesses[(c, *rest)], depth)
@@ -820,21 +832,19 @@ def _cold(key, witnesses):
         return derive_cf(c, depth)
     if kind == "ci":
         return derive_ci(c, depth)
-    mirrored, at = rest[0], tuple(rest[1:])
-    if not at:
-        floor = next(iter(c.elements()))
-        at = (floor, c.below(floor) if mirrored else c.above(floor))
-    if at[0] is not None:
-        return oracle._descend_to(RevChain(c) if mirrored else c, *at, depth)
-    point = IntChain(0, 1)
-    if mirrored:
-        return oracle._descend_to(RevChain(SumChain(c, point)), (1, 0), (0, at[1]), depth)
-    return oracle._descend_to(SumChain(point, c), (0, 0), (1, at[1]), depth)
+    assert kind == "sample" and not isinstance(c, SumChain)
+    return _plain_sample_cuts(c, depth, *rest)
 
 
-def _next_part(key):
-    """A descent from the end of one part into the next: it has no floor."""
-    return key[0] == "descent" and key[4:5] == (None,)
+def _samples_an_end(key):
+    """A part sample that reaches the part's least or greatest element,
+    past which the cut is a boundary cut of the sum."""
+    if key[0] != "sample":
+        return False
+    _, _, part, count = key
+    ends = [e for e in (part.least(), part.greatest()) if e is not None]
+    return any(part.cmp(x, e) == 0 for x in itertools.islice(part.elements(), count)
+               for e in ends)
 
 
 def _assert_memo_is_cold(terms):
@@ -843,7 +853,7 @@ def _assert_memo_is_cold(terms):
     kinds = set()
     for key, value in list(oracle._memo.items()):
         assert value == _cold(key, witnesses), key
-        kinds.add("next-part descent" if _next_part(key) else key[0])
+        kinds.add(key[0])
     return kinds
 
 
@@ -852,19 +862,20 @@ def test_memo_entries_equal_cold_walks(depth):
     terms = list(_memo_sums(12))
     for t in terms:
         spectrum_soundness(t, depth)
-    assert _assert_memo_is_cold(terms) == {"verdict", "cf", "ci", "descent",
-                                           "next-part descent"}
+    assert _assert_memo_is_cold(terms) == {"verdict", "cf", "ci", "sample"}
+    samples = [key for key in oracle._memo if key[0] == "sample"]
+    assert {_samples_an_end(key) for key in samples} == {False, True}
     assert any(not v.ok for k, v in oracle._memo.items() if k[0] == "verdict")
 
 
 @pytest.mark.parametrize("depth", [30, 100])
 def test_memo_descents_match_plain_sampling(depth):
-    # descents shared across sums, those from a part's end into the next
-    # part included, give the pairs of a plain walk of every sample
+    # part samples shared across sums, those that reach a part's end
+    # included, give the pairs of a plain walk of every sample
     chains = [concretize(t) for t in _memo_sums(12)]
     for c in chains + chains[::-1]:
         assert sample_cuts(c, depth) == _plain_sample_cuts(c, depth)
-    assert any(map(_next_part, oracle._memo))
+    assert any(map(_samples_an_end, oracle._memo))
 
 
 def _load_workloads():
@@ -903,7 +914,7 @@ def test_verify_reports_independent_of_item_order():
 
 
 def _counting_walks(monkeypatch):
-    calls = {"verify_witness": 0, "_descend_to": 0, "derive_cf": 0}
+    calls = {"verify_witness": 0, "_sample_part": 0, "derive_cf": 0}
     for name in calls:
         def counting(*args, _walk=getattr(oracle, name), _name=name):
             calls[_name] += 1
@@ -918,7 +929,7 @@ def test_equal_term_walks_nothing_again(monkeypatch):
     assert all(calls.values()), calls
     calls.update(dict.fromkeys(calls, 0))
     assert spectrum_soundness(_rat_sum(random.Random(3), 3)) == first
-    assert calls == {"verify_witness": 0, "_descend_to": 0, "derive_cf": 0}
+    assert calls == {"verify_witness": 0, "_sample_part": 0, "derive_cf": 0}
 
 
 def test_other_depth_shares_no_entry(monkeypatch):
@@ -938,14 +949,16 @@ def test_other_depth_shares_no_entry(monkeypatch):
 
 
 def test_memo_never_exceeds_its_cap():
+    # a part is sampled once per count, so ten depths of the terms fill it
     terms = [t for n in range(2, 90) for t in (chain(n), sum_of(OMEGA, chain(n)))]
     first = None
-    for t in terms:
-        spectrum_soundness(t, 30)
-        first = first or next(iter(oracle._memo))
-        assert len(oracle._memo) <= oracle._MEMO_CAP
+    for depth in range(30, 40):
+        for t in terms:
+            spectrum_soundness(t, depth)
+            first = first or next(iter(oracle._memo))
+            assert len(oracle._memo) <= oracle._MEMO_CAP
     assert len(oracle._memo) == oracle._MEMO_CAP and first not in oracle._memo
-    assert _assert_memo_is_cold(terms) >= {"verdict", "cf", "ci", "descent"}
+    assert _assert_memo_is_cold(terms) >= {"verdict", "cf", "ci", "sample"}
     # the evicted entries are walked again, as on an empty memo
     for t in terms[:8]:
         assert spectrum_soundness(t, 30).rows == _plain_rows(t, 30)
@@ -1011,7 +1024,7 @@ def test_verify_witness_refusals(lower, upper, claim, reason):
 
 def test_report_lines_for_missing_and_unclaimed_pairs():
     row = WitnessRow(CofPair(ONE, ONE), "step", 7, True)
-    report = oracle.OracleReport("t", (row,), (CofPair(A0, A0),), (CofPair(ONE, A0),))
+    report = oracle.OracleReport((row,), (CofPair(A0, A0),), (CofPair(ONE, A0),))
     assert not report.ok
     assert report.render_lines() == [
         "pair=(1,1) witness=step depth=7 verdict=pass",
