@@ -15,9 +15,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import GeneratorType
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from . import hahn_concrete as hc
 from . import oracle as orc
 from .cardinals import ALEPH0, Card, CardSet, CofPair, ONE, OrdinalIndex, aleph
 from .chains import IntChain, LexChain
@@ -63,6 +62,9 @@ from .struct_classify import (
     extend_field,
     extend_group,
 )
+
+if TYPE_CHECKING:
+    from .hahn_concrete import HahnElement
 
 STRUCTURE_TYPES = (GroupDescriptor, FieldDescriptor)
 
@@ -507,6 +509,7 @@ class Parser:
     def _parse_index_chain(self, factor: bool = False):
         """An index chain; a `factor` of a `lex(...)` is int/rat/fin(n), since
         a nested product is the flat one with its factors in order."""
+        from . import hahn_concrete as hc
         tok = self.next()
         if tok.text == "int":
             return hc.INT_CHAIN
@@ -536,6 +539,7 @@ class Parser:
         return Fraction(sign * num)
 
     def _parse_point(self, chain_):
+        from . import hahn_concrete as hc
         if isinstance(chain_, hc.ExponentGroup):
             # the coordinate count is checked by make, located at the head
             return tuple(self.parse_list("(", ")", self._parse_rational,
@@ -557,8 +561,11 @@ class Parser:
             return int(value)
         return value
 
-    def parse_hahn(self) -> hc.HahnElement:
-        """hahn(chain=C; p:c, ...) or series(exp=lexN; (q, ...):c, ...)."""
+    def parse_hahn(self) -> HahnElement:
+        """hahn(chain=C; p:c, ...) or series(exp=lexN; (q, ...):c, ...).  The
+        first such literal loads `hahn_concrete`; a file without one never
+        does."""
+        from . import hahn_concrete as hc
         head = self.next()
         self.expect("(")
         if head.text == "hahn":
@@ -591,9 +598,10 @@ def parse_definitions(text: str) -> List[Definition]:
 
 
 def _read_definitions(path: str) -> str:
-    """The text of a definitions file; the first byte that is not UTF-8 is
-    a parse error at its line and column."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    """The text of a definitions file, without one leading byte-order mark;
+    the first byte that is not UTF-8 is a parse error at its line and
+    column."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         text = handle.read()
     # surrogateescape reads each byte b that does not decode as U+DC00 + b
     bad = re.search("[\udc80-\udcff]", text)

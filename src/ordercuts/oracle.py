@@ -44,10 +44,7 @@ from .chains import (ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumC
 from .errors import DomainError
 from .order_terms import (
     Atom,
-    Completion,
     FiniteChain,
-    LexRefined,
-    LexSchedule,
     OrderTerm,
     Rev,
     Sum,
@@ -55,6 +52,7 @@ from .order_terms import (
     cf,
     ci,
     cut_spectrum,
+    leaf_head,
 )
 
 PROBE_PULLS = 8
@@ -249,9 +247,7 @@ def _leaf(t: OrderTerm):
         if t.name.lower() in RAT_ATOM_NAMES:
             return RatChain(), _rat_witnesses()
         raise DomainError(f"atom {t.name} has no concrete model")
-    head = {Completion: "comp(...)", LexSchedule: "lexsched(...)",
-            LexRefined: "lexref(...)"}.get(type(t), t)
-    raise DomainError(f"{head} is not in the concretizable countable fragment")
+    raise DomainError(f"{leaf_head(t)} is not in the concretizable countable fragment")
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,14 @@ def _render(t: OrderTerm) -> str:
     return "".join(out)
 
 
+def leaf_head(t: OrderTerm) -> str:
+    """How a message names a leaf: a `comp`, `lexsched` or `lexref` leaf by
+    its head alone, since its body nests to any depth; any other leaf in
+    full."""
+    return {Completion: "comp(...)", LexSchedule: "lexsched(...)",
+            LexRefined: "lexref(...)"}.get(type(t)) or str(t)
+
+
 # ---------------------------------------------------------------------------
 # Facts of terms: one post-order walker
 # ---------------------------------------------------------------------------

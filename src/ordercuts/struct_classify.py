@@ -30,6 +30,7 @@ from .order_terms import (
     completeness_predicates,
     cut_spectrum,
     extend_order,
+    leaf_head,
     rev,
     sum_of,
 )
@@ -282,7 +283,7 @@ def _minus_end(t: OrderTerm, top: bool) -> OrderTerm:
         out = t
     else:
         end = "largest" if top else "least"
-        raise NotDerivableError(f"cannot remove the {end} element of {t}")
+        raise NotDerivableError(f"cannot remove the {end} element of {leaf_head(t)}")
     for step in reversed(passed):
         if step is None:
             out = rev(out)

@@ -421,6 +421,35 @@ class TestInputErrors:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: line {line}, col {col}: byte {byte} is not valid UTF-8\n"
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        """One leading UTF-8 byte-order mark is dropped: the output is
+        byte-identical to the output on the file without it."""
+        path = tmp_path / "input.defs"
+        runs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + CORPUS.encode())
+            runs.append(run_python("-m", "ordercuts.cli", "--in", str(path),
+                                   "--cmd", "spectrum"))
+        plain, marked = runs
+        assert plain.stdout and plain.stderr == ""
+        assert (marked.returncode, marked.stdout, marked.stderr) == \
+            (plain.returncode, plain.stdout, plain.stderr)
+
+    @pytest.mark.parametrize("data,line,col", [
+        (b"\xef\xbb\xbf\xef\xbb\xbflet a = chain(2)\n", 1, 1),
+        (b"\xef\xbb\xbflet a = chain(2)\n\xef\xbb\xbf\n", 2, 1),
+        (b"let a = chain(2)\nlet b = \xef\xbb\xbfchain(1)\n", 2, 9),
+    ], ids=["second-mark", "later-line", "mid-line"])
+    def test_later_byte_order_mark_located(self, tmp_path, data, line, col):
+        """A U+FEFF past the one leading mark is a character the grammar
+        does not know, located like any other."""
+        path = tmp_path / "input.defs"
+        path.write_bytes(data)
+        proc = run_python("-m", "ordercuts.cli", "--in", str(path), "--cmd", "spectrum")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == \
+            f"error: line {line}, col {col}: unexpected character '\\ufeff'\n"
+
     def test_depth_one_accepted(self, tmp_path):
         code, out, err = invoke_on(tmp_path, "let W0 = well(aleph(0))\n",
                                    "--cmd", "verify", "--depth", "1")

@@ -82,11 +82,58 @@ tracer.uninstall()
 assert hc.HahnElement.make is make
 """
 
+# the benchmark worker's order on its Hahn workload: a bare package import,
+# then the tracer; names looked up lazily while it is installed are its
+# wrappers, and none of them stays in the package once it is uninstalled
+BENCH_TRACER_LAZY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import ordercuts
+
+ordercuts.OrderCutsError
+hc = ordercuts.hahn_concrete
+make = hc.HahnElement.make
+tracer = tracing.Tracer()
+tracer.install()
+hc.HahnElement.make(hc.INT_CHAIN, [(1, 1), (2, 1)])
+assert tracer.counts["hahn.point_checks"] == 2, tracer.counts
+from ordercuts import cut_spectrum, ball
+assert cut_spectrum is ordercuts.order_terms.cut_spectrum is not \
+    cut_spectrum.__wrapped__
+assert ordercuts.classify_group is ordercuts.struct_classify.classify_group
+assert ball is hc.ball
+tracer.uninstall()
+assert hc.HahnElement.make is make
+assert ordercuts.cut_spectrum is cut_spectrum.__wrapped__
+"""
+
+# appended to each tracer script: after uninstall, no ordercuts namespace,
+# the package included, nor any class in one, holds a tracer wrapper
+NO_WRAPPER_LEFT = """
+def wrappers():
+    for name, mod in list(sys.modules.items()):
+        if name != "ordercuts" and not name.startswith("ordercuts."):
+            continue
+        owners = [mod] + [v for v in vars(mod).values() if isinstance(v, type)]
+        for owner in owners:
+            for attr, value in vars(owner).items():
+                value = getattr(value, "__func__", value)
+                code = getattr(value, "__code__", None)
+                if code is not None and code.co_filename == tracing.__file__:
+                    yield name, owner.__name__, attr
+
+left = list(wrappers())
+assert not left, left
+"""
+
 
 def test_benchmark_tracer_resolves_library_names():
     """perfbench/tracing.py patches library names from outside: every name
     it resolves must exist, the oracle's spans and chain compares must show
     under `verify`, the symbolic layer's fact and classifier spans under
-    `extend` and `classify`, and uninstall must put the originals back."""
-    proc = run_python("-c", BENCH_TRACER, str(ROOT / "perfbench"))
-    assert proc.returncode == 0, proc.stderr
+    `extend` and `classify`, and uninstall must put the originals back,
+    whether the CLI or a bare `import ordercuts` loaded the package first."""
+    for script in (BENCH_TRACER, BENCH_TRACER_LAZY):
+        proc = run_python("-c", script + NO_WRAPPER_LEFT, str(ROOT / "perfbench"))
+        assert proc.returncode == 0, proc.stderr

@@ -7,8 +7,11 @@ from ordercuts.cardinals import CardSet, CofPair, ONE, aleph
 from ordercuts import struct_classify
 from ordercuts.errors import DescriptorError, DomainError, NotDerivableError
 from ordercuts.order_terms import (
+    RULE_DSUCC,
     Atom,
+    CardinalSchedule,
     EMPTY,
+    LexSchedule,
     cf,
     chain,
     extend_order,
@@ -465,3 +468,17 @@ def test_quotient_of_an_atom_topped_value_set_is_refused():
         with pytest.raises(NotDerivableError,
                            match="cannot remove the largest element of atom"):
             classify_group(g)
+
+
+def test_refused_end_leaf_is_named_by_its_head():
+    """A `lexsched` leaf nests to any depth; the refusal to remove its end
+    names it by its head, so the message stays short."""
+    deep = EMPTY
+    for _ in range(500):
+        deep = LexSchedule(A2, A1, A1, CardinalSchedule(A2, A3, RULE_DSUCC, RULE_DSUCC),
+                           deep)
+    for top, end in ((True, "largest"), (False, "least")):
+        vset = sum_of(well(A0), deep) if top else sum_of(deep, well(A0))
+        with pytest.raises(NotDerivableError) as info:
+            _minus_end(vset, top)
+        assert str(info.value) == f"cannot remove the {end} element of lexsched(...)"
