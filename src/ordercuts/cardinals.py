@@ -4,12 +4,14 @@ Ordinal indices are kept in Cantor normal form below w^w, which is enough to
 index every aleph that the successor-chain recipes ever produce.  Cardinals
 are `1` or `aleph(index)`; sets of infinite regular cardinals are finite
 unions of initial segments `reg<kappa` and singletons, kept in one canonical
-form.
+form.  Indices, cardinals and cofinality pairs are slotted and compute their
+hash once, at construction, since sets and memo keys hash them again and
+again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import DomainError
@@ -19,13 +21,14 @@ from .errors import DomainError
 # Ordinal indices in CNF below w^w
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OrdinalIndex:
     """An ordinal < w^w as a CNF term list ((exp, coeff), ...), exps strictly
     decreasing, coeffs positive.  Tuple comparison of the term lists agrees
     with the ordinal order, so ordering is derived."""
 
     terms: Tuple[Tuple[int, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         last = None
@@ -35,6 +38,10 @@ class OrdinalIndex:
             if last is not None and exp >= last:
                 raise DomainError("CNF exponents must strictly decrease")
             last = exp
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(n: int) -> "OrdinalIndex":
@@ -133,13 +140,33 @@ def index_is_regular(idx: OrdinalIndex) -> bool:
 _RANK_ZERO, _RANK_ONE, _RANK_ALEPH = 0, 1, 2
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Card:
     """`1`, `aleph(idx)`, or the empty-order sentinel `0`, ordered by rank
     and then by index."""
 
     rank: int
     index: Optional[OrdinalIndex] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rank, index = self.rank, self.index
+        if type(rank) is not int or not _RANK_ZERO <= rank <= _RANK_ALEPH:
+            raise DomainError(f"cardinal ranks are 0, 1 and 2, got {rank!r}")
+        if rank == _RANK_ALEPH:
+            if not isinstance(index, OrdinalIndex):
+                raise DomainError(f"an aleph needs an ordinal index, got {index!r}")
+            terms = index.terms
+        elif index is not None:
+            raise DomainError(f"the cardinal {rank} takes no index, got {index}")
+        else:
+            terms = ()
+        # the index's terms rather than the index or None, whose hash is
+        # its address on some Pythons: hashes and set orders repeat across runs
+        object.__setattr__(self, "_hash", hash((rank, terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -207,18 +234,23 @@ def require_infinite_regular(c: Card, what: str) -> None:
 # Cofinality pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CofPair:
     """Cofinality pair (kappa, lambda) of a cut: cf of the lower set and
     coinitiality of the upper set.  Components are 1 or infinite regular."""
 
     left: Card
     right: Card
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c in (self.left, self.right):
             if c.is_zero or not is_regular(c):
                 raise DomainError(f"cut cofinality components must be 1 or regular, got {c}")
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_symmetric(self) -> bool:

@@ -14,7 +14,12 @@ Sampled cut generation hunts for pairs the symbolic claim would have missed.
 
 One stack walk over a term names its rows and concretizes each distinct
 leaf once; the chain, with the reversals pushed down to the leaves, is one
-flat `SumChain` of leaf chains: term depth is limited by memory.
+flat `SumChain` of leaf chains: term depth is limited by memory.  A report
+does each distinct piece of work once: a leaf, upright or reversed, is one
+entry holding its part, its witness rows and its symbolic cf and ci; a
+boundary's claim and checks are built once per distinct pair of entries
+beside it; and rows with the same checks share one check tuple, whose
+verdict the report looks up once.
 
 Each check of a row runs on its own chain: a leaf witness on its part,
 upright or reversed, a sum boundary as two end walks, each part end beside
@@ -36,7 +41,7 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .cardinals import ALEPH0, Card, CofPair, ONE
 from .chains import (ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumChain,
@@ -264,36 +269,55 @@ def _cut(x: ConcreteChain, y: ConcreteChain, claim: CofPair):
                                       y.coinitial().in_part(1), claim)
 
 
+class _Entry(NamedTuple):
+    """A leaf of a term, upright or reversed, as `_flatten` shares it."""
+    part: ConcreteChain
+    rows: list      # (pair, name, checks), each with its one check tuple
+    cf: Card
+    ci: Card
+
+
+def _entry(part: ConcreteChain, wits, cf_: Card, ci_: Card) -> _Entry:
+    return _Entry(part, [(w.claim, w.name, ((part, w),)) for w in wits], cf_, ci_)
+
+
 def _flatten(t: OrderTerm):
     """The chain of t and its (pair, name, checks) rows.
 
-    A check is a (chain, witness) pair that reads nothing outside itself.  A
-    leaf witness is checked on its own part, upright or reversed; the
-    boundary claim (a, b) of a sum is two checks, each end of an adjacent
-    part beside one point: (a, 1) on below + 1 and (1, b) on 1 + above,
-    built once per distinct (below, above, claim) of the walk.  Rows follow
+    A check is a (chain, witness) pair that reads nothing outside itself.
+    Each distinct leaf, upright or reversed, is one `_Entry`, built at its
+    first sighting, whose witness rows each hold one check tuple: the leaf
+    witness on the part.  A sum boundary lies between the last entry of the
+    side below and the first entry of the side above, in chain order; its
+    claim (a, b) is (cf of the entry below, ci of the entry above), which is
+    (cf(left), ci(right)) of the sum, mirrored under an odd number of
+    reversals, since `cf` and `ci` walk to those very leaves.  The claim is
+    two checks, each end of an adjacent part beside one point: (a, 1) on
+    below + 1 and (1, b) on 1 + above.  Claim and checks are built once per
+    distinct (entry below, entry above), and rows share them.  Rows follow
     the term: a sum's left side, its right side, then its boundary, each
     named by its path, as `right:rev(left:finite-step)`; a stack keeps the
-    (first, last) parts of each finished side in chain order.  Each
-    distinct leaf is concretized once, in term order, so the first leaf
-    outside the fragment raises.  The chain is then one walk over the leaves
-    in chain order: rev(a + b) is rev(b) + rev(a)."""
+    (first, last) entries of each finished side in chain order.  Leaves are
+    concretized in term order, so the first leaf outside the fragment
+    raises.  The chain is then one walk over the leaves in chain order:
+    rev(a + b) is rev(b) + rev(a)."""
     rows, leaves, ends, joints = [], {}, [], {}
     stack = [(False, t, False, "", "")]
     while stack:
         boundary, s, back, prefix, suffix = stack.pop()
         if boundary:
             lo, hi = ends.pop(-2), ends.pop()   # the two sides in term order
-            claim = CofPair(cf(s.left), ci(s.right))
             if back:
-                claim, lo, hi = claim.mirrored(), hi, lo
+                lo, hi = hi, lo
             below, above = lo[1], hi[0]
             ends.append((lo[0], hi[1]))
-            joint = (below, above, claim)
+            joint = (id(below), id(above))     # entries live as long as `leaves`
             if joint not in joints:
-                joints[joint] = (_cut(below, POINT, CofPair(claim.left, ONE)),
-                                 _cut(POINT, above, CofPair(ONE, claim.right)))
-            rows.append((claim, prefix + "sum-boundary" + suffix, joints[joint]))
+                claim = CofPair(below.cf, above.ci)
+                joints[joint] = (claim, (_cut(below.part, POINT, CofPair(claim.left, ONE)),
+                                         _cut(POINT, above.part, CofPair(ONE, claim.right))))
+            claim, checks = joints[joint]
+            rows.append((claim, prefix + "sum-boundary" + suffix, checks))
         elif isinstance(s, Sum):
             stack += [(True, s, back, prefix, suffix),
                       (False, s.right, back, prefix + "right:", suffix),
@@ -301,14 +325,17 @@ def _flatten(t: OrderTerm):
         elif isinstance(s, Rev):
             stack.append((False, s.inner, not back, prefix + "rev(", ")" + suffix))
         else:
-            if s not in leaves:
-                # the part and its witnesses upright, then reversed
+            entries = leaves.get(s)
+            if entries is None:
                 chain, wits = _leaf(s)
-                leaves[s] = ((chain, wits), (RevChain(chain), [
-                    CutWitness(w.name, w.upper, w.lower, w.claim.mirrored()) for w in wits]))
-            part, wits = leaves[s][back]
-            ends.append((part, part))
-            rows += [(w.claim, prefix + w.name + suffix, ((part, w),)) for w in wits]
+                flipped = [CutWitness(w.name, w.upper, w.lower, w.claim.mirrored())
+                           for w in wits]
+                entries = leaves[s] = (_entry(chain, wits, cf(s), ci(s)),
+                                       _entry(RevChain(chain), flipped, ci(s), cf(s)))
+            entry = entries[back]
+            ends.append((entry, entry))
+            rows += [(claim, prefix + name + suffix, checks)
+                     for claim, name, checks in entry.rows]
     parts, stack = [], [(t, False)]
     while stack:
         s, back = stack.pop()
@@ -317,7 +344,7 @@ def _flatten(t: OrderTerm):
         elif isinstance(s, Rev):
             stack.append((s.inner, not back))
         else:
-            parts.append(leaves[s][back][0])
+            parts.append(leaves[s][back].part)
     return (parts[0] if len(parts) == 1 else SumChain(*parts)), rows
 
 
@@ -385,7 +412,8 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100) -> frozenset:
     part, whose automorphisms commute with the walk, by its first element
     alone.  The cut just past a part's greatest element is the boundary cut
     to the next part, (1, ci) of it by the sum rule: the boundary pairs read
-    it from the parts' end tags, and the cut below a least element alike."""
+    it from the parts' end tags, and the cut below a least element alike.
+    Each boundary pair is built once per distinct pair of adjacent parts."""
     _check_depth(depth)
     if isinstance(chain, SumChain):
         parts, counts = chain.parts, [0] * len(chain.parts)
@@ -401,7 +429,8 @@ def sample_cuts(chain: ConcreteChain, depth: int = 100) -> frozenset:
               for p in dict.fromkeys(parts[:-1])}
     ci_tag = {p: _memoized(("ci", depth, p), derive_ci, p, depth)
               for p in dict.fromkeys(parts[1:])}
-    pairs.update(CofPair(cf_tag[a], ci_tag[b]) for a, b in zip(parts, parts[1:]))
+    pairs.update(CofPair(cf_tag[a], ci_tag[b])
+                 for a, b in dict.fromkeys(zip(parts, parts[1:])))
     return frozenset(pairs)
 
 
@@ -447,25 +476,31 @@ class OracleReport:
 def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     """Verify every claimed countable pair by explicit witnesses and hunt
     for sampled pairs missing from the claim.  A row passes when all its
-    checks pass and reports the first failing reason; a check reads nothing
-    outside its chain, so equal checks share one verdict, failures
-    included, through the process-wide memo: a term equal to one verified
-    before at the same depth walks nothing again."""
+    checks pass and reports the first failing reason.  Rows share their
+    check tuples (see `_flatten`), and each distinct tuple is resolved once
+    per report: one memo lookup per check, and its pair marked witnessed
+    once.  A check reads nothing outside its chain, so equal checks share
+    one verdict, failures included, through the process-wide memo: a term
+    equal to one verified before at the same depth walks nothing again."""
     _check_depth(depth)
     chain, witnesses = _flatten(t)
     claimed = cut_spectrum(t).countable_pairs()
-    rows, passed = [], set()
+    rows, passed, results = [], set(), {}
 
     def verdict(c: ConcreteChain, w: CutWitness) -> WitnessResult:
         return _memoized(("verdict", depth, c, w.name, w.claim),
                          verify_witness, c, w, depth)
 
     for pair, name, checks in witnesses:
-        result = next((r for r in itertools.starmap(verdict, checks) if not r.ok),
-                      WitnessResult(True))
+        # rows share their check tuples: resolve each one once
+        result = results.get(id(checks))
+        if result is None:
+            result = results[id(checks)] = next(
+                (r for r in itertools.starmap(verdict, checks) if not r.ok),
+                WitnessResult(True))
+            if result.ok:
+                passed.add(pair)
         rows.append(WitnessRow(pair, name, depth, result.ok, result.reason))
-        if result.ok:
-            passed.add(pair)
     unwitnessed = tuple(sorted(p for p in claimed if p not in passed))
     sampled = sample_cuts(chain, depth)
     unclaimed = tuple(sorted(p for p in sampled if p not in claimed))

@@ -1086,19 +1086,23 @@ def _spectrum_rule(t: OrderTerm) -> CutSpectrum:
         # the parts' spectra plus the boundary pair (cf(left), ci(right)) of
         # every sum node, normalized once; the tree is walked in preorder (a
         # node's boundary, then its left, then its right), so the first
-        # error raised is the one the recursive definition meets first
+        # error raised is the one the recursive definition meets first.  A
+        # pair is built at the first sighting of its (cf, ci), so it raises
+        # where the recursion would
         parts, seen, boundaries = [], set(), {}
         stack = [t]
         while stack:
             s = stack.pop()
             if isinstance(s, Sum):
-                boundaries[CofPair(cf(s.left), ci(s.right))] = None
+                ends = (cf(s.left), ci(s.right))
+                if ends not in boundaries:
+                    boundaries[ends] = CofPair(*ends)
                 stack.append(s.right)
                 stack.append(s.left)
             elif s not in seen:
                 seen.add(s)
                 parts.extend(cut_spectrum(s).parts)
-        parts.extend(ExplicitPairs((b,), b.is_principal) for b in boundaries)
+        parts.extend(ExplicitPairs((b,), b.is_principal) for b in boundaries.values())
         return CutSpectrum.of(parts)
     if isinstance(t, Completion):
         raise NotDerivableError(

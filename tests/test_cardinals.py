@@ -1,10 +1,14 @@
 """Cardinal notation, successor arithmetic, and card-set algebra."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from subproc import run_python
 from ordercuts.cardinals import (
     ALEPH0,
+    Card,
     CardSet,
     CofPair,
     ONE,
@@ -237,3 +241,40 @@ def test_cof_pair_classification():
     assert not CofPair(aleph(0), aleph(1)).is_principal
     with pytest.raises(DomainError):
         CofPair(aleph(W), ONE)
+
+
+# ---------------------------------------------------------------------------
+# Well-formed cardinals, with hashes that repeat from run to run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rank,index,message", [
+    (3, None, "cardinal ranks are 0, 1 and 2, got 3"),
+    (-1, None, "cardinal ranks are 0, 1 and 2, got -1"),
+    (True, None, "cardinal ranks are 0, 1 and 2, got True"),
+    (2, None, "an aleph needs an ordinal index, got None"),
+    (2, 0, "an aleph needs an ordinal index, got 0"),
+    (1, OrdinalIndex.of(3), "the cardinal 1 takes no index, got 3"),
+    (0, OrdinalIndex.of(0), "the cardinal 0 takes no index, got 0"),
+], ids=["rank-3", "rank-negative", "rank-bool", "aleph-no-index", "aleph-int-index",
+        "one-with-index", "zero-with-index"])
+def test_malformed_cards_refused(rank, index, message):
+    # Card(1, idx) would render 1 yet differ from ONE; Card(2) would render
+    # aleph(None) and break is_regular
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Card(rank, index)
+
+
+HASH_PROBE = """
+from ordercuts.cardinals import ALEPH0, ALEPH1, CofPair, ONE, ZERO
+pairs = {CofPair(ONE, ONE), CofPair(ONE, ALEPH0), CofPair(ALEPH0, ONE),
+         CofPair(ALEPH1, ALEPH0)}
+print(hash(ONE), hash(ZERO), [str(p) for p in pairs])
+"""
+
+
+def test_card_hashes_repeat_across_runs():
+    # no hash reads an address, such as that of None, so the order of a
+    # set of pairs is the same in every interpreter
+    first, second = run_python("-c", HASH_PROBE), run_python("-c", HASH_PROBE)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout

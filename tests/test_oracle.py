@@ -37,6 +37,8 @@ from ordercuts.oracle import (
 from ordercuts.order_terms import (
     Atom,
     OrderTerm,
+    Rev,
+    Sum,
     cf,
     chain,
     ci,
@@ -964,6 +966,133 @@ def test_memo_never_exceeds_its_cap():
         assert spectrum_soundness(t, 30).rows == _plain_rows(t, 30)
         assert sample_cuts(concretize(t), 30) == _plain_sample_cuts(concretize(t), 30)
         assert len(oracle._memo) <= oracle._MEMO_CAP
+
+
+# ---------------------------------------------------------------------------
+# Boundary claims shared per pair of leaf entries equal a per-node walk
+# ---------------------------------------------------------------------------
+
+CLAIM_LEAVES = [OMEGA, chain(1), chain(3), RAT_ATOM,
+                _liar(ONE, ONE), _liar(ONE, A0), _liar(A0, ONE)]
+
+
+def _claim_tree(rng, leaves):
+    """A random sum of `leaves` CLAIM_LEAVES over a binary tree, each node
+    under a plain `Rev` one time in three, so reversals of sums nest."""
+    if leaves == 1:
+        t = rng.choice(CLAIM_LEAVES)
+    else:
+        cut = rng.randint(1, leaves - 1)
+        t = Sum(_claim_tree(rng, cut), _claim_tree(rng, leaves - cut))
+    return Rev(t) if rng.random() < 1 / 3 else t
+
+
+def _claim_nest(rng, levels):
+    """A term nested `levels` deep: each level a sum beside a small random
+    tree, on either side, or a reversal."""
+    t = _claim_tree(rng, 2)
+    for _ in range(levels):
+        if rng.random() < 1 / 4:
+            t = Rev(t)
+        else:
+            other = _claim_tree(rng, rng.randint(1, 3))
+            t = Sum(t, other) if rng.random() < 1 / 2 else Sum(other, t)
+    return t
+
+
+def _per_node_rows(t, depth):
+    """The report rows of t by a plain recursion over its nodes, walking
+    every check of every row.  A leaf's witnesses are walked on its part,
+    reversed under an odd number of reversals; each `Sum` node claims
+    (cf(left), ci(right)), mirrored under an odd number of reversals, and
+    walks it at the ends of the parts beside the cut, each beside a point."""
+    point, rows = IntChain(0, 1), []
+
+    def end_check(x, y, claim):
+        return verify_witness(SumChain(x, y), CutWitness(
+            "sum-boundary", x.cofinal().in_part(0), y.coinitial().in_part(1), claim), depth)
+
+    def walk(s, back, prefix, suffix):
+        # the (first, last) parts of s in chain order
+        if isinstance(s, Sum):
+            lo = walk(s.left, back, prefix + "left:", suffix)
+            hi = walk(s.right, back, prefix + "right:", suffix)
+            claim = CofPair(cf(s.left), ci(s.right))
+            if back:
+                claim, lo, hi = claim.mirrored(), hi, lo
+            result = end_check(lo[1], point, CofPair(claim.left, ONE))
+            if result.ok:
+                result = end_check(point, hi[0], CofPair(ONE, claim.right))
+            rows.append(WitnessRow(claim, prefix + "sum-boundary" + suffix, depth,
+                                   result.ok, result.reason))
+            return lo[0], hi[1]
+        if isinstance(s, Rev):
+            return walk(s.inner, not back, prefix + "rev(", ")" + suffix)
+        part = concretize(s)
+        for _, _, ((_, w),) in term_witnesses(s):
+            if back:
+                w = CutWitness(w.name, w.upper, w.lower, w.claim.mirrored())
+            result = verify_witness(RevChain(part) if back else part, w, depth)
+            rows.append(WitnessRow(w.claim, prefix + w.name + suffix, depth,
+                                   result.ok, result.reason))
+        return (RevChain(part),) * 2 if back else (part, part)
+
+    walk(t, False, "", "")
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("levels", [30, 100])
+def test_shared_boundary_claims_match_per_node_walk(levels):
+    # random trees and nests `levels` deep, verified at depth `levels`: the
+    # rows, names, claims and verdicts of the report and of term_witnesses
+    # equal the per-node walk, and the liars' boundary rows still fail
+    rng = random.Random(levels)
+    terms = [_claim_tree(rng, rng.randint(2, 12)) for _ in range(12)]
+    terms += [_claim_nest(rng, levels) for _ in range(3)]
+    failures = collections.Counter()
+    for t in terms:
+        expected = _per_node_rows(t, levels)
+        assert spectrum_soundness(t, levels).rows == expected, str(t)
+        assert [(pair, name) for pair, name, _ in term_witnesses(t)] == \
+            [(r.pair, r.witness) for r in expected]
+        failures.update("sum-boundary" in r.witness for r in expected if not r.ok)
+    assert failures[True] > 0 and failures[False] == 0, failures
+
+
+def test_verify_batch_resolves_each_distinct_check_once(monkeypatch):
+    # deterministic counts on the seed-1 countable-verify batch, each item on
+    # an empty memo: at most one verdict lookup per distinct check of a
+    # report (the rows used to look one up per check, 4,288 in all), and
+    # one boundary claim and check tuple per distinct pair of adjacent parts
+    job = _load_workloads().countable_verify(1)
+    fixture = (pathlib.Path(__file__).resolve().parent / "fixtures" /
+               job["fixture"]).read_text(encoding="utf-8")
+    terms = [d[1] for d in cli.parse_definitions(fixture + job["text"])
+             if isinstance(d[1], OrderTerm)]
+    lookups = collections.Counter()
+    memoized = oracle._memoized
+
+    def counting(key, compute, *args):
+        lookups[key[0]] += 1
+        return memoized(key, compute, *args)
+
+    monkeypatch.setattr(oracle, "_memoized", counting)
+    total = 0
+    for t in terms:
+        oracle._memo.clear()
+        lookups.clear()
+        assert spectrum_soundness(t).ok
+        chain_, rows = oracle._flatten(t)
+        checks = {(id(c), id(w)) for _, _, pair_checks in rows for c, w in pair_checks}
+        assert lookups["verdict"] <= len(checks), str(t)
+        total += lookups["verdict"]
+        parts = chain_.parts if isinstance(chain_, SumChain) else (chain_,)
+        joints = {(id(a), id(b)) for a, b in zip(parts, parts[1:])}
+        boundaries = [(pair, pair_checks) for pair, name, pair_checks in rows
+                      if "sum-boundary" in name]
+        assert len({id(pair) for pair, _ in boundaries}) <= len(joints), str(t)
+        assert len({id(pair_checks) for _, pair_checks in boundaries}) <= len(joints)
+    assert total < 2000, total
 
 
 # ---------------------------------------------------------------------------

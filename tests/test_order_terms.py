@@ -644,6 +644,26 @@ def test_sum_folds_match_pairwise_reference(t, other):
     assert (t == other) == ref_eq(t, other)
 
 
+# atoms whose declared ends differ from the rationals', so sums of them
+# repeat boundary pairs under distinct parts
+LIAR_ATOMS = [Atom("rat", c, i, CardSet.of(A0), CardSet.of(A0), A0, RAT_ATOM.cuts)
+              for c, i in ((ONE, A0), (A0, ONE), (ONE, ONE))]
+
+
+@pytest.mark.parametrize("levels", [30, 100])
+def test_spectrum_of_random_nests_matches_pairwise_reference(levels):
+    # each level a sum beside a leaf, on either side, or a plain reversal,
+    # so boundary pairs repeat through nested sums and reversals of sums
+    rng = random.Random(levels)
+    leaves = FOLD_LEAVES + LIAR_ATOMS
+    for _ in range(6):
+        t = rng.choice(leaves)
+        for _ in range(levels):
+            roll, other = rng.random(), rng.choice(leaves)
+            t = Rev(t) if roll < 1 / 4 else Sum(t, other) if roll < 5 / 8 else Sum(other, t)
+        assert cut_spectrum(t) == ref_spectrum(t), str(t)
+
+
 CYCLE = [OMEGA, OMEGA_STAR, chain(2), well(A1), rev(well(A2)), RAT_ATOM]
 
 
@@ -769,6 +789,22 @@ class TestSumFoldCounts:
         t = sum_of(*(parts[i % len(parts)] for i in range(400)))
         alone = sum(self.count(of_calls, p) for p in parts)
         assert self.count(of_calls, t) <= alone + 1
+
+
+    def test_one_boundary_pair_per_distinct_ends(self, monkeypatch):
+        # 1,999 boundaries, of which the six-part cycle makes six kinds
+        builds = [0]
+        original = order_terms.CofPair
+
+        def counting(*args):
+            builds[0] += 1
+            return original(*args)
+
+        t = sum_of(*cycled(2000))
+        expected = ref_spectrum(sum_of(*cycled(12)))
+        monkeypatch.setattr(order_terms, "CofPair", counting)
+        assert cut_spectrum(t) == expected
+        assert builds[0] <= 6, builds
 
 
 def rev_nest(depth):
