@@ -121,7 +121,9 @@ class Parser:
     """Descent over the token list with an environment of earlier
     definitions for name references.  A construct that holds order terms is
     read by a reader (see `_drive`), so order terms, and the lexicographic
-    products, groups and fields over them, nest to any depth."""
+    products, groups and fields over them, nest to any depth.  Equal
+    `chain(n)` and `well(k)` leaves, and `rev` of one object, are one object
+    per parser (see `_shared`)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -129,6 +131,7 @@ class Parser:
         self.pos = 0
         self.env: Dict[str, object] = {}
         self.order: List[str] = []
+        self.leaves: Dict[tuple, tuple] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -193,6 +196,17 @@ class Parser:
             return build(*args, **kwargs)
         except OrderCutsError as exc:
             raise self.error(str(exc), tok) from None
+
+    def _shared(self, tok: Token, key: tuple, build, arg):
+        """`build(arg)`, located at `tok`, built once per distinct `key` of
+        this parser, so lookups on equal leaves hit identity and each leaf's
+        facts are computed once.  An entry holds `arg`, so a key made of its
+        id stays unique while the parser lives; a build that raises stores
+        nothing."""
+        entry = self.leaves.get(key)
+        if entry is None:
+            entry = self.leaves[key] = (arg, self.located(tok, build, arg))
+        return entry[1]
 
     def parse_list(self, open_: str, close: str, item, nonempty: bool = False) -> list:
         """`item`s between `open_` and `close`, with a comma between each
@@ -350,7 +364,9 @@ class Parser:
             self.expect("(")
             inner = yield self._term()
             self.expect(")")
-            return rev(inner) if head == "rev" else completion(inner)
+            if head == "rev":
+                return self._shared(tok, ("rev", id(inner)), rev, inner)
+            return completion(inner)
         if head == "sum":
             self.expect("(")
             parts = [(yield self._term())]
@@ -364,12 +380,12 @@ class Parser:
             self.expect("(")
             size = self.expect_int("chain needs a size")
             self.expect(")")
-            return chain(size)
+            return self._shared(tok, ("chain", size), chain, size)
         if head == "well":
             self.expect("(")
             k = self.parse_cardinal()
             self.expect(")")
-            return self.located(tok, well, k)
+            return self._shared(tok, ("well", k), well, k)
         if head in ("atom", "lexsched", "lexref"):
             return (yield from getattr(self, "_" + head)())
         value = self.lookup(tok)

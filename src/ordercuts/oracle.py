@@ -17,9 +17,10 @@ leaf once; the chain, with the reversals pushed down to the leaves, is one
 flat `SumChain` of leaf chains: term depth is limited by memory.  A report
 does each distinct piece of work once: a leaf, upright or reversed, is one
 entry holding its part, its witness rows and its symbolic cf and ci; a
-boundary's claim and checks are built once per distinct pair of entries
-beside it; and rows with the same checks share one check tuple, whose
-verdict the report looks up once.
+boundary check reads one entry beside it and is built once per entry and
+side, and a boundary's claim once per distinct pair of entries beside it;
+and rows with the same checks share one check tuple, whose verdict the
+report resolves once, looking each distinct check up once.
 
 Each check of a row runs on its own chain: a leaf witness on its part,
 upright or reversed, a sum boundary as two end walks, each part end beside
@@ -49,6 +50,7 @@ from .chains import (ConcreteChain, IntChain, LexChain, RatChain, RevChain, SumC
 from .errors import DomainError
 from .order_terms import (
     Atom,
+    Empty,
     FiniteChain,
     OrderTerm,
     Rev,
@@ -293,15 +295,16 @@ def _flatten(t: OrderTerm):
     (cf(left), ci(right)) of the sum, mirrored under an odd number of
     reversals, since `cf` and `ci` walk to those very leaves.  The claim is
     two checks, each end of an adjacent part beside one point: (a, 1) on
-    below + 1 and (1, b) on 1 + above.  Claim and checks are built once per
-    distinct (entry below, entry above), and rows share them.  Rows follow
-    the term: a sum's left side, its right side, then its boundary, each
-    named by its path, as `right:rev(left:finite-step)`; a stack keeps the
-    (first, last) entries of each finished side in chain order.  Leaves are
-    concretized in term order, so the first leaf outside the fragment
-    raises.  The chain is then one walk over the leaves in chain order:
-    rev(a + b) is rev(b) + rev(a)."""
-    rows, leaves, ends, joints = [], {}, [], {}
+    below + 1 and (1, b) on 1 + above.  Each check reads one entry, so it
+    is built once per entry and side; the claim and its check tuple are
+    built once per distinct (entry below, entry above), and rows share
+    them.  Rows follow the term: a sum's left side, its right side, then
+    its boundary, each named by its path, as `right:rev(left:finite-step)`;
+    a stack keeps the (first, last) entries of each finished side in chain
+    order.  Leaves are concretized in term order, so the first leaf outside
+    the fragment raises.  The chain is then one walk over the leaves in
+    chain order: rev(a + b) is rev(b) + rev(a)."""
+    rows, leaves, ends, joints, lows, highs = [], {}, [], {}, {}, {}
     stack = [(False, t, False, "", "")]
     while stack:
         boundary, s, back, prefix, suffix = stack.pop()
@@ -313,9 +316,12 @@ def _flatten(t: OrderTerm):
             ends.append((lo[0], hi[1]))
             joint = (id(below), id(above))     # entries live as long as `leaves`
             if joint not in joints:
-                claim = CofPair(below.cf, above.ci)
-                joints[joint] = (claim, (_cut(below.part, POINT, CofPair(claim.left, ONE)),
-                                         _cut(POINT, above.part, CofPair(ONE, claim.right))))
+                low, high = joint
+                if low not in lows:
+                    lows[low] = _cut(below.part, POINT, CofPair(below.cf, ONE))
+                if high not in highs:
+                    highs[high] = _cut(POINT, above.part, CofPair(ONE, above.ci))
+                joints[joint] = (CofPair(below.cf, above.ci), (lows[low], highs[high]))
             claim, checks = joints[joint]
             rows.append((claim, prefix + "sum-boundary" + suffix, checks))
         elif isinstance(s, Sum):
@@ -477,27 +483,35 @@ def spectrum_soundness(t: OrderTerm, depth: int = 100) -> OracleReport:
     """Verify every claimed countable pair by explicit witnesses and hunt
     for sampled pairs missing from the claim.  A row passes when all its
     checks pass and reports the first failing reason.  Rows share their
-    check tuples (see `_flatten`), and each distinct tuple is resolved once
-    per report: one memo lookup per check, and its pair marked witnessed
-    once.  A check reads nothing outside its chain, so equal checks share
-    one verdict, failures included, through the process-wide memo: a term
-    equal to one verified before at the same depth walks nothing again."""
+    check tuples, and tuples share their checks (see `_flatten`): each
+    distinct tuple is resolved once per report, its pair marked witnessed
+    once, and each distinct check looked up in the memo once.  A check
+    reads nothing outside its chain, so equal checks share one verdict,
+    failures included, through the process-wide memo: a term equal to one
+    verified before at the same depth walks nothing again.
+    The empty order, which `concretize` refuses, has no cuts: its report has
+    no rows, and any pair claimed for it is unwitnessed."""
     _check_depth(depth)
+    if isinstance(t, Empty):
+        return OracleReport((), tuple(sorted(cut_spectrum(t).countable_pairs())), ())
     chain, witnesses = _flatten(t)
     claimed = cut_spectrum(t).countable_pairs()
-    rows, passed, results = [], set(), {}
+    rows, passed, results, verdicts = [], set(), {}, {}
 
-    def verdict(c: ConcreteChain, w: CutWitness) -> WitnessResult:
-        return _memoized(("verdict", depth, c, w.name, w.claim),
-                         verify_witness, c, w, depth)
+    def verdict(check) -> WitnessResult:
+        result = verdicts.get(id(check))
+        if result is None:
+            c, w = check
+            result = verdicts[id(check)] = _memoized(
+                ("verdict", depth, c, w.name, w.claim), verify_witness, c, w, depth)
+        return result
 
     for pair, name, checks in witnesses:
         # rows share their check tuples: resolve each one once
         result = results.get(id(checks))
         if result is None:
             result = results[id(checks)] = next(
-                (r for r in itertools.starmap(verdict, checks) if not r.ok),
-                WitnessResult(True))
+                (r for r in map(verdict, checks) if not r.ok), WitnessResult(True))
             if result.ok:
                 passed.add(pair)
         rows.append(WitnessRow(pair, name, depth, result.ok, result.reason))

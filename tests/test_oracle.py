@@ -1,9 +1,7 @@
 """Ladder witnesses and spectrum soundness on the countable fragment."""
 
 import collections
-import importlib.util
 import itertools
-import pathlib
 import random
 import re
 from fractions import Fraction
@@ -36,6 +34,7 @@ from ordercuts.oracle import (
 )
 from ordercuts.order_terms import (
     Atom,
+    EMPTY,
     OrderTerm,
     Rev,
     Sum,
@@ -162,6 +161,17 @@ class TestSoundness:
     def test_non_concretizable_rejected(self):
         with pytest.raises(DomainError):
             spectrum_soundness(well(aleph(1)))
+
+    def test_empty_order_has_no_cuts(self):
+        # countable with no cuts: an ok report with nothing in it, though
+        # the empty order has no chain to concretize
+        for t in (EMPTY, chain(0), sum_of(EMPTY, rev(EMPTY))):
+            report = spectrum_soundness(t)
+            assert report.ok
+            assert (report.rows, report.unwitnessed, report.unclaimed) == ((), (), ())
+            assert report.render_lines() == []
+        with pytest.raises(DomainError, match="empty is not in the concretizable"):
+            concretize(EMPTY)
 
     def test_depth_below_one_rejected(self):
         for t in (sum_of(OMEGA, OMEGA_STAR), OMEGA):
@@ -880,22 +890,11 @@ def test_memo_descents_match_plain_sampling(depth):
     assert any(map(_samples_an_end, oracle._memo))
 
 
-def _load_workloads():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_verify_reports_independent_of_item_order():
+def test_verify_reports_independent_of_item_order(workload_text):
     # countable.defs and the seed-1 countable-verify batch, one item per
     # report: forward, then reversed twice (the second time on a warm memo),
     # match items each verified on an empty memo, text and machine formats
-    job = _load_workloads().countable_verify(1)
-    fixture = (pathlib.Path(__file__).resolve().parent / "fixtures" /
-               job["fixture"]).read_text(encoding="utf-8")
-    defs = [d for d in cli.parse_definitions(fixture + job["text"])
+    defs = [d for d in cli.parse_definitions(workload_text("countable_verify", 1))
             if isinstance(d[1], OrderTerm)]
 
     def reports(order, cold=False):
@@ -1059,40 +1058,53 @@ def test_shared_boundary_claims_match_per_node_walk(levels):
     assert failures[True] > 0 and failures[False] == 0, failures
 
 
-def test_verify_batch_resolves_each_distinct_check_once(monkeypatch):
+def test_verify_batch_resolves_each_distinct_check_once(monkeypatch, workload_text):
     # deterministic counts on the seed-1 countable-verify batch, each item on
     # an empty memo: at most one verdict lookup per distinct check of a
-    # report (the rows used to look one up per check, 4,288 in all), and
-    # one boundary claim and check tuple per distinct pair of adjacent parts
-    job = _load_workloads().countable_verify(1)
-    fixture = (pathlib.Path(__file__).resolve().parent / "fixtures" /
-               job["fixture"]).read_text(encoding="utf-8")
-    terms = [d[1] for d in cli.parse_definitions(fixture + job["text"])
+    # report (the rows used to look one up per check, 4,288 in all); each
+    # boundary check, which reads the entry below it or the one above it,
+    # built once, so at most twice per distinct entry (they were built once
+    # per distinct pair of entries, 1,482 in all, against 674); and one
+    # boundary claim and check tuple per distinct pair of adjacent parts
+    terms = [d[1] for d in cli.parse_definitions(workload_text("countable_verify", 1))
              if isinstance(d[1], OrderTerm)]
-    lookups = collections.Counter()
-    memoized = oracle._memoized
+    lookups, cuts, entries = collections.Counter(), collections.Counter(), []
+    memoized, cut, entry = oracle._memoized, oracle._cut, oracle._entry
 
     def counting(key, compute, *args):
         lookups[key[0]] += 1
         return memoized(key, compute, *args)
 
+    def counting_cut(x, y, claim):
+        cuts[id(x), id(y), claim] += 1
+        return cut(x, y, claim)
+
+    def counting_entry(*args):
+        entries.append(entry(*args))
+        return entries[-1]
+
     monkeypatch.setattr(oracle, "_memoized", counting)
-    total = 0
+    monkeypatch.setattr(oracle, "_cut", counting_cut)
+    monkeypatch.setattr(oracle, "_entry", counting_entry)
+    totals = collections.Counter()
     for t in terms:
         oracle._memo.clear()
-        lookups.clear()
+        for counter in (lookups, cuts, entries):
+            counter.clear()
         assert spectrum_soundness(t).ok
+        assert max(cuts.values(), default=1) == 1, str(t)
+        assert sum(cuts.values()) <= 2 * len(entries), str(t)
+        totals.update(verdict=lookups["verdict"], cut=sum(cuts.values()))
         chain_, rows = oracle._flatten(t)
         checks = {(id(c), id(w)) for _, _, pair_checks in rows for c, w in pair_checks}
         assert lookups["verdict"] <= len(checks), str(t)
-        total += lookups["verdict"]
         parts = chain_.parts if isinstance(chain_, SumChain) else (chain_,)
         joints = {(id(a), id(b)) for a, b in zip(parts, parts[1:])}
         boundaries = [(pair, pair_checks) for pair, name, pair_checks in rows
                       if "sum-boundary" in name]
         assert len({id(pair) for pair, _ in boundaries}) <= len(joints), str(t)
         assert len({id(pair_checks) for _, pair_checks in boundaries}) <= len(joints)
-    assert total < 2000, total
+    assert totals["verdict"] < 2000 and 0 < totals["cut"] < 1000, totals
 
 
 # ---------------------------------------------------------------------------
