@@ -5,7 +5,8 @@ Usage: python scripts/law_fuzz.py [--cases N] [--seed S]
 Runs `ordercuts.hahn_concrete.law_failures`, the law suite of acceptance
 criterion 6, on N cases per law for each index-chain family and exponent
 group, printing each family's failures and elapsed seconds, and exits 1
-when any law fails.
+when any law fails.  N must be at least 1; a smaller budget is a usage
+error (exit 2), since it would check nothing.
 """
 
 import argparse
@@ -30,6 +31,8 @@ def main():
     ap.add_argument("--cases", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.cases < 1:
+        ap.error(f"--cases must be at least 1, not {args.cases}")
 
     start = time.perf_counter()
     total_failures = 0

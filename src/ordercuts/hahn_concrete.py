@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
@@ -119,26 +120,37 @@ def _require_index_chain(chain) -> None:
         raise DomainError(f"{type(chain).__name__} is not an index chain")
 
 
+_point_of = itemgetter(0)
+
+
 def _normalize_terms(check, items) -> Tuple:
-    """The one validating path: check each point and keep the stored form
-    `check` returns, accept each coefficient only as an int (not a bool) or
-    a Fraction and store it canonically, add up repeated points, drop zeros
-    and sort.
+    """The one validating path: item by item, check the point and keep the
+    stored form `check` returns, then accept the coefficient only as an int
+    (not a bool) or a Fraction.  The checked terms are sorted by point
+    (stably, so a repeated point keeps its first stored form), each run of
+    equal points is added up and canonicalized once, and zero sums are
+    dropped; sorting compares points where a dict would hash each rat
+    point's Fraction in Python.
     Arithmetic on made elements skips all of this."""
-    acc: Dict = {}
+    terms = []
     for p, c in items:
         p = check(p)
         if not is_exact(c):
             raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
-        acc[p] = canon(acc[p] + c) if p in acc else canon(c)
-    return _sorted_terms(acc)
-
-
-_point_of = itemgetter(0)
-
-
-def _sorted_terms(acc: Dict) -> Tuple:
-    return tuple(sorted(((p, c) for p, c in acc.items() if c), key=_point_of))
+        terms.append((p, c))
+    terms.sort(key=_point_of)
+    out = []
+    q = s = None
+    for p, c in terms:
+        if p == q:
+            s += c
+            continue
+        if s:
+            out.append((q, canon(s)))
+        q, s = p, c
+    if s:
+        out.append((q, canon(s)))
+    return tuple(out)
 
 
 def _merge_terms(xs: Tuple, ys: Tuple, negate: bool = False) -> Tuple:
@@ -164,6 +176,13 @@ def _merge_terms(xs: Tuple, ys: Tuple, negate: bool = False) -> Tuple:
         i = j
     out += xs[i:]
     return tuple(out)
+
+
+def _scaled(terms: Tuple, den: int) -> list:
+    """Series terms with each exponent component q as the int q * den, for
+    a den that every component's denominator divides."""
+    return [(tuple([q.numerator * (den // q.denominator) for q in g]), c)
+            for g, c in terms]
 
 
 def _compare_terms(xs: Tuple, ys: Tuple) -> int:
@@ -225,7 +244,7 @@ class HahnElement:
         return 0
 
     def _require_same_chain(self, other: "HahnElement") -> None:
-        if self.chain != other.chain:
+        if self.chain is not other.chain and self.chain != other.chain:
             raise DomainError("elements live over different index chains")
 
     def _require_series(self, what: str) -> None:
@@ -245,18 +264,31 @@ class HahnElement:
         return HahnElement(self.chain, _merge_terms(self.terms, other.terms, True))
 
     def __mul__(self, other: "HahnElement") -> "HahnElement":
-        """The series product: products added up over exponents that are
-        already valid, then each distinct exponent and sum canonicalized and
-        sorted once."""
+        """The series product on integer-scaled exponents.  With D the lcm
+        of the denominators of every exponent component of both operands,
+        each exponent g maps to the int tuple D*g, so each pair of terms
+        costs an int-tuple add and one dict update with an int-tuple hash.
+        The nonzero sums are sorted by their int keys (the same order, as
+        D > 0), and each distinct int component x is mapped back once to the
+        canonical x/D.  When D is 1 the exponents are int tuples already."""
         self._require_series("product")
         self._require_same_chain(other)
+        xs, ys = self.terms, other.terms
+        den = lcm(*{q.denominator for t in (xs, ys) for g, _ in t for q in g})
+        if den != 1:
+            xs, ys = _scaled(xs, den), _scaled(ys, den)
         acc: Dict = {}
-        for g, c in self.terms:
-            for h, d in other.terms:
+        get = acc.get
+        for g, c in xs:
+            for h, d in ys:
                 k = tuple(map(add, g, h))
-                acc[k] = acc.get(k, 0) + c * d
-        return HahnElement(self.chain, _sorted_terms(
-            {tuple(map(canon, k)): canon(c) for k, c in acc.items()}))
+                acc[k] = get(k, 0) + c * d
+        terms = sorted([(k, canon(c)) for k, c in acc.items() if c], key=_point_of)
+        if den != 1:
+            back = {x: canon(Fraction(x, den))
+                    for x in {x for k, _ in terms for x in k}}.__getitem__
+            terms = [(tuple(map(back, k)), c) for k, c in terms]
+        return HahnElement(self.chain, tuple(terms))
 
     def scale(self, k) -> "HahnElement":
         if not is_exact(k):
@@ -432,7 +464,10 @@ def law_failures(chain: IndexChain, cases: int, rng) -> list:
     with its equality refinement, order compatibility of the valuation, the
     archimedean criterion against the valuation and an explicit witness
     search, and that balls hold their spanning points, are centred at each
-    member, and are closed under the coset operations."""
+    member, and are closed under the coset operations.  A budget below one
+    case is refused, since it would pass without checking anything."""
+    if cases < 1:
+        raise DomainError(f"the law suite needs at least 1 case per law, not {cases!r}")
     failures = []
     if isinstance(chain, ExponentGroup):
         for i in range(cases):

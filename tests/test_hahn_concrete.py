@@ -476,6 +476,15 @@ def _series_ref(items):
     return _ref([(tuple(Fraction(q) for q in g), c) for g, c in items])
 
 
+def _ref_product(ra, rb):
+    prod = {}
+    for g, c in ra.items():
+        for h, d in rb.items():
+            k = tuple(x + y for x, y in zip(g, h))
+            prod[k] = prod.get(k, Fraction(0)) + c * d
+    return {k: c for k, c in prod.items() if c != 0}
+
+
 class TestSeriesMerge:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -487,15 +496,183 @@ class TestSeriesMerge:
         ra, rb = _series_ref(xs), _series_ref(ys)
         assert dict((a + b).terms) == _ref_combine(ra, rb, 1)
         assert dict((a - b).terms) == _ref_combine(ra, rb, -1)
-        prod = {}
-        for g, c in ra.items():
-            for h, d in rb.items():
-                k = tuple(x + y for x, y in zip(g, h))
-                prod[k] = prod.get(k, Fraction(0)) + c * d
-        assert dict((a * b).terms) == {k: c for k, c in prod.items() if c != 0}
+        assert dict((a * b).terms) == _ref_product(ra, rb)
         assert a.compare(b) == _ref_sign(_ref_combine(ra, rb, -1))
         for e in (a + b, a - b, a * b):
             _assert_normal(e)
+
+
+# ---------------------------------------------------------------------------
+# The series product kernel on integer-scaled exponents
+# ---------------------------------------------------------------------------
+
+def _assert_product(xs, ys, group):
+    """a * b over `group` matches the dict-of-Fraction reference and is
+    sorted and canonical, so it equals the reference term for term."""
+    a, b = SeriesElement.make(group, xs), SeriesElement.make(group, ys)
+    out = a * b
+    assert dict(out.terms) == _ref_product(_series_ref(xs), _series_ref(ys))
+    _assert_normal(out)
+    return out
+
+
+class _CountingFraction(Fraction):
+    """A Fraction that counts the Fractions built: each one it constructs,
+    and each sum it takes part in, whose result is one of its own kind."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+    def __add__(self, other):
+        return _CountingFraction(Fraction.__add__(self, other))
+
+    __radd__ = __add__
+
+
+class TestProductKernel:
+    def test_mixed_denominators_match_dict_reference(self):
+        """Exponent denominators 1, 2, 3, 5, 7 and 11, so both operands scale
+        by their lcm 2310 and map back through x/2310."""
+        rng = random.Random(30)
+        dens = (1, 2, 3, 5, 7, 11)
+        for _ in range(150):
+            dims = rng.randint(1, 3)
+            group = ExponentGroup(dims)
+            xs, ys = ([(tuple(Fraction(rng.randint(-12, 12), rng.choice(dens))
+                              for _ in range(dims)), _wide_coeff(rng))
+                       for _ in range(rng.randint(0, 12))] for _ in range(2))
+            # every denominator occurs, in one operand or the other
+            xs += [((Fraction(1, d),) * dims, 1) for d in dens[:3]]
+            ys += [((Fraction(-1, d),) * dims, 2) for d in dens[3:]]
+            _assert_product(xs, ys, group)
+
+    def test_int_exponents(self):
+        """With integral exponents, ints or integral Fractions, the product
+        runs on the int tuples as they are and stores ints."""
+        rng = random.Random(31)
+        for _ in range(100):
+            group = ExponentGroup(rng.randint(1, 3))
+            xs, ys = ([(tuple(rng.choice((q, Fraction(q))) for q in
+                              (rng.randint(-5, 5) for _ in range(group.dims))),
+                        _wide_coeff(rng)) for _ in range(rng.randint(0, 10))]
+                      for _ in range(2))
+            out = _assert_product(xs, ys, group)
+            assert all(type(q) is int for g, _ in out.terms for q in g)
+
+    def test_dimension_zero(self):
+        g = ExponentGroup(0)
+        a = HahnElement.make(g, [((), Fraction(1, 2)), ((), 3)])
+        assert (a * a).terms == (((), Fraction(49, 4)),)
+        assert (a * HahnElement.make(g, [((), Fraction(2, 7))])).terms == (((), 1),)
+        assert (a * HahnElement.zero(g)).is_zero and (HahnElement.zero(g) * a).is_zero
+
+    def test_products_that_cancel(self):
+        g = ExponentGroup(1)
+        half = Fraction(1, 2)
+        one_plus = HahnElement.make(g, [((0,), 1), ((half,), 1)])
+        one_minus = HahnElement.make(g, [((0,), 1), ((half,), -1)])
+        # (1 + t^1/2)(1 - t^1/2) = 1 - t: the middle terms cancel
+        assert (one_plus * one_minus).terms == (((0,), 1), ((1,), -1))
+        # every term of x*y - y*x cancels, and a zero factor gives zero
+        x = HahnElement.make(g, [((Fraction(1, 3),), 1)])
+        y = HahnElement.make(g, [((half,), 1)])
+        assert (x * y - y * x).is_zero
+        assert (x * (y - y)).is_zero
+
+    def test_halves_sum_to_ints_in_sorted_order(self):
+        g = ExponentGroup(2)
+        h = Fraction(1, 2)
+        a = HahnElement.make(g, [((h, -h), 1), ((3 * h, h), 2), ((-h, 5 * h), Fraction(1, 3))])
+        b = HahnElement.make(g, [((h, h), 3), ((-h, -3 * h), 1)])
+        out = a * b
+        assert out.terms == (((-1, 1), Fraction(1, 3)), ((0, -2), 1), ((0, 3), 1),
+                             ((1, -1), 2), ((1, 0), 3), ((2, 1), 6))
+        assert all(type(q) is int for g_, _ in out.terms for q in g_)
+        # a half that stays a half keeps its Fraction
+        c = HahnElement.make(g, [((h, 0), 1)])
+        assert (c * b).terms == (((0, Fraction(-3, 2)), 1), ((1, h), 3))
+
+    def test_product_builds_one_fraction_per_distinct_output_component(self, monkeypatch):
+        """Two 40-term operands make 1,600 pairs of terms, but the product
+        builds a Fraction only to map each distinct output component back,
+        not one per component of each pair."""
+        rng = random.Random(32)
+        group = ExponentGroup(2)
+        pool = [(_CountingFraction(2 * i + 1, 2), _CountingFraction(3 * j + 1, 3))
+                for i in range(-6, 6) for j in range(-5, 5)]
+        a, b = (HahnElement.make(group, [(p, rng.randint(1, 4)) for p in rng.sample(pool, 40)])
+                for _ in range(2))
+        assert len(a.terms) == len(b.terms) == 40
+        monkeypatch.setattr(hc, "Fraction", _CountingFraction)
+        _CountingFraction.made = 0
+        out = a * b
+        made = _CountingFraction.made
+        monkeypatch.undo()
+        distinct = {q for g, _ in out.terms for q in g}
+        assert made <= len(distinct) < 200
+        assert dict(out.terms) == _ref_product(dict(a.terms), dict(b.terms))
+
+
+def test_equal_chains_combine_and_different_chains_do_not():
+    """Operands over equal chains combine whether or not the chain objects
+    are the same; operands over different chains are refused."""
+    c1, c2 = LexChain((INT_CHAIN, INT_CHAIN)), LexChain((INT_CHAIN, INT_CHAIN))
+    assert c1 is not c2 and c1 == c2
+    a = HahnElement.make(c1, [((0, 1), 1)])
+    b = HahnElement.make(c2, [((0, 1), 2), ((1, 0), 1)])
+    assert (a + b).terms == (((0, 1), 3), ((1, 0), 1))
+    assert (a - b).terms == (((0, 1), -1), ((1, 0), -1))
+    assert a.compare(b) == -1 and arch_equiv(a, b)
+    g1, g2 = ExponentGroup(2), ExponentGroup(2)
+    assert g1 is not g2
+    t = HahnElement.make(g1, [((1, 0), 1)]) * HahnElement.make(g2, [((0, 1), 1)])
+    assert t.terms == (((1, 1), 1),)
+    x, y = HahnElement.make(INT_CHAIN, [(0, 1)]), HahnElement.make(RAT_CHAIN, [(0, 1)])
+    for op in (lambda: x + y, lambda: x - y, lambda: x.compare(y), lambda: y < x):
+        with pytest.raises(DomainError, match="different index chains"):
+            op()
+
+
+@pytest.mark.parametrize("items,message", [
+    ([(1, 1), (Fraction(1, 2), 1), (2, 0.5)], "1/2 is not a point of int"),
+    ([(1, 1), (Fraction(1, 2), 0.5)], "1/2 is not a point of int"),
+    ([(1, 1), (2, 0.5), (Fraction(1, 2), 1)], "coefficient 0.5 is not an int or a Fraction"),
+    ([(3, 1), (1, 2), (2, "x")], "coefficient 'x' is not an int or a Fraction"),
+], ids=["bad-point-first", "bad-point-and-coefficient", "bad-coefficient-first",
+        "bad-coefficient-on-valid-point"])
+def test_make_reports_the_first_bad_item(items, message):
+    """make checks item by item, the point before its coefficient, so the
+    first bad value in the input is the one reported, from a list or a
+    one-pass iterator alike."""
+    for given_items in (items, iter(items)):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            HahnElement.make(INT_CHAIN, given_items)
+
+
+def test_make_adds_repeated_points_and_stores_canonical_forms():
+    half = Fraction(1, 2)
+    a = HahnElement.make(RAT_CHAIN, [(1, 2), (half, 1), (1, -2), (Fraction(4, 2), Fraction(4, 2)),
+                                     (3, half), (Fraction(3), half), (-1, 0)])
+    assert a.terms == ((half, 1), (2, 2), (3, 1))
+    assert all(type(x) is int for x in (a.terms[1][0], a.terms[1][1], a.terms[2][0],
+                                        a.terms[2][1]))
+    # (2, 0) given with Fraction(2) or 2 is one point, stored with the int
+    lex = LexChain((RAT_CHAIN, INT_CHAIN))
+    b = HahnElement.make(lex, (((Fraction(2), 0), 1), ((1, 1), 1), ((2, 0), half)))
+    assert b.terms == (((1, 1), 1), ((2, 0), Fraction(3, 2)))
+    assert type(b.terms[1][0][0]) is int
+    assert HahnElement.make(INT_CHAIN, [(5, 1), (5, -1)]).is_zero
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+@pytest.mark.parametrize("chain", [INT_CHAIN, ExponentGroup(1)], ids=str)
+def test_law_failures_refuse_an_empty_budget(chain, cases):
+    """No cases would check nothing and report no failures."""
+    with pytest.raises(DomainError, match="at least 1 case"):
+        law_failures(chain, cases, random.Random(0))
 
 
 _SCALAR = st.one_of(st.integers(-3, 3),

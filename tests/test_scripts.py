@@ -20,6 +20,15 @@ def test_law_fuzz_small_budget():
                for line in families), proc.stdout
 
 
+def test_law_fuzz_refuses_an_empty_budget():
+    """A budget below one case is a usage error, not a pass with 0 failures."""
+    for cases in ("0", "-5"):
+        proc = run_script("law_fuzz.py", "--cases", cases)
+        assert proc.returncode == 2, proc.stdout
+        assert "--cases must be at least 1" in proc.stderr
+        assert "failures" not in proc.stdout
+
+
 def test_extend_demo_runs():
     proc = run_script("extend_demo.py")
     assert proc.returncode == 0, proc.stderr
