@@ -1,13 +1,13 @@
 """Concrete chains: countable linear orders with decidable comparison.
 
 One class per shape serves both concrete layers.  The ladder oracle walks
-a chain by comparison, neighbours, betweenness, an element enumeration and
-its two ends, each stated once as a `WitnessSide`: the extremal element
-(cofinality 1) or a strict ladder.  An index chain of `hahn_concrete` is a
-chain with `check` and `__str__` whose order on points is Python's own
-(`IntChain`, `RatChain`, and `LexChain` over index chains), so Hahn
-elements compare their points with `<`; `check` returns a point in its one
-stored form, with every rational made canonical by `canon`.
+a chain by comparison, steps above and below, betweenness, an element
+enumeration and its two ends, each stated once as a `WitnessSide`: the
+extremal element (cofinality 1) or a strict ladder.  An index chain of
+`hahn_concrete` is a chain with `check` and `__str__` whose order on points
+is Python's own (`IntChain`, `RatChain`, and `LexChain` over index
+chains), so Hahn elements compare their points with `<`; `check` returns a
+point in its one stored form, with every rational made canonical by `canon`.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class ConcreteChain:
     """A countable linear order with decidable comparison, an element
     enumeration, computable betweenness, and its two ends stated once by
     `cofinal` and `coinitial`; `least` and `greatest` derive from them.
+    Every shape keeps the contract the method docstrings state, and
+    `tests/test_chains.py` checks it on each.
 
     `homogeneous` claims an order automorphism taking any element to any
     other that commutes with `above`, `below` and `between`."""
@@ -76,11 +78,13 @@ class ConcreteChain:
     homogeneous = False
 
     def cmp(self, x, y) -> int:
+        """-1, 0 or 1 as x lies below, at or above y: a total order,
+        antisymmetric and transitive on the elements."""
         raise NotImplementedError
 
     def check(self, p):
-        """A point of an index chain in its stored form; other chains refuse
-        every point."""
+        """A point of an index chain in its stored form, which `check` returns
+        unchanged; other chains refuse every point."""
         raise DomainError(f"{type(self).__name__} is not an index chain")
 
     def least(self):
@@ -90,17 +94,25 @@ class ConcreteChain:
         return self.cofinal().extremal
 
     def above(self, x):
-        """Some element strictly above x, or None."""
+        """Some element strictly above x, None exactly when x is the greatest.
+        It need not be the next one: a lex product moves only its last
+        factor that can move, so on fin(3) x fin(2) it takes (0, 1) to
+        (1, 1) past (1, 0)."""
         raise NotImplementedError
 
     def below(self, x):
+        """Some element strictly below x, None exactly when x is the least;
+        like `above`, not necessarily the next one."""
         raise NotImplementedError
 
     def between(self, x, y):
-        """Some element strictly between x < y, or None."""
+        """Some element strictly between x < y, None exactly when no element
+        lies between them."""
         raise NotImplementedError
 
     def elements(self) -> Iterator:
+        """Every element once, each after finitely many others; the iterator
+        ends exactly when the chain is finite."""
         raise NotImplementedError
 
     def cofinal(self) -> WitnessSide:
@@ -371,11 +383,6 @@ class LexChain(ConcreteChain):
     def __str__(self) -> str:
         return "lex(" + ",".join(str(f) for f in self.factors) + ")"
 
-    def _mirror(self) -> "LexChain":
-        """The same tuples in the reverse order: the product of the reversed
-        factors."""
-        return LexChain(tuple(RevChain(f) for f in self.factors))
-
     def cmp(self, x, y):
         for fac, a, b in zip(self.factors, x, y):
             c = fac.cmp(a, b)
@@ -383,18 +390,21 @@ class LexChain(ConcreteChain):
                 return c
         return 0
 
-    def _first(self, i):
-        return next(iter(self.factors[i].elements()))
-
-    def above(self, x):
-        for j in range(len(self.factors) - 1, -1, -1):
-            z = self.factors[j].above(x[j])
+    def _scan(self, p, up, coords):
+        """p with the first coordinate j of `coords` that its factor can step
+        (up when `up`, else down) stepped, or None when none can."""
+        for j in coords:
+            fac = self.factors[j]
+            z = fac.above(p[j]) if up else fac.below(p[j])
             if z is not None:
-                return x[:j] + (z,) + x[j + 1:]
+                return p[:j] + (z,) + p[j + 1:]
         return None
 
+    def above(self, x):
+        return self._scan(x, True, reversed(range(len(self.factors))))
+
     def below(self, x):
-        return self._mirror().above(x)
+        return self._scan(x, False, reversed(range(len(self.factors))))
 
     def between(self, x, y):
         for k, fac in enumerate(self.factors):
@@ -405,46 +415,39 @@ class LexChain(ConcreteChain):
         z = self.factors[k].between(x[k], y[k])
         if z is not None:
             return x[:k] + (z,) + x[k + 1:]
-        for j in range(k + 1, len(self.factors)):
-            z = self.factors[j].above(x[j])
-            if z is not None:
-                return x[:j] + (z,) + x[j + 1:]
-        for j in range(k + 1, len(self.factors)):
-            z = self.factors[j].below(y[j])
-            if z is not None:
-                return y[:j] + (z,) + y[j + 1:]
-        return None
+        later = range(k + 1, len(self.factors))
+        return self._scan(x, True, later) or self._scan(y, False, later)
 
     def elements(self):
-        caches = [[] for _ in self.factors]
+        """Shell by shell: shell d holds the index combinations whose largest
+        index is d, and is empty once no factor has a (d+1)-th element."""
         gens = [fac.elements() for fac in self.factors]
-        done = [False] * len(self.factors)
+        caches = [[] for _ in self.factors]
         for d in itertools.count(0):
-            for i, g in enumerate(gens):
-                while not done[i] and len(caches[i]) <= d:
-                    try:
-                        caches[i].append(next(g))
-                    except StopIteration:
-                        done[i] = True
-            if all(done) and d >= max(len(c) for c in caches):
+            for g, c in zip(gens, caches):
+                c.extend(itertools.islice(g, d + 1 - len(c)))
+            if all(len(c) <= d for c in caches):
                 return
-            ranges = [range(min(d + 1, len(c))) for c in caches]
-            for combo in itertools.product(*ranges):
-                if max(combo) == d:
-                    yield tuple(caches[i][j] for i, j in enumerate(combo))
+            for combo in itertools.product(*(range(min(d + 1, len(c))) for c in caches)):
+                if d in combo:
+                    yield tuple(c[j] for c, j in zip(caches, combo))
+
+    def _end(self, top):
+        """The greatest (`top`) or least elements of the leading factors that
+        have one, then the first factor's ladder that has not, padded by first
+        elements."""
+        head = ()
+        for k, fac in enumerate(self.factors):
+            end = fac.cofinal() if top else fac.coinitial()
+            if end.extremal is None:
+                pad = tuple(next(iter(f.elements())) for f in self.factors[k + 1:])
+                factory = end.ladder
+                return WitnessSide.via(lambda: (head + (x,) + pad for x in factory()))
+            head += (end.extremal,)
+        return WitnessSide.at(head)
 
     def cofinal(self):
-        """The greatest elements of the leading factors that have one, then
-        the first factor's ladder that has not, padded by first elements."""
-        top = ()
-        for k, fac in enumerate(self.factors):
-            end = fac.cofinal()
-            if end.extremal is None:
-                pad = tuple(self._first(i) for i in range(k + 1, len(self.factors)))
-                factory = end.ladder
-                return WitnessSide.via(lambda: (top + (x,) + pad for x in factory()))
-            top += (end.extremal,)
-        return WitnessSide.at(top)
+        return self._end(True)
 
     def coinitial(self):
-        return self._mirror().cofinal()
+        return self._end(False)

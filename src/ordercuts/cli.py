@@ -223,9 +223,9 @@ class Parser:
     def parse_block(self, head: str, spec, required=()):
         """Reader of `key=value` entries separated by `;`, then the closing
         `)`.  Each key of `spec`, which maps it to the parser of its value,
-        appears at most once and every `required` key appears; `card` is
-        written `card<=`.  A value parser that returns a reader has the
-        driver read the value."""
+        appears at most once and every `required` key appears, a missing one
+        reported at the closing `)`; `card` is written `card<=`.  A value
+        parser that returns a reader has the driver read the value."""
         out: Dict[str, object] = {}
         while True:
             key_tok = self.next()
@@ -241,10 +241,10 @@ class Parser:
             out[key] = value
             if not self.accept(";"):
                 break
-        self.expect(")")
+        close = self.expect(")")
         for key in required:
             if key not in out:
-                self.fail(f"{head} needs {key}=")
+                raise self.error(f"{head} needs {key}=", close)
         return out
 
     # -- entry ----------------------------------------------------------------

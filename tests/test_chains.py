@@ -1,5 +1,6 @@
 """The concrete chains shared by the Hahn layer and the ladder oracle."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -67,18 +68,28 @@ _SHAPES = [
     LexChain((OMEGA, IntChain(0, 2))),
     LexChain((IntChain(0, 2), RAT)),
     LexChain((IntChain(None, 3), IntChain(0, 4), OMEGA)),
+    # a dense factor's own midpoint, and the fallback below y in `between`
+    LexChain((RAT, IntChain(0, 2))),
+    LexChain((RevChain(OMEGA), IntChain(0, 2))),
+    SumChain(LexChain((IntChain(0, 2), OMEGA)), IntChain(0, 1), RAT),
 ]
 END_SHAPES = _SHAPES + [RevChain(c) for c in _SHAPES]
+
+
+def _is_index(chain):
+    """An index chain: int and rat chains and lex products of index chains."""
+    if isinstance(chain, LexChain):
+        return all(map(_is_index, chain.factors))
+    return isinstance(chain, (IntChain, RatChain))
 
 
 def _check_end(chain, side, extreme, beyond, sign):
     """One end of `chain`: the top end when sign is +1, the bottom end when
     it is -1, with `extreme` the greatest or least element and `beyond` the
     neighbour map that steps past that end.  An index chain also checks
-    that the end's elements are its points (every lex product here is one);
-    other chains have only the `check` that refuses every point."""
-    index = isinstance(chain, (IntChain, RatChain, LexChain))
-    check = chain.check if index else (lambda p: None)
+    that the end's elements are its points; other chains have only the
+    `check` that refuses every point."""
+    check = chain.check if _is_index(chain) else (lambda p: None)
     if side.extremal is not None:
         check(side.extremal)
         assert side.extremal == extreme
@@ -115,6 +126,84 @@ def test_only_an_end_lacks_a_neighbour(chain):
     for x in itertools.islice(chain.elements(), 200):
         assert (chain.above(x) is None) == (top is not None and chain.cmp(x, top) == 0), x
         assert (chain.below(x) is None) == (bottom is not None and chain.cmp(x, bottom) == 0), x
+
+
+# ---------------------------------------------------------------------------
+# The walk contract of `ConcreteChain`, on every shape
+# ---------------------------------------------------------------------------
+
+CONTRACT_PREFIX = 30
+
+
+def _sorted_prefix(chain):
+    """The first CONTRACT_PREFIX enumerated elements in chain order, and
+    whether they are all the chain's elements."""
+    points = list(itertools.islice(chain.elements(), CONTRACT_PREFIX + 1))
+    whole = len(points) <= CONTRACT_PREFIX
+    points = points[:CONTRACT_PREFIX]
+    return sorted(points, key=functools.cmp_to_key(chain.cmp)), whole
+
+
+@pytest.mark.parametrize("chain", END_SHAPES, ids=repr)
+def test_cmp_is_a_strict_total_order(chain):
+    """`cmp` on the enumerated elements, sorted by it, is the order of their
+    positions: antisymmetric, transitive, and 0 only on an element and
+    itself, so `elements()` never repeats."""
+    points, _ = _sorted_prefix(chain)
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            assert chain.cmp(x, y) == (i > j) - (i < j), (x, y)
+
+
+@pytest.mark.parametrize("chain", END_SHAPES, ids=repr)
+def test_steps_lie_strictly_beyond(chain):
+    """`above(x)` and `below(x)`, when not None, lie strictly above and
+    below x; they need not be its neighbours."""
+    for x in itertools.islice(chain.elements(), CONTRACT_PREFIX):
+        up, down = chain.above(x), chain.below(x)
+        assert up is None or chain.cmp(x, up) < 0, x
+        assert down is None or chain.cmp(down, x) < 0, x
+
+
+@pytest.mark.parametrize("chain", END_SHAPES, ids=repr)
+def test_between_lies_strictly_inside(chain):
+    """`between(x, y)` for x < y lies strictly inside or is None, and is
+    None only when no enumerated element lies between.  On a finite shape,
+    every element enumerated, it is None exactly then."""
+    points, whole = _sorted_prefix(chain)
+    for i, x in enumerate(points):
+        for j in range(i + 1, len(points)):
+            y = points[j]
+            z = chain.between(x, y)
+            if z is None:
+                assert j == i + 1, (x, y)
+            else:
+                assert chain.cmp(x, z) < 0 < chain.cmp(y, z), (x, y, z)
+                assert not whole or j > i + 1, (x, y, z)
+
+
+@pytest.mark.parametrize("chain", [c for c in END_SHAPES if _is_index(c)], ids=repr)
+def test_check_returns_its_stored_form(chain):
+    for p in itertools.islice(chain.elements(), CONTRACT_PREFIX):
+        stored = chain.check(p)
+        assert repr(chain.check(stored)) == repr(stored), p
+
+
+def test_lex_walks_build_no_chain(monkeypatch):
+    """`below` and `coinitial` of a lex product walk its factors directly,
+    as `above` and `cofinal` do, and build no mirrored product."""
+    lex = LexChain((INT, IntChain(0, 2), RAT))
+    points = list(itertools.islice(lex.elements(), 30))
+    built = []
+    for cls in (LexChain, RevChain):
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            built.append(_cls.__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for x in points:
+        lex.below(x)
+    list(itertools.islice(lex.coinitial().ladder(), 8))
+    assert built == []
 
 
 def test_least_and_greatest_derive_from_the_ends():

@@ -117,6 +117,10 @@ class TestGolden:
             rendered = _render_rows(command, rows)
             assert rendered == text
 
+    def test_machine_report_needs_its_header(self):
+        with pytest.raises(ParseError, match="^machine report lacks its header line$"):
+            parse_machine_report("rec=item|name=a|kind=order\nrec=exit|value=0\n")
+
     def test_exit_status_values(self):
         code, _ = invoke("--in", str(FIXTURES / "corpus.defs"),
                          "--cmd", "classify")
@@ -576,6 +580,9 @@ class TestInputErrors:
         ("\r\nlet a = 1\r\n# c (\r\nlet b = well(aleph(1) x)\r\n", 4, 23,
          "expected ')', found 'x'"),
         ("let a = 1\n\n\tlet\tb = \tnope\n", 3, 11, "undefined name nope"),
+        ("let c = aleph(1)\nlet d = rev(c)\n", 2, 13, "c is not an order term"),
+        ("let c = aleph(1)\nlet f = field(group=c)\n", 2, 21,
+         "c is not a group descriptor"),
         ("# x\n\n  let a = $\n", 3, 11, "unexpected character '$'"),
         ("let a = 1\n\n# trailing (\nlet b = sum(", 4, 13, "expected an order term"),
         ("let a = 1 # (\n\n\n\t\tlet b = rev(\r\n  chain(x))\n", 5, 9,
@@ -605,6 +612,8 @@ class TestInputErrors:
         ("let H = hahn(chain=fin(0))\n", 20, "fin(0) has no points"),
         ("let H = hahn(chain=lex(int,fin(0)); (1,0):1)\n", 28,
          "fin(0) has no points"),
+        ("let H = hahn(chain=int; 1/2:1)\n", 28, "integer point expected"),
+        ("let S = series(exp=lexx; (1):1)\n", 20, "exponent group is lexN"),
     ])
     def test_bad_element_located(self, tmp_path, text, col, message):
         assert_located(tmp_path, text, col, message)
@@ -635,6 +644,10 @@ class TestInputErrors:
          "duplicate key 'cf'"),
         ("let x = atom(q; card<=aleph(0); card<=aleph(1))\n", (), 33,
          "duplicate key 'card'"),
+        ("let a = lexsched(k0=aleph(1); l0=aleph(1); k1=aleph(1); l1=aleph(1))\n", (), 68,
+         "lexsched needs mu="),
+        ("let f = field(residue=reals)\n", (), 28, "field needs group="),
+        ("let x = atom(1)\n", (), 14, "atom needs a name"),
         ("let W0 = well(aleph(0))\n", ("--bound", "aleph(3) junk"), 10,
          "trailing text after the cardinal"),
     ], ids=["cardset-missing", "cardset-trailing", "cuts-missing", "cuts-trailing",
@@ -642,6 +655,7 @@ class TestInputErrors:
             "exponent-missing", "exponent-trailing", "lexpoint-missing",
             "lexpoint-trailing", "hahn-missing", "hahn-trailing", "series-missing",
             "series-trailing", "atom-key-repeated", "atom-card-repeated",
+            "lexsched-key-missing", "field-key-missing", "atom-name-missing",
             "bound-trailing"])
     def test_lists_keys_and_bound_located(self, tmp_path, text, args, col, message):
         """Lists take one comma between items and none after the last, a key
@@ -656,6 +670,28 @@ class TestInputErrors:
         assert f"line 1, col {col}: {message}" in err
         assert "--bound" in err or not args
         assert "Traceback" not in err
+
+    def test_missing_key_located_at_the_block_close(self, tmp_path):
+        """A block without a required key is reported at its closing `)`,
+        not at the token after it, which in a longer file is the next
+        definition."""
+        text = ("let a = lexsched(k0=aleph(1); l0=aleph(1); k1=aleph(1); l1=aleph(1))\n"
+                "let b = chain(2)\n")
+        with pytest.raises(ParseError) as exc:
+            parse_definitions(text)
+        assert str(exc.value) == "line 1, col 68: lexsched needs mu="
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "spectrum")
+        assert (code, out, err) == (2, "", "error: line 1, col 68: lexsched needs mu=\n")
+
+    def test_extend_refuses_an_irregular_parameter(self, tmp_path):
+        """`extend` on a lexsched whose l0 is not infinite regular writes the
+        regular-params error record and exits 2."""
+        text = "let J = lexsched(mu=aleph(2); k0=aleph(1); l0=1; k1=aleph(2); l1=aleph(3))\n"
+        code, out, err = invoke_on(tmp_path, text, "--cmd", "extend", "--format", "machine")
+        assert (code, err) == (2, "")
+        assert out.splitlines()[2:] == [
+            "rec=row|name=J|error=regular-params: not infinite regular: l0=1",
+            "rec=status|name=J|value=error", "rec=exit|value=2"]
 
     @pytest.mark.parametrize("top", ["ints_at_top", "dense_at_top"])
     def test_bare_top_component_refused(self, tmp_path, top):

@@ -137,6 +137,16 @@ class TestArchimedean:
         for n in (1, 10, 1000):
             assert a.abs().scale(n) > b.abs()
 
+    @pytest.mark.parametrize("a_zero,b_zero,witness", [
+        (True, True, 1), (True, False, None), (False, True, None),
+    ])
+    def test_witness_on_zero(self, a_zero, b_zero, witness):
+        """Zero is equivalent to itself, with 1 as witness, and to nothing
+        else."""
+        x = HahnElement.make(INT_CHAIN, [(2, 3)])
+        a, b = (HahnElement.zero(INT_CHAIN) if z else x for z in (a_zero, b_zero))
+        assert arch_witness(a, b) == witness
+
     def test_criterion_matches_witness_search(self):
         rng = random.Random(11)
         for _ in range(800):

@@ -189,6 +189,18 @@ class TestLexSampling:
         principal = {p for p in sampled if p.is_principal}
         assert principal == {CofPair(ONE, ONE)}
 
+    @pytest.mark.parametrize("chain_,expected", [
+        (LexChain((IntChain(0, 3), IntChain(0, 2))), {(ONE, ONE)}),
+        (LexChain((IntChain(0, 2), IntChain(0))), {(ONE, ONE), (A0, ONE)}),
+        (RevChain(LexChain((IntChain(0, 2), IntChain(0)))), {(ONE, ONE), (ONE, A0)}),
+    ], ids=["fin3xfin2", "fin2xomega", "rev(fin2xomega)"])
+    def test_lex_sampling_without_immediate_neighbours(self, chain_, expected):
+        """`above` on a product need not be the next element (on fin(3) x
+        fin(2) it takes (0, 1) to (1, 1) past (1, 0)); the sampler walks
+        `between` from it back toward x, so it still finds each principal
+        cut's pair."""
+        assert sample_cuts(chain_) == frozenset(CofPair(*p) for p in expected)
+
     def test_zxz_between(self):
         zz = LexChain((SumChain(RevChain(IntChain(0)), IntChain(0)),) * 2)
         a = ((1, 0), (1, 0))

@@ -159,6 +159,15 @@ class TestCutSpectrumBasics:
         spec = cut_spectrum(sum_of(OMEGA, OMEGA_STAR))
         assert spec.pairs_below(A1) == pairs((ONE, ONE), (A0, A0))
 
+    @pytest.mark.parametrize("t,text", [
+        (EMPTY, "{}"),
+        (well(A1), "{(1,1)} u {(k,1) : k in {reg<aleph(1)}}"),
+    ], ids=["empty", "well(aleph(1))"])
+    def test_spectrum_text(self, t, text):
+        """A spectrum prints its parts joined by ` u `, and `{}` when it has
+        none."""
+        assert str(cut_spectrum(t)) == text
+
     def test_free_completion_rejected(self):
         with pytest.raises(NotDerivableError):
             cut_spectrum(Completion(RAT_ATOM))
@@ -380,6 +389,14 @@ class TestExtendOrder:
                 ext = extend_order(inner, k0, l0)
                 assert all(c.passed for c in check_side_conditions(ext.term))
                 assert completeness_predicates(ext.term).extreme
+
+    def test_irregular_lexsched_parameter_refused(self):
+        """The extension base of a lex product reads its Coin/Cofin sets,
+        which the regular-params gate refuses first."""
+        bad = LexSchedule(A2, A1, ZERO, CardinalSchedule(A2, A3), EMPTY)
+        with pytest.raises(SideConditionError,
+                           match=r"^regular-params: not infinite regular: l0=0$"):
+            extend_order(bad)
 
     def test_downgrade_k0(self):
         comp = completeness_predicates(extend_order(EMPTY, A0, A1).term)
